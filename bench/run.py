@@ -1,6 +1,6 @@
 """Run one qclab benchmark workload and print its metrics.
 
-    python3 bench/run.py --workload mc-fold --seed 1 --seconds 15 --trace 0
+    python3 bench/run.py --workload mc-fold --seed 1 --seconds 28 --trace 0
 
 Set-up is timed in fresh processes: several that only start the interpreter,
 import qclab and build the seeded inputs, plus the workload's own process,

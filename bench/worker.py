@@ -2,10 +2,11 @@
 
 ``run.py`` starts this file with the thread counts pinned and ``src`` on the
 path. It prints ``READY`` once the first pass's inputs exist (the end of
-set-up), and with ``--setup-only`` exits there. Otherwise it times passes of
-the workload until ``--seconds`` have gone by, with
-``--trace 1`` spends the second half of that time on traced passes, judges
-every pass, and prints one ``RESULT <json>`` line.
+set-up), and with ``--setup-only`` exits there. Otherwise it runs one warm-up
+pass and then times passes of the workload for the rest of ``--seconds``,
+starting a pass only while a typical pass still fits; ``--trace 1`` spends
+the second half of that time on traced passes. It judges every pass, the
+warm-up too, and prints one ``RESULT <json>`` line.
 """
 
 from __future__ import annotations
@@ -32,9 +33,23 @@ def cpu_seconds() -> float:
     return r.ru_utime + r.ru_stime
 
 
-def timed_passes(wl, args, root, first, budget: float, ledger, tracer=None, start_index=0):
-    """Run passes until ``budget`` seconds have gone by; always at least one.
-    Returns [(inputs, ops, wall_s, cpu_s)]."""
+def judge_pass(wl, inp, ops, ledger, controls: dict) -> None:
+    """Judge a pass once its timing has stopped and drop its outputs, so that
+    memory does not grow with the number of passes. Pooled workloads (the MC
+    folds, judged on estimates pooled over the run) wait for the end."""
+    if wl.pooled:
+        return
+    for key, value in wl.check([(inp, ops)], ledger).items():
+        if value is not None:
+            controls.setdefault(key, value)
+    for op in ops:
+        op.value = None
+
+
+def timed_passes(wl, args, root, first, budget: float, ledger, controls: dict, tracer=None,
+                 start_index=0):
+    """Run and judge passes while one more of median length fits in ``budget``
+    seconds; always at least one. Returns [(inputs, ops, wall_s, cpu_s)]."""
     passes = []
     begin = time.perf_counter()
     while True:
@@ -47,7 +62,8 @@ def timed_passes(wl, args, root, first, budget: float, ledger, tracer=None, star
         wl.run(inp, ledger)
         t1, c1 = time.perf_counter(), cpu_seconds()
         passes.append((inp, ledger.ops[n_ops:], t1 - t0, c1 - c0))
-        if t1 - begin >= budget:
+        judge_pass(wl, inp, passes[-1][1], ledger, controls)
+        if time.perf_counter() - begin + statistics.median(p[2] for p in passes) > budget:
             return passes
 
 
@@ -68,20 +84,26 @@ def main(argv=None) -> int:
     if args.setup_only:
         return 0
 
-    ledger = orc.Ledger()
-    budget = args.seconds / 2 if args.trace else args.seconds
-    plain = timed_passes(wl, args, root, first, budget, ledger)
+    ledger, controls = orc.Ledger(), {}
+    start = time.perf_counter()
+    # one untimed pass first: lazy imports, caches and allocator warm up
+    warm = timed_passes(wl, args, root, first, 0.0, ledger, controls)
+    left = args.seconds - (time.perf_counter() - start)
+    budget = left / 2 if args.trace else left
+    plain = timed_passes(wl, args, root, None, budget, ledger, controls, start_index=1)
     traced, tracer = [], None
     if args.trace:
         tracer = spans.Tracer()
         tracer.install()
         try:
-            traced = timed_passes(wl, args, root, None, budget, ledger, tracer, len(plain))
+            traced = timed_passes(wl, args, root, None, budget, ledger, controls, tracer,
+                                  1 + len(plain))
         finally:
             tracer.uninstall()
 
-    passes = plain + traced
-    controls = wl.check([(inp, ops) for inp, ops, _, _ in passes], ledger)
+    passes = warm + plain + traced
+    if wl.pooled:
+        controls = wl.check([(inp, ops) for inp, ops, _, _ in passes], ledger)
     unflagged = orc.negative_control(**controls)
 
     result = {

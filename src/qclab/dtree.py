@@ -6,14 +6,16 @@ child0, child1)`` with 1-indexed variables. No variable repeats on any
 root-to-leaf path; this is validated when a ``DecisionTree`` is built.
 
 The DPs (deterministic depth, distributional error at a depth budget,
-zero-error expected cost) recurse over restrictions of the function and are
-memoized by a canonical base-3 encoding of the restricting subcube, so they
-are exact but limited to arity <= 14.
+zero-error expected cost) share one engine: the whole lattice of 3^m
+subcubes as a numpy array, relaxed one query at a time. They are exact with
+rational marginals, float with float ones, and limited to arity <= 14.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
@@ -200,171 +202,101 @@ def singleton(tree: DecisionTree) -> RandomizedTree:
 
 
 # ---------------------------------------------------------------------------
-# Restriction DP machinery
+# Subcube-lattice engine
 # ---------------------------------------------------------------------------
 
 
-class _RestrictionDP:
-    """Memoized recursions over subcubes of one function.
+def _fix(arr: np.ndarray, ax: int, v: int) -> np.ndarray:
+    """View of ``arr`` with axis ``ax`` at entry ``v`` (0, 1, or 2 for free)."""
+    return arr[(slice(None),) * ax + (v, ...)]
 
-    The memo key is the base-3 encoding of the restriction: digit j is the
-    fixed bit of variable j+1, or 2 when free.
+
+class _Lattice:
+    """Every subcube of {0,1}^m as one array of shape (3,)*m.
+
+    Variable j+1 is axis m-1-j, and entries 0, 1 and 2 along an axis mean
+    x_j = 0, x_j = 1 and free, so a C-order reshape of the truth table is the
+    fully fixed corner and the whole cube is the last entry. Values over
+    subcubes are stacked on the corner one axis at a time, so a subcube is
+    split on its lowest free variable. Every DP runs ``rounds`` from its base
+    array; round k holds the best tree with at most k queries, where a leaf
+    on a non-constant subcube costs more than any tree (m + 1 queries).
+
+    With a float marginal the values are floats. Otherwise they are Python
+    ints scaled by ``one``, the product of the marginals' denominators: each
+    mix divides exactly, because a value over a subcube is multilinear in the
+    marginals of its free variables.
     """
 
-    def __init__(self, f: BooleanFunction, mu: Optional[ProductDistribution] = None):
-        if f.arity > DP_MAX_ARITY:
-            raise ValueError(f"arity {f.arity} above DP cap {DP_MAX_ARITY}")
-        self.f = f
-        self.m = f.arity
-        self.mu = mu
-        self.pow3 = [3**j for j in range(self.m)]
-        self._const = {}
-        self._p1 = {}
-        self._depth = {}
-        self._err = {}
-        self._cost = {}
-
-    def _key(self, assign) -> int:
-        key = 0
-        for j, v in enumerate(assign):
-            key += (2 if v is None else v) * self.pow3[j]
-        return key
-
-    def _first_free(self, assign):
-        for j, v in enumerate(assign):
-            if v is None:
-                return j
-        return None
-
-    def _point_index(self, assign) -> int:
-        idx = 0
-        for j, v in enumerate(assign):
-            idx |= v << j
-        return idx
-
-    def const_value(self, assign):
-        """Constant value of f on the subcube, or None."""
-        key = self._key(assign)
-        try:
-            return self._const[key]
-        except KeyError:
-            pass
-        j = self._first_free(assign)
-        if j is None:
-            val = self.f.value_at(self._point_index(assign))
+    def __init__(self, f: BooleanFunction, marginals: Sequence = ()):
+        m = f.arity
+        if m > DP_MAX_ARITY:
+            raise ValueError(f"arity {m} above DP cap {DP_MAX_ARITY}")
+        self.m = m
+        self.corner = f.table_array().reshape((2,) * m)
+        const = self.stack(self.corner, lambda ax, a, b: np.where(a == b, a, 2))
+        self.nonconst = const == 2
+        per_axis = list(marginals)[::-1]
+        self.exact = not any(isinstance(p, float) for p in per_axis)
+        if self.exact:
+            fr = [Fraction(p) for p in per_axis]
+            self.weights = [(q.denominator - q.numerator, q.numerator, q.denominator) for q in fr]
+            self.dtype, self.one = object, math.prod(q.denominator for q in fr)
+            rational = any(isinstance(p, Fraction) for p in per_axis)
+            self.value = (lambda v: Fraction(v, self.one)) if rational else int  # ints stay ints
         else:
-            assign[j] = 0
-            v0 = self.const_value(assign)
-            assign[j] = 1
-            v1 = self.const_value(assign) if v0 is not None else None
-            assign[j] = None
-            val = v0 if (v0 is not None and v0 == v1) else None
-        self._const[key] = val
-        return val
+            self.weights = [(float(1 - p), float(p)) for p in per_axis]
+            self.dtype, self.one, self.value = np.float64, 1.0, float
 
-    def prob_one(self, assign):
-        """Pr[f = 1] under mu conditioned on the subcube."""
-        key = self._key(assign)
-        try:
-            return self._p1[key]
-        except KeyError:
-            pass
-        j = self._first_free(assign)
-        if j is None:
-            val = self.f.value_at(self._point_index(assign))
-        else:
-            p = self.mu.marginals[j]
-            assign[j] = 0
-            q0 = self.prob_one(assign)
-            assign[j] = 1
-            q1 = self.prob_one(assign)
-            assign[j] = None
-            val = (1 - p) * q0 + p * q1
-        self._p1[key] = val
-        return val
+    def mix(self, ax: int, a, b):
+        """(1-p) a + p b, for the marginal p of the variable on axis ``ax``."""
+        if self.exact:
+            n0, n1, d = self.weights[ax]
+            return (n0 * a + n1 * b) // d
+        w0, w1 = self.weights[ax]
+        return w0 * a + w1 * b
 
-    def depth(self, assign) -> int:
-        key = self._key(assign)
-        try:
-            return self._depth[key]
-        except KeyError:
-            pass
-        if self.const_value(assign) is not None:
-            val = 0
-        else:
-            best = None
-            for j in range(self.m):
-                if assign[j] is not None:
-                    continue
-                assign[j] = 0
-                d0 = self.depth(assign)
-                assign[j] = 1
-                d1 = self.depth(assign)
-                assign[j] = None
-                worst = max(d0, d1)
-                if best is None or worst < best:
-                    best = worst
-            val = 1 + best
-        self._depth[key] = val
-        return val
+    def stack(self, corner: np.ndarray, combine) -> np.ndarray:
+        arr = corner
+        for ax in range(self.m):
+            a0, a1 = _fix(arr, ax, 0), _fix(arr, ax, 1)
+            arr = np.stack([a0, a1, combine(ax, a0, a1)], axis=ax)
+        return arr
 
-    def dist_error(self, assign, k: int):
-        """Least error of a depth<=k tree on the restriction, with early
-        stopping allowed at every node."""
-        key = (self._key(assign), k)
-        try:
-            return self._err[key]
-        except KeyError:
-            pass
-        q = self.prob_one(assign)
-        best = min(q, 1 - q)
-        if k > 0 and best > 0:
-            for j in range(self.m):
-                if assign[j] is not None:
-                    continue
-                p = self.mu.marginals[j]
-                assign[j] = 0
-                e0 = self.dist_error(assign, k - 1)
-                assign[j] = 1
-                e1 = self.dist_error(assign, k - 1)
-                assign[j] = None
-                split = (1 - p) * e0 + p * e1
-                if split < best:
-                    best = split
-        self._err[key] = best
-        return best
+    def rounds(self, base: np.ndarray, step):
+        """Yield rounds 0, 1, 2, ...: the minimum of ``base`` and, on every
+        axis, ``step`` over the previous round's two halves."""
+        cur = base
+        while True:
+            yield cur
+            prev, cur = cur, base.copy()
+            for ax in range(self.m):
+                free = _fix(cur, ax, 2)
+                np.minimum(free, step(ax, _fix(prev, ax, 0), _fix(prev, ax, 1)), out=free)
 
-    def zero_error_cost(self, assign):
-        key = self._key(assign)
-        try:
-            return self._cost[key]
-        except KeyError:
-            pass
-        if self.const_value(assign) is not None:
-            val = 0
-        else:
-            best = None
-            for j in range(self.m):
-                if assign[j] is not None:
-                    continue
-                p = self.mu.marginals[j]
-                assign[j] = 0
-                c0 = self.zero_error_cost(assign)
-                assign[j] = 1
-                c1 = self.zero_error_cost(assign)
-                assign[j] = None
-                cost = (1 - p) * c0 + p * c1
-                if best is None or cost < best:
-                    best = cost
-            val = 1 + best
-        self._cost[key] = val
-        return val
+    def depths(self):
+        base = np.where(self.nonconst, np.int8(self.m + 1), np.int8(0))
+        return self.rounds(base, lambda ax, a, b: 1 + np.maximum(a, b))
+
+    def errors(self):
+        p1 = self.stack(self.corner.astype(self.dtype) * self.one, self.mix)
+        return self.rounds(np.minimum(p1, self.one - p1), self.mix)
+
+    def costs(self):
+        base = np.zeros(self.nonconst.shape, self.dtype)
+        base[self.nonconst] = (self.m + 1) * self.one  # no tree yet
+        return self.rounds(base, lambda ax, a, b: self.one + self.mix(ax, a, b))
+
+
+def _nth(rounds, k: int) -> np.ndarray:
+    return next(itertools.islice(rounds, k, None))
 
 
 def exact_D(f: BooleanFunction) -> int:
-    """Deterministic query complexity by memoized recursion over subcubes."""
-    dp = _RestrictionDP(f)
-    return dp.depth([None] * f.arity)
+    """Deterministic query complexity: the first round whose root is below
+    the m + 1 of a missing tree."""
+    m = f.arity
+    return next(int(cur.flat[-1]) for cur in _Lattice(f).depths() if cur.flat[-1] <= m)
 
 
 def optimal_dist_error(f: BooleanFunction, mu: ProductDistribution, k: int):
@@ -373,8 +305,8 @@ def optimal_dist_error(f: BooleanFunction, mu: ProductDistribution, k: int):
         raise ValueError("arity mismatch")
     if k < 0:
         raise ValueError("depth budget must be >= 0")
-    dp = _RestrictionDP(f, mu)
-    return dp.dist_error([None] * f.arity, min(k, f.arity))
+    lat = _Lattice(f, mu.marginals)
+    return lat.value(_nth(lat.errors(), min(k, f.arity)).flat[-1])
 
 
 def exact_Dmu_eps(f: BooleanFunction, mu: ProductDistribution, eps) -> int:
@@ -384,11 +316,10 @@ def exact_Dmu_eps(f: BooleanFunction, mu: ProductDistribution, eps) -> int:
     """
     if f.arity != mu.arity:
         raise ValueError("arity mismatch")
-    dp = _RestrictionDP(f, mu)
-    assign = [None] * f.arity
+    lat = _Lattice(f, mu.marginals)
     exact = isinstance(eps, Fraction) and isinstance(mu.marginals[0], Fraction)
-    for k in range(f.arity + 1):
-        err = dp.dist_error(assign, k)
+    for k, cur in enumerate(itertools.islice(lat.errors(), f.arity + 1)):
+        err = lat.value(cur.flat[-1])
         if err <= eps or (not exact and err <= eps + 1e-12):
             return k
     raise AssertionError("unreachable: depth m always has error 0")
@@ -398,73 +329,22 @@ def zero_error_expected_cost(f: BooleanFunction, mu: ProductDistribution):
     """Least expected number of queries of any tree computing f exactly."""
     if f.arity != mu.arity:
         raise ValueError("arity mismatch")
-    dp = _RestrictionDP(f, mu)
-    return dp.zero_error_cost([None] * f.arity)
-
-
-# ---------------------------------------------------------------------------
-# Full-lattice float engine (used by the adversarial-distribution search)
-# ---------------------------------------------------------------------------
+    if f.is_constant():
+        return 0  # no query, in any arithmetic
+    lat = _Lattice(f, mu.marginals)
+    return lat.value(_nth(lat.costs(), f.arity).flat[-1])
 
 
 def dist_error_curve_fast(f: BooleanFunction, marginals: Sequence[float]) -> np.ndarray:
-    """err(k) for k = 0..m over the whole subcube lattice, float arithmetic.
+    """err(k) for k = 0..m in float arithmetic, from one lattice.
 
-    Equivalent to ``optimal_dist_error`` for each k; vectorized so a search
-    can evaluate many distributions. Arity is capped by memory at ~12.
+    Equal to ``optimal_dist_error`` for each k with float marginals; a search
+    calls it to score many distributions.
     """
-    m = f.arity
-    if m != len(marginals):
+    if f.arity != len(marginals):
         raise ValueError("arity mismatch")
-    if m > 12:
-        raise ValueError("lattice engine capped at arity 12")
-    p = [float(q) for q in marginals]
-    pow3 = [3**j for j in range(m)]
-    n_states = 3**m
-
-    digits = np.zeros((n_states, m), dtype=np.int8)
-    states = np.arange(n_states)
-    rem = states.copy()
-    for j in range(m):
-        digits[:, j] = rem % 3
-        rem //= 3
-
-    free_count = (digits == 2).sum(axis=1)
-
-    # conditional Pr[f=1] per state, levels of increasing free-variable count
-    p1 = np.zeros(n_states)
-    full = states[free_count == 0]
-    idx = np.zeros(len(full), dtype=np.int64)
-    for j in range(m):
-        idx |= digits[full, j].astype(np.int64) << j
-    p1[full] = f.table_array()[idx]
-    first_free = np.full(n_states, -1, dtype=np.int8)
-    for j in range(m - 1, -1, -1):
-        first_free[digits[:, j] == 2] = j
-    for level in range(1, m + 1):
-        for j in range(m):
-            sel = states[(free_count == level) & (first_free == j)]
-            if len(sel) == 0:
-                continue
-            p1[sel] = (1 - p[j]) * p1[sel - 2 * pow3[j]] + p[j] * p1[sel - pow3[j]]
-
-    err0 = np.minimum(p1, 1 - p1)
-    per_var = []
-    for j in range(m):
-        sel = states[digits[:, j] == 2]
-        per_var.append((sel, sel - 2 * pow3[j], sel - pow3[j]))
-
-    curve = [err0[-1]]
-    prev = err0
-    for _ in range(1, m + 1):
-        cur = err0.copy()
-        for j in range(m):
-            sel, c0, c1 = per_var[j]
-            cand = (1 - p[j]) * prev[c0] + p[j] * prev[c1]
-            np.minimum.at(cur, sel, cand)
-        curve.append(cur[-1])
-        prev = cur
-    return np.array(curve)
+    lat = _Lattice(f, [float(q) for q in marginals])
+    return np.array([cur.flat[-1] for cur in itertools.islice(lat.errors(), f.arity + 1)])
 
 
 # ---------------------------------------------------------------------------

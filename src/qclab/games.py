@@ -27,13 +27,13 @@ from .boolfunc import (
     sensitivity,
 )
 from .dtree import (
+    DP_MAX_ARITY,
     DecisionTree,
     Leaf,
     Query,
     RandomizedTree,
     avg_leaf_bias,
     dist_error_curve_fast,
-    exact_Dmu_eps,
     run,
     tree_leaves,
 )
@@ -297,10 +297,11 @@ def solve_zero_sum(matrix: Sequence[Sequence], sense: str = "row_max",
     vs = 1.0 / total
     q = [max(0.0, wi) * vs for wi in w]
     p = [max(0.0, di) * vs for di in duals]
-    if sum(q) <= 0 or sum(p) <= 0:
+    q_total, p_total = sum(q), sum(p)
+    if q_total <= 0 or p_total <= 0:
         raise LPError("degenerate LP: empty optimal strategy")
-    q = tuple(v / sum(q) for v in q)
-    p = tuple(v / sum(p) for v in p)
+    q = tuple(v / q_total for v in q)
+    p = tuple(v / p_total for v in p)
     value = vs - shift
     _verify_solution(rows_f, value, p, q, 1e-7)
     return GameValue(value, p, q)
@@ -687,21 +688,17 @@ def dprod_search(f: BooleanFunction, eps: float, restarts: int = 6,
     of passes per step size.
     """
     m = f.arity
-    if m > 14:
-        raise ValueError("dprod_search capped at arity 14")
+    if m > DP_MAX_ARITY:
+        raise ValueError(f"dprod_search capped at arity {DP_MAX_ARITY}")
     rng = np.random.default_rng(seed)
     evals = 0
 
     def score(p):
         nonlocal evals
         evals += 1
-        if m <= 12:
-            curve = dist_error_curve_fast(f, p)
-            k = next(k for k in range(m + 1) if curve[k] <= eps + 1e-12)
-            return (k, float(curve[k]))
-        mu = ProductDistribution(tuple(float(v) for v in p))
-        k = exact_Dmu_eps(f, mu, eps)
-        return (k, 0.0)
+        curve = dist_error_curve_fast(f, p)
+        k = next(k for k in range(m + 1) if curve[k] <= eps + 1e-12)
+        return (k, float(curve[k]))
 
     # Latin-hypercube start points on the coarse grid 0.1 .. 0.9
     grid = np.linspace(0.1, 0.9, restarts)

@@ -1,7 +1,9 @@
+import functools
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -13,6 +15,7 @@ from qclab.boolfunc import (
     constant,
     nand2,
     nand_tree,
+    prob_one,
     random_dyadic_distribution,
     random_function,
     uniform_distribution,
@@ -165,16 +168,90 @@ def test_dist_error_monotone_in_depth(data):
     assert prev == pytest.approx(0.0, abs=1e-12)
 
 
-def test_lattice_engine_matches_recursive_dp():
+@functools.lru_cache(maxsize=None)
+def _catalog_runs(m):
+    """Outputs and query counts of every labeled tree on m variables, by point."""
+    from qclab.games import enumerate_trees
+
+    trees = enumerate_trees(m, None, labeled=True).trees
+    points = [tuple((i >> j) & 1 for j in range(m)) for i in range(1 << m)]
+    runs = [[run(t, x) for x in points] for t in trees]
+    outputs = np.array([[r.output for r in row] for row in runs])
+    queries = np.array([[len(r.queried) for r in row] for row in runs])
+    return points, outputs, queries, np.array([t.depth for t in trees])
+
+
+def _brute_force(f, mu):
+    """(D, [err(k) for k = 0..m], zero-error cost) by scanning every tree."""
+    points, outputs, queries, depths = _catalog_runs(f.arity)
+    weights = [mu.point_prob(x) for x in points]
+    if isinstance(weights[0], Fraction):  # integer sums over a common denominator
+        den = math.lcm(*(w.denominator for w in weights))
+        weights = np.array([int(w * den) for w in weights])
+        value = lambda v: Fraction(int(v), den)
+    else:
+        weights, value = np.array(weights), float
+    wrong = outputs != np.array(f.bits())
+    correct = ~wrong.any(axis=1)
+    err = wrong @ weights
+    curve = [value(err[depths <= k].min()) for k in range(f.arity + 1)]
+    cost = value((queries @ weights)[correct].min())
+    return int(depths[correct].min()), curve, cost
+
+
+def _random_cases(rng, draw_marginal, n):
+    for _ in range(n):
+        m = rng.randint(1, 3)
+        table = rng.choice([0, (1 << (1 << m)) - 1, rng.getrandbits(1 << m)])
+        yield BooleanFunction(m, table), ProductDistribution(
+            tuple(draw_marginal(rng) for _ in range(m)))
+
+
+def test_lattice_engine_matches_brute_force():
     rng = random.Random(17)
-    for _ in range(20):
-        m = rng.randint(1, 6)
-        f = random_function(m, rng)
-        ps = [rng.uniform(0.05, 0.95) for _ in range(m)]
-        curve = dist_error_curve_fast(f, ps)
-        mu = ProductDistribution(tuple(ps))
-        for k in range(m + 1):
-            assert curve[k] == pytest.approx(optimal_dist_error(f, mu, k), abs=1e-11)
+    for f, mu in _random_cases(rng, lambda r: r.uniform(0.05, 0.95), 30):
+        d, curve, cost = _brute_force(f, mu)
+        assert exact_D(f) == d
+        fast = dist_error_curve_fast(f, mu.marginals)
+        assert fast.dtype == np.float64 and len(fast) == f.arity + 1
+        for k in range(f.arity + 1):
+            err = optimal_dist_error(f, mu, k)
+            assert type(err) is float and fast[k] == err
+            assert err == pytest.approx(curve[k], abs=1e-12)
+        zcost = zero_error_expected_cost(f, mu)
+        assert type(zcost) is (int if f.is_constant() else float)
+        assert zcost == pytest.approx(cost, abs=1e-12)
+
+
+def test_exact_mode_matches_brute_force():
+    """Non-dyadic and 0/1 marginals: the scaled-integer mixes divide exactly."""
+
+    def draw(r):
+        d = r.choice([3, 5, 7])
+        return Fraction(r.choice([0, d, r.randint(1, d - 1)]), d)
+
+    rng = random.Random(29)
+    for f, mu in _random_cases(rng, draw, 40):
+        d, curve, cost = _brute_force(f, mu)
+        assert exact_D(f) == d
+        for k in range(f.arity + 1):
+            err = optimal_dist_error(f, mu, k)
+            assert type(err) is Fraction and err == curve[k]
+        for eps in (Fraction(0), Fraction(1, 7), Fraction(1, 3)):
+            assert exact_Dmu_eps(f, mu, eps) == next(k for k, e in enumerate(curve) if e <= eps)
+        zcost = zero_error_expected_cost(f, mu)
+        assert type(zcost) is (int if f.is_constant() else Fraction) and zcost == cost
+
+
+def test_dist_error_curve_large_arity_and_cap():
+    f = random_function(13, random.Random(3))
+    mu = uniform_distribution(13)
+    curve = dist_error_curve_fast(f, mu.marginals)
+    q = prob_one(f, mu)
+    assert curve[0] == pytest.approx(min(q, 1 - q)) and curve[-1] == 0
+    assert all(b <= a for a, b in zip(curve, curve[1:]))
+    with pytest.raises(ValueError):
+        dist_error_curve_fast(BooleanFunction(15, 0), [0.5] * 15)
 
 
 # -- zero-error expected cost ----------------------------------------------------

@@ -154,8 +154,10 @@ def _parse_depths(args) -> list:
         lo, hi = int(lo), int(hi or lo)
         if hi < lo:
             raise ValueError("empty depth range")
+        nt._check_mc_depth(hi)
         return list(range(lo, hi + 1))
     if args.depth is not None:
+        nt._check_mc_depth(args.depth)
         return [args.depth]
     raise ValueError("need --depth or --depths a..b")
 
@@ -290,6 +292,7 @@ def cmd_nand(args) -> RunRecord:
 
 def cmd_sabotage(args) -> RunRecord:
     d = args.depth
+    nt._check_mc_depth(d)
     rows = []
     table = sb.block_case_bounds()
     for (b, bp), bound in sorted(table.bounds.items()):

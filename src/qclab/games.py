@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -423,13 +424,20 @@ def rs_game_value(f: BooleanFunction, depth: int) -> tuple:
     return solve_zero_sum(matrix), catalog
 
 
+def _within_eps(value, eps) -> bool:
+    """value <= eps: exact when both are rational, within LP_TOL otherwise."""
+    if isinstance(value, numbers.Rational) and isinstance(eps, numbers.Rational):
+        return value <= eps
+    return value <= eps + LP_TOL
+
+
 def exact_R_eps(f: BooleanFunction, eps) -> int:
     """Least k such that the depth-k labeled-tree game has value <= eps."""
     if f.arity > 3:
         raise ValueError("exact_R_eps capped at arity 3")
     for k in range(f.arity + 1):
         gv, _ = r_game_value(f, k)
-        if gv.value <= eps + LP_TOL:
+        if _within_eps(gv.value, eps):
             return k
     raise AssertionError("unreachable: full-depth trees are exact")
 
@@ -442,7 +450,7 @@ def exact_RS_eps(f: BooleanFunction, eps) -> int:
         return 0
     for k in range(f.arity + 1):
         gv, _ = rs_game_value(f, k)
-        if gv.value <= eps + LP_TOL:
+        if _within_eps(gv.value, eps):
             return k
     raise AssertionError("unreachable: full-depth trees separate everything")
 

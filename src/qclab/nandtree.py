@@ -19,6 +19,8 @@ __all__ = [
     "NandInstance",
     "ZeroProbTree",
     "CostEstimate",
+    "SeparationError",
+    "MC_MAX_DEPTH",
     "eval_formula",
     "eval_formula_batch",
     "zero_probs",
@@ -270,7 +272,7 @@ def expected_cost_sw(d: int, marginals: Sequence):
 
 
 # ---------------------------------------------------------------------------
-# Monte-Carlo cost estimation
+# Monte-Carlo cost estimation: the one bottom-up fold
 # ---------------------------------------------------------------------------
 
 
@@ -281,18 +283,102 @@ class CostEstimate:
     samples: int
 
 
-def _summary(total, total_sq, n) -> CostEstimate:
+class SeparationError(RuntimeError):
+    """A run ended without querying a differing index (the algorithm is not
+    zero-error)."""
+
+
+# A batch keeps its transient arrays near 2^26 elements but never goes below
+# 16 rows, so deeper trees would overrun that budget at the row floor.
+_BATCH_ELEMENTS = 1 << 26
+_MIN_BATCH_ROWS = 16
+MC_MAX_DEPTH = (_BATCH_ELEMENTS // _MIN_BATCH_ROWS).bit_length() - 1
+
+
+def _check_mc_depth(d: int) -> None:
+    if d > MC_MAX_DEPTH:
+        raise ValueError(
+            f"depth {d} above the Monte-Carlo cap {MC_MAX_DEPTH}: {_MIN_BATCH_ROWS} rows "
+            f"of 2^{d} leaves exceed the 2^26-element batch budget"
+        )
+
+
+def _batches(samples: int, n_leaves: int, batch) -> list:
+    """Row counts of the batches covering ``samples`` runs."""
+    if batch is None:
+        batch = max(_MIN_BATCH_ROWS, min(4096, _BATCH_ELEMENTS // max(1, n_leaves)))
+    return [min(batch, samples - done) for done in range(0, samples, batch)]
+
+
+def _summary(roots) -> CostEstimate:
+    """Mean and 95% half-width of the per-run counts, accumulated batch by
+    batch."""
+    total = total_sq = 0.0
+    n = 0
+    for root in roots:
+        root = root.astype(np.float64)
+        total += float(root.sum())
+        total_sq += float((root * root).sum())
+        n += len(root)
     mean = total / n
     var = max(0.0, (total_sq - n * mean * mean) / (n - 1)) if n > 1 else 0.0
     half = 1.96 * math.sqrt(var / n)
     return CostEstimate(mean, half, n)
 
 
-def _auto_batch(n_leaves: int, batch) -> int:
-    if batch is not None:
-        return batch
-    # keep transient arrays near 2^26 elements (deep trees get small batches)
-    return max(16, min(4096, (1 << 26) // max(1, n_leaves)))
+def _greedy_order(d: int, marginals: Sequence) -> list:
+    """Static child orders of the distribution-aware evaluator: order[k][j]
+    is True when node (k, j) descends into its left child first."""
+    zp = zero_probs(d, [float(q) for q in marginals])
+    return [
+        np.asarray([zp.levels[k + 1][2 * j] >= zp.levels[k + 1][2 * j + 1] for j in range(1 << k)])
+        for k in range(d)
+    ]
+
+
+def _fold(val, counts, rng, order=None, sep=None) -> list:
+    """Run the zero-error evaluator bottom-up on a batch of inputs.
+
+    ``val`` holds the (n, 2^d) int8 leaf values and ``counts`` per-leaf query
+    counters. Each node takes its first child from ``order`` (see
+    ``_greedy_order``) or, without one, from a coin per node drawn from
+    ``rng`` at every level; the sibling is evaluated, and its counters
+    summed, only when the first child reads 1. Returns each counter's root
+    column, summed over the whole run; given a leaf mask ``sep`` of differing
+    indices, summed up to and including the first separating query instead.
+
+    The draws, one (n, 2^k) int8 coin array per level from k = d-1 down to
+    0, are part of every fixed-seed output.
+    """
+    n, width = val.shape
+    d = width.bit_length() - 1
+    until = None if sep is None else [np.where(sep, c, 0) for c in counts]
+    for k in range(d - 1, -1, -1):
+        if order is None:
+            first = rng.integers(0, 2, size=(n, 1 << k), dtype=np.int8) == 1
+        else:
+            first = np.broadcast_to(order[k], (n, 1 << k))
+
+        def split(a):
+            return np.where(first, a[:, 0::2], a[:, 1::2]), np.where(first, a[:, 1::2], a[:, 0::2])
+
+        fv, ov = split(val)
+        go_on = fv == 1
+        val = np.where(fv == 0, 1, 1 - ov).astype(np.int8)
+        halves = [split(c) for c in counts]
+        counts = [fc + go_on * oc for fc, oc in halves]
+        if sep is not None:
+            # separation happened inside the first child's run, or after its
+            # full run inside the sibling's
+            fs, os_ = split(sep)
+            until = [np.where(fs, fu, fc + ou)
+                     for (fc, _), (fu, ou) in zip(halves, map(split, until))]
+            sep = fs | (go_on & os_)
+    if sep is None:
+        return [c[:, 0] for c in counts]
+    if not bool(sep[:, 0].all()):
+        raise SeparationError("a run ended without querying a differing index")
+    return [u[:, 0] for u in until]
 
 
 def mc_cost(algorithm: str, d: int, marginals: Sequence, samples: int, seed: int,
@@ -307,50 +393,19 @@ def mc_cost(algorithm: str, d: int, marginals: Sequence, samples: int, seed: int
         raise ValueError("need at least 100 samples")
     if algorithm not in ("greedy_zero", "saks_wigderson"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
+    _check_mc_depth(d)
     p = np.asarray([float(q) for q in marginals])
     n_leaves = 1 << d
     if len(p) != n_leaves:
         raise ValueError("marginal count does not match depth")
-
-    first_left = None
-    if algorithm == "greedy_zero":
-        zp = zero_probs(d, [float(q) for q in marginals])
-        # per-level static orders: True when the left child goes first
-        first_left = [
-            np.asarray(
-                [zp.levels[k + 1][2 * j] >= zp.levels[k + 1][2 * j + 1] for j in range(1 << k)]
-            )
-            for k in range(d)
-        ]
-
+    order = _greedy_order(d, marginals) if algorithm == "greedy_zero" else None
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    batch = _auto_batch(n_leaves, batch)
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < samples:
-        n = min(batch, samples - done)
+
+    def root_costs(n):
         x = (rng.random((n, n_leaves)) < p).astype(np.int8)
-        val = x
-        cost = np.ones((n, n_leaves), dtype=np.int32)
-        for k in range(d - 1, -1, -1):
-            vl, vr = val[:, 0::2], val[:, 1::2]
-            cl, cr = cost[:, 0::2], cost[:, 1::2]
-            if algorithm == "greedy_zero":
-                left_first = np.broadcast_to(first_left[k], vl.shape)
-            else:
-                left_first = rng.integers(0, 2, size=vl.shape, dtype=np.int8) == 1
-            fv = np.where(left_first, vl, vr)
-            ov = np.where(left_first, vr, vl)
-            fc = np.where(left_first, cl, cr)
-            oc = np.where(left_first, cr, cl)
-            val = np.where(fv == 0, 1, 1 - ov).astype(np.int8)
-            cost = fc + (fv == 1) * oc
-        root = cost[:, 0].astype(np.float64)
-        total += float(root.sum())
-        total_sq += float((root * root).sum())
-        done += n
-    return _summary(total, total_sq, samples)
+        return _fold(x, [np.ones((n, n_leaves), dtype=np.int32)], rng, order)[0]
+
+    return _summary(root_costs(n) for n in _batches(samples, n_leaves, batch))
 
 
 # ---------------------------------------------------------------------------

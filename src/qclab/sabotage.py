@@ -17,7 +17,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .nandtree import Transcript, _auto_batch, _summary, zero_probs
+from .nandtree import (
+    SeparationError,
+    Transcript,
+    _batches,
+    _check_mc_depth,
+    _fold,
+    _greedy_order,
+    _summary,
+)
 
 __all__ = [
     "HardPair",
@@ -44,11 +52,6 @@ __all__ = [
     "BOUND_MATRIX",
     "spectral_alpha",
 ]
-
-
-class SeparationError(RuntimeError):
-    """A run ended without querying a differing index (the algorithm is not
-    zero-error)."""
 
 
 # ---------------------------------------------------------------------------
@@ -81,22 +84,21 @@ class HardPair:
         raise AssertionError("hard pair without a differing index")
 
 
+def _lift_step(x: np.ndarray, y: np.ndarray, b: np.ndarray) -> tuple:
+    """Lift (n, w) pair arrays one level with uniform bits b: coordinate i
+    becomes the block (b_i, 1 - b_i) where its bit is 1 and (1, 1) where it
+    is 0, so slot b_i holds the complement and slot 1 - b_i the padding."""
+    def blocks(z):
+        return np.stack((np.where(z == 0, 1, b), np.where(z == 0, 1, 1 - b)),
+                        axis=-1).reshape(len(z), -1).astype(np.uint8, copy=False)
+
+    return blocks(x), blocks(y)
+
+
 def _lift_blocks(x: tuple, y: tuple, b: tuple) -> tuple:
-    us, vs = [], []
-    for xi, yi, bi in zip(x, y, b):
-        if (xi, yi) == (0, 0):
-            u = v = (1, 1)
-        elif (xi, yi) == (0, 1):
-            u, v = (1, 1), (bi, 1 - bi)
-        elif (xi, yi) == (1, 0):
-            u, v = (bi, 1 - bi), (1, 1)
-        else:
-            u = v = (bi, 1 - bi)
-        us.append(u)
-        vs.append(v)
-    x2 = tuple(bit for u in us for bit in u)
-    y2 = tuple(bit for v in vs for bit in v)
-    return x2, y2, tuple(us), tuple(vs)
+    """One lift of a single pair, with its blocks."""
+    x2, y2 = (tuple(z[0].tolist()) for z in _lift_step(*map(np.array, ([x], [y], [b]))))
+    return x2, y2, tuple(zip(x2[0::2], x2[1::2])), tuple(zip(y2[0::2], y2[1::2]))
 
 
 def sample_hard_pair(d: int, rng, keep_meta: bool = False) -> HardPair:
@@ -123,15 +125,7 @@ def sample_pairs_batch(d: int, n: int, rng) -> tuple:
     x = np.zeros((n, 1), dtype=np.uint8)
     y = np.ones((n, 1), dtype=np.uint8)
     for _ in range(d):
-        w = x.shape[1]
-        b = rng.integers(0, 2, size=(n, w), dtype=np.uint8)
-        x2 = np.empty((n, 2 * w), dtype=np.uint8)
-        y2 = np.empty((n, 2 * w), dtype=np.uint8)
-        x2[:, 0::2] = np.where(x == 0, 1, b)
-        x2[:, 1::2] = np.where(x == 0, 1, 1 - b)
-        y2[:, 0::2] = np.where(y == 0, 1, b)
-        y2[:, 1::2] = np.where(y == 0, 1, 1 - b)
-        x, y = x2, y2
+        x, y = _lift_step(x, y, rng.integers(0, 2, size=x.shape, dtype=np.uint8))
     return x, y
 
 
@@ -290,14 +284,12 @@ def estimate_sep_counts(base, d: int, t: int, samples: int, seed: int,
         raise ValueError("t must be at most d")
     if run_on not in ("x", "y"):
         raise ValueError("run_on must be 'x' or 'y'")
+    _check_mc_depth(d)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
     if base == "saks_wigderson":
-        q0, q1 = _batch_chain_q(
-            d, t, samples, np.random.default_rng(np.random.SeedSequence(seed)), run_on=run_on
-        )
-        return _q_summaries(t, q0, q1)
+        return _q_summaries(t, *_batch_chain_q(d, t, samples, rng, run_on=run_on))
     if getattr(base, "depth", None) != d:
         raise ValueError("base algorithm depth does not match d")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
     algo = lift_chain(base, t)
     q0s = np.empty(samples)
     q1s = np.empty(samples)
@@ -313,25 +305,6 @@ def estimate_sep_counts(base, d: int, t: int, samples: int, seed: int,
 # ---------------------------------------------------------------------------
 
 
-def _combine_sep(first, arrays):
-    """One fold level of the randomized evaluator with separation state."""
-    (vl, vr), (cl, cr), (sl, sr), (scl, scr) = arrays
-    fv = np.where(first, vl, vr)
-    ov = np.where(first, vr, vl)
-    fc = np.where(first, cl, cr)
-    oc = np.where(first, cr, cl)
-    fs = np.where(first, sl, sr)
-    os_ = np.where(first, sr, sl)
-    fsc = np.where(first, scl, scr)
-    osc = np.where(first, scr, scl)
-    go_on = fv == 1
-    val = np.where(fv == 0, 1, 1 - ov).astype(np.int8)
-    cost = fc + go_on * oc
-    sep = fs | (go_on & os_)
-    sepc = np.where(fs, fsc, fc + osc)
-    return val, cost, sep, sepc
-
-
 def mc_sep_cost(algorithm: str, d: int, samples: int, seed: int,
                 marginals: Optional[Sequence] = None, batch: int = None):
     """Monte-Carlo mean separation cost on hard pairs at depth d.
@@ -342,121 +315,44 @@ def mc_sep_cost(algorithm: str, d: int, samples: int, seed: int,
     """
     if algorithm not in ("saks_wigderson", "greedy_zero"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    first_left = None
+    _check_mc_depth(d)
+    order = None
     if algorithm == "greedy_zero":
-        margs = [0.5] * (1 << d) if marginals is None else [float(p) for p in marginals]
-        zp = zero_probs(d, margs)
-        first_left = [
-            np.asarray([zp.levels[k + 1][2 * j] >= zp.levels[k + 1][2 * j + 1]
-                        for j in range(1 << k)])
-            for k in range(d)
-        ]
+        order = _greedy_order(d, [0.5] * (1 << d) if marginals is None else marginals)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    batch = _auto_batch(1 << d, batch)
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < samples:
-        n = min(batch, samples - done)
+
+    def root_costs(n):
         x, y = sample_pairs_batch(d, n, rng)
-        val = x.astype(np.int8)
-        diff = x != y
-        cost = np.ones_like(val, dtype=np.int64)
-        sep = diff
-        sepc = diff.astype(np.int64)
-        for k in range(d - 1, -1, -1):
-            if algorithm == "greedy_zero":
-                first = np.broadcast_to(first_left[k], (n, 1 << k))
-            else:
-                first = rng.integers(0, 2, size=(n, 1 << k), dtype=np.int8) == 1
-            arrays = (
-                (val[:, 0::2], val[:, 1::2]),
-                (cost[:, 0::2], cost[:, 1::2]),
-                (sep[:, 0::2], sep[:, 1::2]),
-                (sepc[:, 0::2], sepc[:, 1::2]),
-            )
-            val, cost, sep, sepc = _combine_sep(first, arrays)
-        if not bool(sep[:, 0].all()):
-            raise SeparationError("a run ended without separation")
-        root = sepc[:, 0].astype(np.float64)
-        total += float(root.sum())
-        total_sq += float((root * root).sum())
-        done += n
-    return _summary(total, total_sq, samples)
+        cost = np.ones((n, 1 << d), dtype=np.int64)
+        return _fold(x.astype(np.int8), [cost], rng, order, sep=x != y)[0]
+
+    return _summary(root_costs(n) for n in _batches(samples, 1 << d, batch))
 
 
 def _batch_chain_q(d: int, t: int, samples: int, rng, batch: int = None,
                    run_on: str = "x") -> tuple:
     """Level-t query-value counts until separation for the randomized
-    evaluator lifted from level d, by the pair-lift coupling."""
-    batch = _auto_batch(1 << d, batch)
-    q0_out = np.empty(samples)
-    q1_out = np.empty(samples)
-    done = 0
-    while done < samples:
-        n = min(batch, samples - done)
+    evaluator lifted from level d, by the pair-lift coupling.
+
+    A level-d leaf consumes a real level-t query when every lift on its path
+    put it in the embedded slot b_i; it is counted under the value of the
+    level-t bit it carries.
+    """
+    q0, q1 = [], []
+    for n in _batches(samples, 1 << d, batch):
         x, y = sample_pairs_batch(t, n, rng)
         if run_on == "y":
             x, y = y, x
-        real = np.ones_like(x, dtype=bool)
-        tval = x.copy()
-        diff = x != y
+        real = [x == 0, x == 1]
         for _ in range(d - t):
-            w = x.shape[1]
-            b = rng.integers(0, 2, size=(n, w), dtype=np.uint8)
-            x2 = np.empty((n, 2 * w), dtype=np.uint8)
-            y2 = np.empty((n, 2 * w), dtype=np.uint8)
-            x2[:, 0::2] = np.where(x == 0, 1, b)
-            x2[:, 1::2] = np.where(x == 0, 1, 1 - b)
-            y2[:, 0::2] = np.where(y == 0, 1, b)
-            y2[:, 1::2] = np.where(y == 0, 1, 1 - b)
-            real2 = np.empty((n, 2 * w), dtype=bool)
-            real2[:, 0::2] = real & (b == 0)
-            real2[:, 1::2] = real & (b == 1)
-            diff2 = np.empty((n, 2 * w), dtype=bool)
-            diff2[:, 0::2] = diff & (b == 0)
-            diff2[:, 1::2] = diff & (b == 1)
-            tval2 = np.repeat(tval, 2, axis=1)
-            x, y, real, diff, tval = x2, y2, real2, diff2, tval2
-
-        val = x.astype(np.int8)
-        r0 = (real & (tval == 0)).astype(np.int64)
-        r1 = (real & (tval == 1)).astype(np.int64)
-        sep = diff
-        s0 = np.where(diff, r0, 0)
-        s1 = np.where(diff, r1, 0)
-
-        def split(arr, first):
-            return (
-                np.where(first, arr[:, 0::2], arr[:, 1::2]),
-                np.where(first, arr[:, 1::2], arr[:, 0::2]),
-            )
-
-        for k in range(d - 1, -1, -1):
-            first = rng.integers(0, 2, size=(n, 1 << k), dtype=np.int8) == 1
-            fv, ov = split(val, first)
-            fr0, or0 = split(r0, first)
-            fr1, or1 = split(r1, first)
-            fs, os_ = split(sep, first)
-            fs0, os0 = split(s0, first)
-            fs1, os1 = split(s1, first)
-            go_on = fv == 1
-            val = np.where(fv == 0, 1, 1 - ov).astype(np.int8)
-            # full-run counts; the sibling contributes only when the first
-            # child evaluated to 1
-            r0 = fr0 + go_on * or0
-            r1 = fr1 + go_on * or1
-            # counts until separation: either it happened inside the first
-            # child's run, or after its full run inside the sibling's
-            s0 = np.where(fs, fs0, fr0 + os0)
-            s1 = np.where(fs, fs1, fr1 + os1)
-            sep = fs | (go_on & os_)
-        if not bool(sep[:, 0].all()):
-            raise SeparationError("a chain run ended without separation")
-        q0_out[done:done + n] = s0[:, 0]
-        q1_out[done:done + n] = s1[:, 0]
-        done += n
-    return q0_out, q1_out
+            b = rng.integers(0, 2, size=x.shape, dtype=np.uint8)
+            x, y = _lift_step(x, y, b)
+            real = [np.stack((r & (b == 0), r & (b == 1)), axis=-1).reshape(n, -1)
+                    for r in real]
+        s0, s1 = _fold(x.astype(np.int8), [r.astype(np.int64) for r in real], rng, sep=x != y)
+        q0.append(s0)
+        q1.append(s1)
+    return np.concatenate(q0).astype(np.float64), np.concatenate(q1).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------

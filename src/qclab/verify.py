@@ -387,7 +387,7 @@ def criterion_11(seed: int = DEFAULT_SEED, samples: int = 100_000, d: int = 8) -
         details += (
             f"; literal factor-2 rows fail at alternating levels "
             f"(worst: {worst['name']}, lhs {worst['lhs']:.3f} vs rhs {worst['rhs']:.3f}) "
-            f"- unattainable as stated, see decisions ledger; corrected form "
+            f"- unattainable as stated, see docs/decisions.md; corrected form "
             f"(differing-block allowance 1) ok={rep.corrected_ok}"
         )
     return CriterionResult(

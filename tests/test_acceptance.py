@@ -6,7 +6,8 @@ level-to-level factor-2 inequality is contradicted by exact enumeration of
 all zero-error trees at the first level (the minimum of Q(1,1) over the hard
 pairs is 3/2, below the required 2). The corrected form with the
 differing-block allowance, reported alongside, holds. The analysis lives in
-the decisions ledger; nothing here is loosened to force a pass.
+the decisions ledger, docs/decisions.md; nothing here is loosened to force a
+pass.
 """
 
 import pytest
@@ -82,7 +83,7 @@ def test_criterion_11_q_recursions_literal():
     res = _run(11)
     # the corrected form and the enumerated base cases must hold regardless
     assert res.values["corrected_ok"], res.details
-    # the literal criterion: see the module docstring and the ledger
+    # the literal criterion: see the module docstring and docs/decisions.md
     assert res.passed, res.details
 
 

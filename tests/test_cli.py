@@ -60,6 +60,14 @@ def test_nand_needs_depths(capsys):
     assert status == 2
 
 
+def test_huge_depths_exit_2_before_allocating(capsys):
+    for argv in (("nand", "--depth", "40"), ("nand", "--depths", "4..40"),
+                 ("sabotage", "--depth", "40")):
+        status, out, err = run_cli(capsys, *argv, "--samples", "500")
+        assert status == 2 and out == ""
+        assert "Monte-Carlo cap 22" in err
+
+
 def test_sabotage_command(tmp_path, capsys):
     out_path = tmp_path / "sab.csv"
     status, _, _ = run_cli(

@@ -10,6 +10,7 @@ import hypothesis.strategies as st
 from qclab.boolfunc import (
     BooleanFunction,
     ProductDistribution,
+    and_f,
     dictator,
     nand2,
     nand_tree,
@@ -40,6 +41,7 @@ from qclab.games import (
     mixture_from_columns,
     miss_probability,
     pair_miss_profile,
+    r_game_value,
     rs_game_value,
     sens_miss_profile,
     solve_zero_sum,
@@ -153,6 +155,19 @@ def test_minimax_sanity_distributional_lower_bounds():
         for _ in range(5):
             mu = ProductDistribution(tuple(rng.uniform(0.05, 0.95) for _ in range(m)))
             assert exact_Dmu_eps(f, mu, 1 / 3) <= r
+
+
+def test_eps_decisions_are_exact_for_rational_eps():
+    # the depth-1 values are exactly 1/3 (R) and 1/2 (RS) for and:2, so an eps
+    # just below them needs depth 2; a float tolerance would wrongly accept 1
+    below = Fraction(1, 10**10)
+    assert r_game_value(and_f(2), 1)[0].value == Fraction(1, 3)
+    assert exact_R_eps(and_f(2), Fraction(1, 3) - below) == 2
+    assert exact_R_eps(and_f(2), Fraction(1, 3)) == 1
+    assert exact_RS_eps(and_f(2), Fraction(1, 2) - below) == 2
+    assert exact_RS_eps(and_f(2), Fraction(1, 2)) == 1
+    # float eps keeps the LP tolerance
+    assert exact_R_eps(and_f(2), 1 / 3) == 1
 
 
 def test_exact_RS_eps_examples():

@@ -291,13 +291,19 @@ def sensitivity_at(f: BooleanFunction, x: Point) -> int:
     v = f.value_at(idx)
     return sum(1 for j in range(f.arity) if f.value_at(idx ^ (1 << j)) != v)
 
-def sensitivity(f: BooleanFunction) -> int:
+
+def _sensitivity_vector(f: BooleanFunction) -> np.ndarray:
+    """s(f, x) for every point, indexed like the truth table."""
     tbl = f.table_array()
     idx = np.arange(f.size)
     sens = np.zeros(f.size, dtype=np.int64)
     for j in range(f.arity):
         sens += tbl != tbl[idx ^ (1 << j)]
-    return int(sens.max())
+    return sens
+
+
+def sensitivity(f: BooleanFunction) -> int:
+    return int(_sensitivity_vector(f).max())
 
 
 def influence_i(f: BooleanFunction, mu: ProductDistribution, i: int):
@@ -360,12 +366,7 @@ def avg_sensitivity(f: BooleanFunction, mu: ProductDistribution):
     """E_{x~mu} s(f, x), by full-table summation."""
     _check_pair(f, mu)
     if not isinstance(mu.marginals[0], Fraction) and f.arity > 6:
-        tbl = f.table_array()
-        idx = np.arange(f.size)
-        sens = np.zeros(f.size, dtype=np.int64)
-        for j in range(f.arity):
-            sens += tbl != tbl[idx ^ (1 << j)]
-        return float(sens @ mu.weight_array())
+        return float(_sensitivity_vector(f) @ mu.weight_array())
     total = 0
     for idx in range(f.size):
         v = f.value_at(idx)

@@ -293,6 +293,7 @@ def cmd_nand(args) -> RunRecord:
 def cmd_sabotage(args) -> RunRecord:
     d = args.depth
     nt._check_mc_depth(d)
+    nt._check_samples(args.samples)
     rows = []
     table = sb.block_case_bounds()
     for (b, bp), bound in sorted(table.bounds.items()):

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
@@ -309,18 +310,24 @@ def optimal_dist_error(f: BooleanFunction, mu: ProductDistribution, k: int):
     return lat.value(_nth(lat.errors(), min(k, f.arity)).flat[-1])
 
 
+def _within_eps(value, eps, tol) -> bool:
+    """value <= eps: exact when both are rational, within ``tol`` otherwise."""
+    if isinstance(value, numbers.Rational) and isinstance(eps, numbers.Rational):
+        return value <= eps
+    return value <= eps + tol
+
+
 def exact_Dmu_eps(f: BooleanFunction, mu: ProductDistribution, eps) -> int:
     """Least depth k with optimal_dist_error(f, mu, k) <= eps.
 
-    Float inputs are compared with a 1e-12 slack; Fraction inputs exactly.
+    Rational errors and eps are compared exactly, anything else with a 1e-12
+    slack.
     """
     if f.arity != mu.arity:
         raise ValueError("arity mismatch")
     lat = _Lattice(f, mu.marginals)
-    exact = isinstance(eps, Fraction) and isinstance(mu.marginals[0], Fraction)
     for k, cur in enumerate(itertools.islice(lat.errors(), f.arity + 1)):
-        err = lat.value(cur.flat[-1])
-        if err <= eps or (not exact and err <= eps + 1e-12):
+        if _within_eps(lat.value(cur.flat[-1]), eps, 1e-12):
             return k
     raise AssertionError("unreachable: depth m always has error 0")
 

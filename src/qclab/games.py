@@ -2,9 +2,11 @@
 
 The randomized and sabotage complexities at tiny arity are exact LP values:
 rows are adversary choices (inputs, or 0/1-input pairs), columns are
-deterministic trees, and the solver is a dense simplex with Bland's rule.
-Matrices with at most 10^4 entries are solved in rational arithmetic, larger
-ones in floats with a 1e-9 tolerance.
+deterministic trees, and the solver is one dense simplex with Bland's rule in
+two arithmetic modes: matrices with at most 10^4 entries are solved on a
+Fraction tableau with zero tolerance, larger ones on a float64 tableau with a
+1e-9 tolerance. Every payoff matrix and miss profile is read off one table of
+each tree's runs on all inputs.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -23,6 +24,7 @@ from .boolfunc import (
     BooleanFunction,
     Point,
     ProductDistribution,
+    index_of_point,
     point_from_index,
     restriction_value,
     sensitivity,
@@ -33,6 +35,7 @@ from .dtree import (
     Leaf,
     Query,
     RandomizedTree,
+    _within_eps,
     avg_leaf_bias,
     dist_error_curve_fast,
     run,
@@ -158,93 +161,50 @@ class GameValue:
     col_strategy: tuple
 
 
-def _simplex_exact(a_rows, n_cols):
-    """max sum(w) s.t. A w <= 1, w >= 0 in Fractions. Returns (w, duals)."""
-    n_rows = len(a_rows)
-    width = n_cols + n_rows + 1
-    tab = []
-    for i, row in enumerate(a_rows):
-        line = [Fraction(v) for v in row] + [Fraction(0)] * n_rows + [Fraction(1)]
-        line[n_cols + i] = Fraction(1)
-        tab.append(line)
-    # objective row: reduced costs c_j - z_j start at +1 for structurals
-    obj = [Fraction(1)] * n_cols + [Fraction(0)] * (n_rows + 1)
-    basis = [n_cols + i for i in range(n_rows)]
+def _simplex(a: np.ndarray, tol) -> tuple:
+    """max sum(w) s.t. a w <= 1, w >= 0 by a dense tableau with Bland's rule.
+
+    ``a`` is an object array of Fractions with ``tol = 0`` (exact) or a
+    float64 array with ``tol = LP_TOL``; with tol 0 the float rules are the
+    exact ones. The last tableau row holds the reduced costs. Returns (w, duals).
+    """
+    n_rows, n_cols = a.shape
+    zero = 0 * a[0, 0]  # Fraction(0) or 0.0: the tableau's arithmetic
+    one = zero + 1
+    tab = np.full((n_rows + 1, n_cols + n_rows + 1), zero, dtype=a.dtype)
+    tab[:n_rows, :n_cols] = a
+    tab[np.arange(n_rows), n_cols + np.arange(n_rows)] = one  # slacks
+    tab[:n_rows, -1] = one
+    tab[-1, :n_cols] = one
+    basis = np.arange(n_cols, n_cols + n_rows)
 
     for _ in range(200000):
-        enter = next((j for j in range(n_cols + n_rows) if obj[j] > 0), None)
-        if enter is None:
+        pos = np.flatnonzero(tab[-1, :-1] > tol)
+        if not len(pos):
             break
-        leave = None
-        best = None
-        for i in range(n_rows):
-            coef = tab[i][enter]
-            if coef > 0:
-                ratio = tab[i][-1] / coef
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best, leave = ratio, i
-        if leave is None:
+        enter = pos[0]  # Bland: lowest improving column
+        col = tab[:-1, enter]
+        rows = np.flatnonzero(col > tol)
+        if not len(rows):
             raise LPError("LP unbounded; payoff shift failed")
-        piv = tab[leave][enter]
-        tab[leave] = [v / piv for v in tab[leave]]
-        for i in range(n_rows):
-            if i != leave and tab[i][enter] != 0:
-                c = tab[i][enter]
-                tab[i] = [v - c * pv for v, pv in zip(tab[i], tab[leave])]
-        c = obj[enter]
-        obj = [v - c * pv for v, pv in zip(obj, tab[leave])]
+        ratios = tab[rows, -1] / col[rows]
+        ties = rows[ratios <= ratios.min() + tol]
+        leave = ties[np.argmin(basis[ties])]  # Bland: lowest basis index
+        tab[leave] /= tab[leave, enter]
+        hit = np.flatnonzero(tab[:, enter])
+        hit = hit[hit != leave]
+        # x - c * 0 is x, up to the sign of a float zero, which no pivot rule
+        # and no clamped output can see: skip the pivot row's zero columns
+        nz = np.flatnonzero(tab[leave])
+        tab[np.ix_(hit, nz)] -= np.outer(tab[hit, enter], tab[leave, nz])
         basis[leave] = enter
     else:
         raise LPError("simplex failed to terminate (cycling guard hit)")
 
-    w = [Fraction(0)] * n_cols
-    for i, b in enumerate(basis):
-        if b < n_cols:
-            w[b] = tab[i][-1]
-    duals = [-obj[n_cols + i] for i in range(n_rows)]
-    return w, duals
-
-
-def _simplex_float(a_rows, n_cols):
-    n_rows = len(a_rows)
-    tab = np.zeros((n_rows, n_cols + n_rows + 1))
-    tab[:, :n_cols] = np.asarray(a_rows, dtype=float)
-    tab[:, n_cols:-1] = np.eye(n_rows)
-    tab[:, -1] = 1.0
-    obj = np.zeros(n_cols + n_rows + 1)
-    obj[:n_cols] = 1.0
-    basis = [n_cols + i for i in range(n_rows)]
-
-    for _ in range(200000):
-        pos = np.nonzero(obj[:-1] > LP_TOL)[0]
-        if len(pos) == 0:
-            break
-        enter = int(pos[0])  # Bland
-        col = tab[:, enter]
-        mask = col > LP_TOL
-        if not mask.any():
-            raise LPError("LP unbounded; payoff shift failed")
-        ratios = np.full(n_rows, np.inf)
-        ratios[mask] = tab[mask, -1] / col[mask]
-        best = ratios.min()
-        cands = [i for i in range(n_rows) if ratios[i] <= best + LP_TOL]
-        leave = min(cands, key=lambda i: basis[i])
-        piv = tab[leave, enter]
-        tab[leave] /= piv
-        for i in range(n_rows):
-            if i != leave and abs(tab[i, enter]) > 0:
-                tab[i] -= tab[i, enter] * tab[leave]
-        obj = obj - obj[enter] * tab[leave]
-        basis[leave] = enter
-    else:
-        raise LPError("simplex failed to terminate (cycling guard hit)")
-
-    w = np.zeros(n_cols)
-    for i, b in enumerate(basis):
-        if b < n_cols:
-            w[b] = tab[i, -1]
-    duals = [-obj[n_cols + i] for i in range(n_rows)]
-    return list(w), duals
+    w = np.full(n_cols, zero, dtype=a.dtype)
+    structural = basis < n_cols
+    w[basis[structural]] = tab[:-1, -1][structural]
+    return list(w), list(-tab[-1, n_cols:-1])
 
 
 def solve_zero_sum(matrix: Sequence[Sequence], sense: str = "row_max",
@@ -265,59 +225,43 @@ def solve_zero_sum(matrix: Sequence[Sequence], sense: str = "row_max",
         inner = solve_zero_sum([[-v for v in r] for r in rows], "row_max", exact)
         return GameValue(-inner.value, inner.row_strategy, inner.col_strategy)
 
-    n_rows, n_cols = len(rows), len(rows[0])
     if exact is None:
-        exact = n_rows * n_cols <= RATIONAL_ENTRY_LIMIT and all(
+        exact = len(rows) * len(rows[0]) <= RATIONAL_ENTRY_LIMIT and all(
             isinstance(v, (int, Fraction)) for r in rows for v in r
         )
-
     if exact:
-        rows = [[Fraction(v) for v in r] for r in rows]
-        low = min(min(r) for r in rows)
-        shift = Fraction(1) - low if low < 1 else Fraction(0)
-        shifted = [[v + shift for v in r] for r in rows]
-        w, duals = _simplex_exact(shifted, n_cols)
-        total = sum(w)
-        if total <= 0:
-            raise LPError("degenerate LP: zero strategy mass")
-        vs = 1 / total
-        q = tuple(wi * vs for wi in w)
-        p = tuple(di * vs for di in duals)
-        value = vs - shift
-        _verify_solution(rows, value, p, q, 0)
-        return GameValue(value, p, q)
+        a, tol = np.array([[Fraction(v) for v in r] for r in rows], dtype=object), 0
+    else:
+        a, tol = np.array([[float(v) for v in r] for r in rows]), LP_TOL
 
-    rows_f = [[float(v) for v in r] for r in rows]
-    low = min(min(r) for r in rows_f)
-    shift = (1.0 - low) if low < 1 else 0.0
-    shifted = [[v + shift for v in r] for r in rows_f]
-    w, duals = _simplex_float(shifted, n_cols)
+    shift = max(0, 1 - a.min())  # payoffs >= 1 keep the LP bounded
+    w, duals = _simplex(a + shift, tol)
     total = sum(w)
     if total <= 0:
         raise LPError("degenerate LP: zero strategy mass")
-    vs = 1.0 / total
-    q = [max(0.0, wi) * vs for wi in w]
-    p = [max(0.0, di) * vs for di in duals]
+    vs = 1 / total
+    # float round-off only: exact solutions are nonnegative and sum to one
+    q = [max(0, wi) * vs for wi in w]
+    p = [max(0, di) * vs for di in duals]
     q_total, p_total = sum(q), sum(p)
     if q_total <= 0 or p_total <= 0:
         raise LPError("degenerate LP: empty optimal strategy")
     q = tuple(v / q_total for v in q)
     p = tuple(v / p_total for v in p)
     value = vs - shift
-    _verify_solution(rows_f, value, p, q, 1e-7)
+    _verify_solution(a, value, p, q, 1e-7 if tol else 0)
     return GameValue(value, p, q)
 
 
-def _verify_solution(rows, value, p, q, tol):
-    n_rows, n_cols = len(rows), len(rows[0])
-    for i in range(n_rows):
-        resp = sum(rows[i][j] * q[j] for j in range(n_cols))
-        if resp > value + tol + LP_TOL:
-            raise LPError(f"row {i} best response {resp} exceeds value {value}")
-    for j in range(n_cols):
-        resp = sum(p[i] * rows[i][j] for i in range(n_rows))
-        if resp < value - tol - LP_TOL:
-            raise LPError(f"column {j} best response {resp} undercuts value {value}")
+def _verify_solution(a: np.ndarray, value, p, q, tol):
+    resp = a @ np.array(q, dtype=a.dtype)
+    bad = np.flatnonzero(resp > value + tol + LP_TOL)
+    if len(bad):
+        raise LPError(f"row {bad[0]} best response {resp[bad[0]]} exceeds value {value}")
+    resp = np.array(p, dtype=a.dtype) @ a
+    bad = np.flatnonzero(resp < value - tol - LP_TOL)
+    if len(bad):
+        raise LPError(f"column {bad[0]} best response {resp[bad[0]]} undercuts value {value}")
 
 
 def dump_game(matrix, row_labels, col_labels) -> str:
@@ -364,13 +308,24 @@ def zero_error_trees(f: BooleanFunction) -> tuple:
     return tuple(out)
 
 
+def _run_table(trees: Sequence[DecisionTree], m: int):
+    """Run every tree on every point of {0,1}^m once.
+
+    Yields, per tree, its outputs and its ordered queried variables, each a
+    tuple indexed like ``point_from_index``. It yields tree by tree, so a
+    caller that keeps only what it needs never holds every run of a catalog.
+    """
+    points = [point_from_index(i, m) for i in range(1 << m)]
+    for tree in trees:
+        runs = [run(tree, x) for x in points]
+        yield tuple(r.output for r in runs), tuple(r.queried for r in runs)
+
+
 def r_game(f: BooleanFunction, catalog: StrategyCatalog):
     """Rows: inputs; columns: labeled trees; payoff [T(x) != f(x)]."""
     points = [point_from_index(i, f.arity) for i in range(f.size)]
-    matrix = []
-    for idx, x in enumerate(points):
-        fx = f.value_at(idx)
-        matrix.append([int(run(t, x).output != fx) for t in catalog.trees])
+    outputs = [out for out, _ in _run_table(catalog.trees, f.arity)]
+    matrix = [[int(out[i] != fx) for out in outputs] for i, fx in enumerate(f.bits())]
     return matrix, points
 
 
@@ -378,31 +333,25 @@ def rs_game(f: BooleanFunction, catalog: StrategyCatalog):
     """Rows: sabotage pairs; payoff 1 when the run on x misses every
     differing index."""
     pairs = all_sabotage_pairs(f)
+    queried = [q for _, q in _run_table(catalog.trees, f.arity)]
     matrix = []
     for pair in pairs:
-        diff = pair.differing()
-        matrix.append([int(not (set(run(t, pair.x).queried) & diff)) for t in catalog.trees])
+        diff, x = pair.differing(), index_of_point(pair.x)
+        matrix.append([int(diff.isdisjoint(q[x])) for q in queried])
     return matrix, pairs
-
-
-def _separation_cost_on_tree(tree: DecisionTree, pair: SabotagePair) -> Optional[int]:
-    diff = pair.differing()
-    queried = run(tree, pair.x).queried
-    for pos, var in enumerate(queried, start=1):
-        if var in diff:
-            return pos
-    return None
 
 
 def rse_game(f: BooleanFunction, trees: Sequence[DecisionTree]):
     """Rows: pairs; columns: zero-error trees; payoff = queries on x up to
     and including the first differing index."""
     pairs = all_sabotage_pairs(f)
+    queried = [q for _, q in _run_table(trees, f.arity)]
     matrix = []
     for pair in pairs:
+        diff, x = pair.differing(), index_of_point(pair.x)
         row = []
-        for t in trees:
-            cost = _separation_cost_on_tree(t, pair)
+        for q in queried:
+            cost = next((pos for pos, var in enumerate(q[x], start=1) if var in diff), None)
             if cost is None:
                 raise LPError("zero-error tree failed to separate a pair")
             row.append(cost)
@@ -424,20 +373,13 @@ def rs_game_value(f: BooleanFunction, depth: int) -> tuple:
     return solve_zero_sum(matrix), catalog
 
 
-def _within_eps(value, eps) -> bool:
-    """value <= eps: exact when both are rational, within LP_TOL otherwise."""
-    if isinstance(value, numbers.Rational) and isinstance(eps, numbers.Rational):
-        return value <= eps
-    return value <= eps + LP_TOL
-
-
 def exact_R_eps(f: BooleanFunction, eps) -> int:
     """Least k such that the depth-k labeled-tree game has value <= eps."""
     if f.arity > 3:
         raise ValueError("exact_R_eps capped at arity 3")
     for k in range(f.arity + 1):
         gv, _ = r_game_value(f, k)
-        if _within_eps(gv.value, eps):
+        if _within_eps(gv.value, eps, LP_TOL):
             return k
     raise AssertionError("unreachable: full-depth trees are exact")
 
@@ -450,7 +392,7 @@ def exact_RS_eps(f: BooleanFunction, eps) -> int:
         return 0
     for k in range(f.arity + 1):
         gv, _ = rs_game_value(f, k)
-        if _within_eps(gv.value, eps):
+        if _within_eps(gv.value, eps, LP_TOL):
             return k
     raise AssertionError("unreachable: full-depth trees separate everything")
 
@@ -489,6 +431,21 @@ def miss_probability(r: RandomizedTree, x: Point, i: int):
     return total
 
 
+def _miss_weight(runs, x: int, targets: frozenset):
+    """Weight of the (weight, queried-per-point) runs whose run on point
+    index x queries none of ``targets``, summed in entry order."""
+    miss = 0
+    for w, queried in runs:
+        if targets.isdisjoint(queried[x]):
+            miss = miss + w
+    return miss
+
+
+def _weighted_runs(r: RandomizedTree) -> list:
+    tables = _run_table([t for _, t in r.entries], r.arity)
+    return [(w, q) for (w, _), (_, q) in zip(r.entries, tables)]
+
+
 def sens_miss_profile(r: RandomizedTree, f: BooleanFunction):
     """max over (x, i sensitive for x) of the probability that x_i is not
     queried on the run on x."""
@@ -496,18 +453,14 @@ def sens_miss_profile(r: RandomizedTree, f: BooleanFunction):
         raise ValueError("sens_miss_profile capped at arity 12")
     if r.arity != f.arity:
         raise ValueError("arity mismatch")
+    runs = _weighted_runs(r)
     worst = 0
     for idx in range(f.size):
-        x = point_from_index(idx, f.arity)
         v = f.value_at(idx)
-        queried = [set(run(t, x).queried) for _, t in r.entries]
         for i in range(1, f.arity + 1):
             if f.value_at(idx ^ (1 << (i - 1))) == v:
                 continue
-            miss = 0
-            for (w, _), qs in zip(r.entries, queried):
-                if i not in qs:
-                    miss = miss + w
+            miss = _miss_weight(runs, idx, frozenset((i,)))
             if miss > worst:
                 worst = miss
     return worst
@@ -520,13 +473,10 @@ def pair_miss_profile(r: RandomizedTree, f: BooleanFunction):
         raise ValueError("pair_miss_profile capped at arity 10")
     if r.arity != f.arity:
         raise ValueError("arity mismatch")
+    runs = _weighted_runs(r)
     worst = 0
     for pair in all_sabotage_pairs(f):
-        diff = pair.differing()
-        miss = 0
-        for w, t in r.entries:
-            if not (set(run(t, pair.x).queried) & diff):
-                miss = miss + w
+        miss = _miss_weight(runs, index_of_point(pair.x), pair.differing())
         if miss > worst:
             worst = miss
     return worst
@@ -582,9 +532,7 @@ def amplify(r: RandomizedTree, reps: int, support_limit: int = 500_000) -> Rando
         )
     merged = {}
     for combo in itertools.product(r.entries, repeat=reps):
-        weight = 1
-        tree = combo[0][1]
-        weight = combo[0][0]
+        weight, tree = combo[0]
         for w, t in combo[1:]:
             weight = weight * w
             tree = compose_trees(tree, t)

@@ -303,6 +303,11 @@ def _check_mc_depth(d: int) -> None:
         )
 
 
+def _check_samples(samples: int) -> None:
+    if samples < 100:
+        raise ValueError("need at least 100 samples")
+
+
 def _batches(samples: int, n_leaves: int, batch) -> list:
     """Row counts of the batches covering ``samples`` runs."""
     if batch is None:
@@ -389,8 +394,7 @@ def mc_cost(algorithm: str, d: int, marginals: Sequence, samples: int, seed: int
     lazily in batches and the evaluator runs as a vectorized bottom-up fold,
     so each depth costs O(samples * 2^d) array work.
     """
-    if samples < 100:
-        raise ValueError("need at least 100 samples")
+    _check_samples(samples)
     if algorithm not in ("greedy_zero", "saks_wigderson"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
     _check_mc_depth(d)

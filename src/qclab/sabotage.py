@@ -22,6 +22,7 @@ from .nandtree import (
     Transcript,
     _batches,
     _check_mc_depth,
+    _check_samples,
     _fold,
     _greedy_order,
     _summary,
@@ -284,6 +285,7 @@ def estimate_sep_counts(base, d: int, t: int, samples: int, seed: int,
         raise ValueError("t must be at most d")
     if run_on not in ("x", "y"):
         raise ValueError("run_on must be 'x' or 'y'")
+    _check_samples(samples)
     _check_mc_depth(d)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     if base == "saks_wigderson":
@@ -313,6 +315,7 @@ def mc_sep_cost(algorithm: str, d: int, samples: int, seed: int,
     'greedy_zero' (static child order from its zero-probability tree; uniform
     marginals unless given). Returns a ``nandtree.CostEstimate``.
     """
+    _check_samples(samples)
     if algorithm not in ("saks_wigderson", "greedy_zero"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
     _check_mc_depth(d)

@@ -48,43 +48,24 @@ class CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def _catalog_tables(m: int):
-    """Per depth k: (outputs, pathlens, depths) over all labeled trees."""
-    out = {}
-    points = [bf.point_from_index(i, m) for i in range(1 << m)]
-    for k in range(m + 1):
-        catalog = gm.enumerate_trees(m, k, labeled=True)
-        outputs = np.empty((len(catalog.trees), 1 << m), dtype=np.int8)
-        pathlen = np.empty_like(outputs)
-        depths = np.empty(len(catalog.trees), dtype=np.int16)
-        for ti, tree in enumerate(catalog.trees):
-            depths[ti] = tree.depth
-            for xi, x in enumerate(points):
-                res = dt.run(tree, x)
-                outputs[ti, xi] = res.output
-                pathlen[ti, xi] = len(res.queried)
-        out[k] = (outputs, pathlen, depths)
-    return out
-
-
-def _check_one_function(f: bf.BooleanFunction, mu, eps_grid, tables, denom: int,
+def _check_one_function(f: bf.BooleanFunction, mu, eps_grid, outputs, pathlen, denom: int,
                         weights: np.ndarray) -> str:
-    """Empty string when every DP value matches the brute force exactly."""
+    """Empty string when every DP value matches the brute force over all
+    labeled trees (their outputs and path lengths on every point) exactly."""
     m = f.arity
     fbits = np.array(f.bits(), dtype=np.int8)
-    full_out, full_len, _ = tables[m]
+    depths = pathlen.max(axis=1)  # every path of a repeat-free tree is run
 
     d_dp = dt.exact_D(f)
-    correct = (full_out == fbits).all(axis=1)
-    d_bf = int(tables[m][2][correct].min())
+    correct = (outputs == fbits).all(axis=1)
+    d_bf = int(depths[correct].min())
     if d_dp != d_bf:
         return f"D mismatch: dp {d_dp} bf {d_bf}"
 
+    errors = ((outputs != fbits) * weights).sum(axis=1)
     err_curve_bf = []
     for k in range(m + 1):
-        outputs, _, _ = tables[k]
-        err_int = ((outputs != fbits) * weights).sum(axis=1).min()
-        err_curve_bf.append(Fraction(int(err_int), denom))
+        err_curve_bf.append(Fraction(int(errors[depths <= k].min()), denom))
         err_dp = dt.optimal_dist_error(f, mu, k)
         if err_dp != err_curve_bf[-1]:
             return f"dist-error mismatch at k={k}: dp {err_dp} bf {err_curve_bf[-1]}"
@@ -96,7 +77,7 @@ def _check_one_function(f: bf.BooleanFunction, mu, eps_grid, tables, denom: int,
             return f"Dmu_eps mismatch at eps={eps}: dp {k_dp} bf {k_bf}"
 
     cost_dp = dt.zero_error_expected_cost(f, mu)
-    costs = (full_len * weights).sum(axis=1)[correct]
+    costs = (pathlen * weights).sum(axis=1)[correct]
     cost_bf = Fraction(int(costs.min()), denom)
     if cost_dp != cost_bf:
         return f"zero-error cost mismatch: dp {cost_dp} bf {cost_bf}"
@@ -111,7 +92,12 @@ def criterion_1(seed: int = DEFAULT_SEED) -> CriterionResult:
     checked = 0
 
     for m, funcs in ((2, range(16)), (3, rng.sample(range(256), 200))):
-        tables = _catalog_tables(m)
+        trees = gm.enumerate_trees(m, labeled=True).trees
+        outputs = np.empty((len(trees), 1 << m), dtype=np.int8)
+        pathlen = np.empty_like(outputs)
+        for row, (outs, queried) in enumerate(gm._run_table(trees, m)):
+            outputs[row] = outs
+            pathlen[row] = [len(q) for q in queried]
         for table in funcs:
             f = bf.BooleanFunction(m, table)
             mu = bf.random_dyadic_distribution(m, rng)
@@ -120,7 +106,7 @@ def criterion_1(seed: int = DEFAULT_SEED) -> CriterionResult:
                 [int(mu.point_prob(bf.point_from_index(i, m)) * denom) for i in range(1 << m)],
                 dtype=np.int64,
             )
-            msg = _check_one_function(f, mu, eps_grid, tables, denom, weights)
+            msg = _check_one_function(f, mu, eps_grid, outputs, pathlen, denom, weights)
             checked += 1
             if msg:
                 problems.append(f"m={m} table={table}: {msg}")

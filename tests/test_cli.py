@@ -61,11 +61,14 @@ def test_nand_needs_depths(capsys):
 
 
 def test_huge_depths_exit_2_before_allocating(capsys):
-    for argv in (("nand", "--depth", "40"), ("nand", "--depths", "4..40"),
-                 ("sabotage", "--depth", "40")):
-        status, out, err = run_cli(capsys, *argv, "--samples", "500")
+    cap, few = "Monte-Carlo cap 22", "need at least 100 samples"
+    for argv, message in ((("nand", "--depth", "40", "--samples", "500"), cap),
+                          (("nand", "--depths", "4..40", "--samples", "500"), cap),
+                          (("sabotage", "--depth", "40", "--samples", "500"), cap),
+                          (("sabotage", "--depth", "6", "--samples", "0"), few)):
+        status, out, err = run_cli(capsys, *argv)
         assert status == 2 and out == ""
-        assert "Monte-Carlo cap 22" in err
+        assert message in err
 
 
 def test_sabotage_command(tmp_path, capsys):

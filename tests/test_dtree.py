@@ -151,6 +151,18 @@ def test_exact_Dmu_eps_examples():
         assert exact_Dmu_eps(f, mu, Fraction(0)) <= exact_D(f)
 
 
+def test_exact_Dmu_eps_decides_rational_eps_exactly():
+    # err(0) = Pr[AND_7 = 1] = 64^-7 ~ 2.3e-13 sits inside a 1e-12 slack, so
+    # only an exact comparison sees that eps = 0 needs all seven queries
+    f, mu = and_f(7), ProductDistribution((Fraction(1, 64),) * 7)
+    assert optimal_dist_error(f, mu, 0) == Fraction(1, 64**7)
+    assert exact_Dmu_eps(f, mu, 0) == exact_Dmu_eps(f, mu, Fraction(0)) == 7
+    assert exact_Dmu_eps(f, mu, Fraction(1, 64**7)) == 0
+    # a float eps keeps the slack, as do float marginals
+    assert exact_Dmu_eps(f, mu, 0.0) == 0
+    assert exact_Dmu_eps(f, ProductDistribution((1 / 64,) * 7), 0) == 0
+
+
 @given(st.data())
 @settings(max_examples=40, deadline=None)
 def test_dist_error_monotone_in_depth(data):

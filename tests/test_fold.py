@@ -113,12 +113,14 @@ class _Untouchable:
 def test_depth_guard_rejects_before_any_allocation():
     # 16 rows are the batch floor; 2^26 elements the batch budget
     assert 16 << MC_MAX_DEPTH == 1 << 26
-    for d in (MC_MAX_DEPTH + 1, 40):
-        with pytest.raises(ValueError, match="Monte-Carlo cap"):
-            mc_cost("greedy_zero", d, _Untouchable(), 1000, seed=0)
-        with pytest.raises(ValueError, match="Monte-Carlo cap"):
-            mc_sep_cost("greedy_zero", d, 1000, seed=0, marginals=_Untouchable())
-        with pytest.raises(ValueError, match="Monte-Carlo cap"):
-            mc_sep_cost("saks_wigderson", d, 1000, seed=0)
-        with pytest.raises(ValueError, match="Monte-Carlo cap"):
-            estimate_sep_counts("saks_wigderson", d, 0, 1000, seed=0)
+    too_deep, too_few = "Monte-Carlo cap", "need at least 100 samples"
+    for d, samples, match in ((MC_MAX_DEPTH + 1, 1000, too_deep), (40, 1000, too_deep),
+                              (4, 0, too_few), (4, 99, too_few), (40, 0, too_few)):
+        with pytest.raises(ValueError, match=match):
+            mc_cost("greedy_zero", d, _Untouchable(), samples, seed=0)
+        with pytest.raises(ValueError, match=match):
+            mc_sep_cost("greedy_zero", d, samples, seed=0, marginals=_Untouchable())
+        with pytest.raises(ValueError, match=match):
+            mc_sep_cost("saks_wigderson", d, samples, seed=0)
+        with pytest.raises(ValueError, match=match):
+            estimate_sep_counts("saks_wigderson", d, 0, samples, seed=0)

@@ -41,8 +41,11 @@ from qclab.games import (
     mixture_from_columns,
     miss_probability,
     pair_miss_profile,
+    r_game,
     r_game_value,
+    rs_game,
     rs_game_value,
+    rse_game,
     sens_miss_profile,
     solve_zero_sum,
     check_amplified_bias,
@@ -116,14 +119,18 @@ def test_lp_matches_scipy(data):
     matrix = [
         [data.draw(st.integers(-5, 5)) for _ in range(cols)] for _ in range(rows)
     ]
-    gv = solve_zero_sum(matrix)
-    assert float(gv.value) == pytest.approx(_scipy_game_value(matrix), abs=1e-7)
-    # strategies are distributions and certify the value against pure replies
-    assert sum(gv.row_strategy) == 1 and min(gv.row_strategy) >= 0
-    assert sum(gv.col_strategy) == 1 and min(gv.col_strategy) >= 0
-    for j in range(cols):
-        reply = sum(gv.row_strategy[i] * matrix[i][j] for i in range(rows))
-        assert reply >= gv.value - Fraction(1, 10**9)
+    want = _scipy_game_value(matrix)
+    for exact in (None, False):  # the rational tableau, then the float one
+        gv = solve_zero_sum(matrix, exact=exact)
+        assert isinstance(gv.value, Fraction if exact is None else float)
+        assert float(gv.value) == pytest.approx(want, abs=1e-7)
+        # strategies are distributions and certify the value against pure replies
+        one = 1 if exact is None else pytest.approx(1, abs=1e-12)
+        assert sum(gv.row_strategy) == one and min(gv.row_strategy) >= 0
+        assert sum(gv.col_strategy) == one and min(gv.col_strategy) >= 0
+        for j in range(cols):
+            reply = sum(gv.row_strategy[i] * matrix[i][j] for i in range(rows))
+            assert reply >= gv.value - Fraction(1, 10**9)
 
 
 def test_lp_float_path_on_large_matrix():
@@ -134,7 +141,65 @@ def test_lp_float_path_on_large_matrix():
     assert float(gv.value) == pytest.approx(_scipy_game_value(matrix), abs=1e-6)
 
 
+def test_simplex_outputs_are_pinned():
+    # recorded before the two simplex routines were merged: the float game's
+    # round-off residues and types, and an exact game's optimal strategies
+    rng = np.random.default_rng(2)
+    gv = solve_zero_sum(rng.integers(0, 4, size=(4, 3000)).tolist())
+    assert all(type(v) is np.float64 for v in (gv.value, *gv.row_strategy, *gv.col_strategy))
+    assert [repr(float(v)) for v in gv.row_strategy] == [
+        "0.9999999999999991", "1.3877787807814454e-17", "8.881784197001242e-16", "0.0"]
+    assert gv.value == 0.0 and {j: v for j, v in enumerate(gv.col_strategy) if v} == {177: 1.0}
+
+    gv = solve_zero_sum(np.random.default_rng(7).random((4, 3000)).tolist())
+    assert repr(float(gv.value)) == "0.07109327478569427"
+    assert [repr(float(v)) for v in gv.row_strategy] == [
+        "0.09772943089672914", "0.11800629505250872", "0.7497518962017172", "0.034512377849045"]
+    assert {j: repr(float(v)) for j, v in enumerate(gv.col_strategy) if v} == {
+        1096: "0.5909294384300815", 1899: "0.07147148601621227",
+        2263: "0.014159017250126521", 2283: "0.32344005830357975"}
+
+    # a float basis ends with w = -9.6e-17 here; the clamp keeps it at 0.0
+    quarters = [[0, -2, -1, -3, -3, -3], [-2, 2, 1, 3, 0, 1], [3, 2, 1, 0, 0, 3],
+                [-2, 2, 1, -3, -1, 3], [0, -3, 2, 2, 2, -2], [-3, 3, -3, 0, -3, -1]]
+    gv = solve_zero_sum([[v / 4 for v in row] for row in quarters], exact=False)
+    assert repr(float(gv.value)) == "0.14285714285714324"
+    assert [repr(float(v)) for v in gv.row_strategy] == [
+        "0.0", "1.576120186744642e-16", "0.7142857142857142", "0.0", "0.28571428571428575", "0.0"]
+    assert [repr(float(v)) for v in gv.col_strategy] == [
+        "0.0", "0.2857142857142858", "0.0", "0.0", "0.7142857142857143", "0.0"]
+
+    gv, catalog = r_game_value(BooleanFunction(3, 0xE8), 2)  # majority
+    assert repr(gv.value) == "Fraction(1, 3)"
+    assert repr(gv.row_strategy) == repr((Fraction(0),) + (Fraction(1, 6),) * 6 + (Fraction(0),))
+    assert len(gv.col_strategy) == len(catalog.trees) == 302
+    assert all(type(v) is Fraction for v in gv.col_strategy)
+    assert {j: v for j, v in enumerate(gv.col_strategy) if v} == {
+        9: Fraction(1, 3), 35: Fraction(1, 3), 73: Fraction(1, 3)}
+
+
 # -- complexity games ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_game_matrices_match_direct_runs(m):
+    # every payoff from dtree.run of each tree on the input it is played on
+    rng = random.Random(m)
+    labeled = enumerate_trees(m, min(m, 2), labeled=True)
+    unlabeled = enumerate_trees(m, None, labeled=False)
+    for table in range(1 << (1 << m)) if m < 3 else rng.sample(range(256), 12):
+        f = BooleanFunction(m, table)
+        matrix, points = r_game(f, labeled)
+        assert matrix == [[int(run(t, x).output != f.value_at(i)) for t in labeled.trees]
+                          for i, x in enumerate(points)]
+        matrix, pairs = rs_game(f, unlabeled)
+        assert matrix == [[int(not pair.differing() & set(run(t, pair.x).queried))
+                           for t in unlabeled.trees] for pair in pairs]
+        if pairs:
+            trees = zero_error_trees(f)
+            matrix, _ = rse_game(f, trees)
+            assert matrix == [[next(pos for pos, v in enumerate(run(t, pair.x).queried, 1)
+                                    if v in pair.differing()) for t in trees] for pair in pairs]
 
 
 def test_exact_R_eps_examples():

@@ -2,8 +2,9 @@
 the sabotage pipeline, and the acceptance suite.
 
 Output is a versioned CSV (`# qclab-v1` header) or structured text (JSON).
-Identical configuration and seed give identical bytes apart from the wall
-time, which `--compare` ignores. Worker count for independent experiment
+Identical configuration and seed give identical bytes apart from the
+timings (the wall time and verify's per-criterion seconds), which
+`--compare` ignores. Worker count for independent experiment
 cells comes from QCLAB_THREADS (default 1); aggregation is ordered by cell
 index, so threading never changes output.
 
@@ -93,11 +94,20 @@ def render_record(rec: RunRecord, fmt: str) -> str:
 
 
 def normalize_for_compare(text: str) -> str:
-    """Drop the wall-time field; everything else must match byte for byte."""
+    """Drop the timings (the wall time, and the per-criterion ``seconds``
+    column of verify); everything else must match byte for byte."""
     kept = [
         ln for ln in text.splitlines()
         if not ln.startswith("# wall_time_s=") and '"wall_time_s"' not in ln
+        and not ln.lstrip().startswith('"seconds":')
     ]
+    body = [ln for ln in kept if not ln.startswith("#")]
+    header = next(csv.reader(body[:1]), [])
+    if "seconds" in header:
+        k = header.index("seconds")
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(r[:k] + r[k + 1:] for r in csv.reader(body))
+        kept = [ln for ln in kept if ln.startswith("#")] + buf.getvalue().splitlines()
     return "\n".join(kept) + "\n"
 
 
@@ -118,10 +128,6 @@ def _pool_map(fn, items):
         return [fn(it) for it in items]
     with ThreadPoolExecutor(max_workers=n) as pool:
         return list(pool.map(fn, items))
-
-
-def _stream_seed(master: int, index: int) -> int:
-    return int(np.random.SeedSequence(master, spawn_key=(index,)).generate_state(1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +250,7 @@ def cmd_game(args) -> RunRecord:
 
 def cmd_nand(args) -> RunRecord:
     depths = _parse_depths(args)
+    nt._check_samples(args.samples)
     algos = ["greedy_zero", "saks_wigderson"] if args.algo == "both" else [args.algo]
     mu_spec = args.mu
     block = None
@@ -270,7 +277,7 @@ def cmd_nand(args) -> RunRecord:
 
     def run_cell(cell):
         idx, algo, d = cell
-        stream = _stream_seed(args.seed, idx)
+        stream = nt._stream_seed(args.seed, idx)
         est = nt.mc_cost(algo, d, marginals_for(d), args.samples, stream)
         return {"algorithm": algo, "d": d, "mu": mu_id, "mean": est.mean,
                 "ci95": est.half_width_95, "samples": est.samples,
@@ -308,7 +315,7 @@ def cmd_sabotage(args) -> RunRecord:
     levels = list(range(min(args.t_max, d) + 1))
 
     def run_cell(t):
-        stream = _stream_seed(args.seed, t)
+        stream = nt._stream_seed(args.seed, t)
         return sb.estimate_sep_counts("saks_wigderson", d, t, args.samples, stream)
 
     estimates = dict(zip(levels, _pool_map(run_cell, levels)))
@@ -333,9 +340,8 @@ def cmd_sabotage(args) -> RunRecord:
         for k in range(args.dump_pairs):
             pair = sb.sample_hard_pair(d, rng)
             seed_k = int(rng.integers(0, 2**63))
-            cost = sb.sep_cost(algo, pair.x, pair.y, np.random.default_rng(seed_k))
             q0, q1 = sb.sep_value_counts(algo, d, pair.x, pair.y, np.random.default_rng(seed_k))
-            rows.append({"item": f"pair[{k}]", "value": cost,
+            rows.append({"item": f"pair[{k}]", "value": q0 + q1,
                          "detail": f"x={''.join(map(str, pair.x))};y={''.join(map(str, pair.y))};"
                                    f"sep={pair.differing_index()};q0={q0};q1={q1}",
                          "provenance": "mc(1)"})

@@ -315,20 +315,28 @@ def _batches(samples: int, n_leaves: int, batch) -> list:
     return [min(batch, samples - done) for done in range(0, samples, batch)]
 
 
-def _summary(roots) -> CostEstimate:
-    """Mean and 95% half-width of the per-run counts, accumulated batch by
-    batch."""
-    total = total_sq = 0.0
-    n = 0
-    for root in roots:
-        root = root.astype(np.float64)
-        total += float(root.sum())
-        total_sq += float((root * root).sum())
-        n += len(root)
-    mean = total / n
-    var = max(0.0, (total_sq - n * mean * mean) / (n - 1)) if n > 1 else 0.0
-    half = 1.96 * math.sqrt(var / n)
-    return CostEstimate(mean, half, n)
+def _summary(batches) -> list:
+    """Mean and 95% half-width of each counter's per-run counts, accumulated
+    batch by batch; ``batches`` yields one list of root arrays per batch,
+    one array per counter, and one estimate per counter comes back."""
+    sums, n = {}, 0
+    for roots in batches:
+        for i, root in enumerate(roots):
+            root = root.astype(np.float64)
+            total, total_sq = sums.get(i, (0.0, 0.0))
+            sums[i] = (total + float(root.sum()), total_sq + float((root * root).sum()))
+        n += len(roots[0])
+    out = []
+    for total, total_sq in sums.values():
+        mean = total / n
+        var = max(0.0, (total_sq - n * mean * mean) / (n - 1)) if n > 1 else 0.0
+        out.append(CostEstimate(mean, 1.96 * math.sqrt(var / n), n))
+    return out
+
+
+def _stream_seed(master: int, index: int) -> int:
+    """Seed of the index-th independent stream spawned from ``master``."""
+    return int(np.random.SeedSequence(master, spawn_key=(index,)).generate_state(1)[0])
 
 
 def _greedy_order(d: int, marginals: Sequence) -> list:
@@ -407,9 +415,9 @@ def mc_cost(algorithm: str, d: int, marginals: Sequence, samples: int, seed: int
 
     def root_costs(n):
         x = (rng.random((n, n_leaves)) < p).astype(np.int8)
-        return _fold(x, [np.ones((n, n_leaves), dtype=np.int32)], rng, order)[0]
+        return _fold(x, [np.ones((n, n_leaves), dtype=np.int32)], rng, order)
 
-    return _summary(root_costs(n) for n in _batches(samples, n_leaves, batch))
+    return _summary(root_costs(n) for n in _batches(samples, n_leaves, batch))[0]
 
 
 # ---------------------------------------------------------------------------

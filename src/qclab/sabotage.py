@@ -219,15 +219,26 @@ def lift_chain(base, t: int):
 # ---------------------------------------------------------------------------
 
 
+def _sep_counts(order: Sequence[int], x: Sequence[int], y: Sequence[int]) -> tuple:
+    """(queries of value 0, queries of value 1) of x among the indices in
+    ``order``, up to and including the first index where x and y differ."""
+    q0 = q1 = 0
+    for idx in order:
+        if x[idx]:
+            q1 += 1
+        else:
+            q0 += 1
+        if x[idx] != y[idx]:
+            return q0, q1
+    raise SeparationError("run ended without querying a differing index")
+
+
 def sep_cost(algorithm, x: Sequence[int], y: Sequence[int], rng) -> int:
     """Queries on the run over x up to and including the first index where x
     and y differ."""
     access = Transcript(x)
     algorithm.run(access, rng)
-    for pos, idx in enumerate(access.order, start=1):
-        if x[idx] != y[idx]:
-            return pos
-    raise SeparationError("run ended without querying a differing index")
+    return sum(_sep_counts(access.order, x, y))
 
 
 def sep_value_counts(algorithm, t: int, x: Sequence[int], y: Sequence[int], rng) -> tuple:
@@ -237,15 +248,7 @@ def sep_value_counts(algorithm, t: int, x: Sequence[int], y: Sequence[int], rng)
         raise ValueError("level mismatch")
     access = Transcript(x)
     algorithm.run(access, rng)
-    q0 = q1 = 0
-    for idx in access.order:
-        if x[idx]:
-            q1 += 1
-        else:
-            q0 += 1
-        if x[idx] != y[idx]:
-            return q0, q1
-    raise SeparationError("run ended without querying a differing index")
+    return _sep_counts(access.order, x, y)
 
 
 @dataclass(frozen=True)
@@ -261,23 +264,16 @@ class SepCountEstimate:
         return self.half_width_95 / 1.96
 
 
-def _q_summaries(t: int, q0: np.ndarray, q1: np.ndarray) -> tuple:
-    out = []
-    for b, arr in ((0, q0), (1, q1)):
-        n = len(arr)
-        mean = float(arr.mean())
-        sd = float(arr.std(ddof=1)) if n > 1 else 0.0
-        out.append(SepCountEstimate(t, b, mean, 1.96 * sd / math.sqrt(n), n))
-    return tuple(out)
-
-
 def estimate_sep_counts(base, d: int, t: int, samples: int, seed: int,
                run_on: str = "x") -> tuple:
     """Monte-Carlo estimates of Q(t, 0) and Q(t, 1) for the chain built from
     a zero-error base algorithm for g_d.
 
-    ``base`` may be the string 'saks_wigderson' (vectorized engine) or any
-    algorithm object with ``.depth == d`` (scalar chain). The two runs of a
+    ``base`` may be the string 'saks_wigderson' (vectorized) or any
+    algorithm object with ``.depth == d`` (scalar chain). The chain lifted
+    from Saks-Wigderson at any d is distributed as Saks-Wigderson at level
+    t (docs/decisions.md, entry 3), so the vectorized path folds level-t
+    pairs directly and its output does not depend on d. The two runs of a
     pair share one transcript until separation, so only the attribution of
     the final query differs between ``run_on='x'`` and ``'y'``.
     """
@@ -289,17 +285,20 @@ def estimate_sep_counts(base, d: int, t: int, samples: int, seed: int,
     _check_mc_depth(d)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     if base == "saks_wigderson":
-        return _q_summaries(t, *_batch_chain_q(d, t, samples, rng, run_on=run_on))
-    if getattr(base, "depth", None) != d:
-        raise ValueError("base algorithm depth does not match d")
-    algo = lift_chain(base, t)
-    q0s = np.empty(samples)
-    q1s = np.empty(samples)
-    for s in range(samples):
-        pair = sample_hard_pair(t, rng)
-        a, b = (pair.x, pair.y) if run_on == "x" else (pair.y, pair.x)
-        q0s[s], q1s[s] = sep_value_counts(algo, t, a, b, rng)
-    return _q_summaries(t, q0s, q1s)
+        ests = _pair_fold(t, samples, rng, lambda x: [(x == v).astype(np.int64) for v in (0, 1)],
+                          swap=run_on == "y")
+    else:
+        if getattr(base, "depth", None) != d:
+            raise ValueError("base algorithm depth does not match d")
+        algo = lift_chain(base, t)
+        counts = np.empty((2, samples))
+        for s in range(samples):
+            pair = sample_hard_pair(t, rng)
+            a, b = (pair.x, pair.y) if run_on == "x" else (pair.y, pair.x)
+            counts[:, s] = sep_value_counts(algo, t, a, b, rng)
+        ests = _summary([counts])
+    return tuple(SepCountEstimate(t, b, e.mean, e.half_width_95, e.samples)
+                 for b, e in enumerate(ests))
 
 
 # ---------------------------------------------------------------------------
@@ -323,39 +322,22 @@ def mc_sep_cost(algorithm: str, d: int, samples: int, seed: int,
     if algorithm == "greedy_zero":
         order = _greedy_order(d, [0.5] * (1 << d) if marginals is None else marginals)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-
-    def root_costs(n):
-        x, y = sample_pairs_batch(d, n, rng)
-        cost = np.ones((n, 1 << d), dtype=np.int64)
-        return _fold(x.astype(np.int8), [cost], rng, order, sep=x != y)[0]
-
-    return _summary(root_costs(n) for n in _batches(samples, 1 << d, batch))
+    return _pair_fold(d, samples, rng, lambda x: [np.ones(x.shape, dtype=np.int64)], order,
+                      batch)[0]
 
 
-def _batch_chain_q(d: int, t: int, samples: int, rng, batch: int = None,
-                   run_on: str = "x") -> tuple:
-    """Level-t query-value counts until separation for the randomized
-    evaluator lifted from level d, by the pair-lift coupling.
-
-    A level-d leaf consumes a real level-t query when every lift on its path
-    put it in the embedded slot b_i; it is counted under the value of the
-    level-t bit it carries.
-    """
-    q0, q1 = [], []
-    for n in _batches(samples, 1 << d, batch):
-        x, y = sample_pairs_batch(t, n, rng)
-        if run_on == "y":
+def _pair_fold(level: int, samples: int, rng, counters, order=None, batch: int = None,
+               swap: bool = False) -> list:
+    """Fold the evaluator over hard pairs at ``level``, batch by batch, on x
+    (on y with ``swap``), and summarize each per-leaf counter of
+    ``counters(x)`` summed up to and including the separating query."""
+    def roots(n):
+        x, y = sample_pairs_batch(level, n, rng)
+        if swap:
             x, y = y, x
-        real = [x == 0, x == 1]
-        for _ in range(d - t):
-            b = rng.integers(0, 2, size=x.shape, dtype=np.uint8)
-            x, y = _lift_step(x, y, b)
-            real = [np.stack((r & (b == 0), r & (b == 1)), axis=-1).reshape(n, -1)
-                    for r in real]
-        s0, s1 = _fold(x.astype(np.int8), [r.astype(np.int64) for r in real], rng, sep=x != y)
-        q0.append(s0)
-        q1.append(s1)
-    return np.concatenate(q0).astype(np.float64), np.concatenate(q1).astype(np.float64)
+        return _fold(x.astype(np.int8), counters(x), rng, order, sep=x != y)
+
+    return _summary(roots(n) for n in _batches(samples, 1 << level, batch))
 
 
 # ---------------------------------------------------------------------------
@@ -459,16 +441,7 @@ def exact_base_cases() -> dict:
         for tree in zero_error_trees(f):
             totals = {0: Fraction(0), 1: Fraction(0)}
             for prob, x, y in support:
-                q0 = q1 = 0
-                for var in tree_run(tree, x).queried:
-                    if x[var - 1]:
-                        q1 += 1
-                    else:
-                        q0 += 1
-                    if x[var - 1] != y[var - 1]:
-                        break
-                else:
-                    raise SeparationError("zero-error tree failed to separate")
+                q0, q1 = _sep_counts([var - 1 for var in tree_run(tree, x).queried], x, y)
                 totals[0] += prob * q0
                 totals[1] += prob * q1
             for b in (0, 1):

@@ -312,8 +312,7 @@ def criterion_9(seed: int = DEFAULT_SEED, samples: int = 100_000) -> CriterionRe
     points = []
     for i, d in enumerate(range(4, 15)):
         margs = nt.tile_marginals(block, d)
-        stream = int(np.random.SeedSequence(seed + 9, spawn_key=(i,)).generate_state(1)[0])
-        est = nt.mc_cost("greedy_zero", d, margs, samples, stream)
+        est = nt.mc_cost("greedy_zero", d, margs, samples, nt._stream_seed(seed + 9, i))
         points.append((d, est.mean))
     base, resid = nt.fit_exponent(points)
     secs = time.time() - t0
@@ -336,8 +335,7 @@ def criterion_10(seed: int = DEFAULT_SEED, samples: int = 100_000,
     alpha = sb.spectral_alpha()
     points = []
     for i, d in enumerate(range(4, 13)):
-        stream = int(np.random.SeedSequence(seed + 10, spawn_key=(i,)).generate_state(1)[0])
-        est = sb.mc_sep_cost("saks_wigderson", d, samples, stream)
+        est = sb.mc_sep_cost("saks_wigderson", d, samples, nt._stream_seed(seed + 10, i))
         points.append((d, est.mean))
     base, resid = nt.fit_exponent(points)
     ok = alpha - 0.05 <= base <= alpha + 0.05

@@ -1,6 +1,8 @@
 import json
 import os
+import re
 
+from qclab import games
 from qclab.boolfunc import nand2, save_function, save_distribution, uniform_distribution
 from qclab.cli import main, normalize_for_compare
 
@@ -60,10 +62,15 @@ def test_nand_needs_depths(capsys):
     assert status == 2
 
 
-def test_huge_depths_exit_2_before_allocating(capsys):
+def test_huge_depths_exit_2_before_allocating(capsys, monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("dprod_search ran before the sample count was checked")
+
+    monkeypatch.setattr(games, "dprod_search", no_search)
     cap, few = "Monte-Carlo cap 22", "need at least 100 samples"
     for argv, message in ((("nand", "--depth", "40", "--samples", "500"), cap),
                           (("nand", "--depths", "4..40", "--samples", "500"), cap),
+                          (("nand", "--depth", "4", "--mu", "search", "--samples", "0"), few),
                           (("sabotage", "--depth", "40", "--samples", "500"), cap),
                           (("sabotage", "--depth", "6", "--samples", "0"), few)):
         status, out, err = run_cli(capsys, *argv)
@@ -124,6 +131,21 @@ def test_normalize_for_compare():
     assert normalize_for_compare(a) == normalize_for_compare(b)
 
 
+def test_verify_compare_ignores_the_seconds_column(tmp_path, capsys):
+    for fmt in ("csv", "text"):
+        out_path = tmp_path / f"v.{fmt}"
+        args = ["verify", "--criteria", "4,12", "--format", fmt]
+        assert main(args + ["--out", str(out_path)]) == 0
+        capsys.readouterr()
+        text = out_path.read_text()
+        assert "seconds" in text
+        # another run's timings: the passed column precedes the seconds
+        slower = re.sub(r'"seconds": "[0-9.]+"', '"seconds": "99.9"', text)
+        slower = re.sub(r",1,[0-9.]+,", ",1,99.9,", slower)
+        assert slower.count("99.9") == 2
+        out_path.write_text(slower)
+        status, out, _ = run_cli(capsys, *args, "--compare", str(out_path))
+        assert status == 0 and "outputs match" in out, fmt
 def test_verify_subset(capsys):
     status, out, _ = run_cli(capsys, "verify", "--criteria", "2,3,12", "--format", "text")
     assert status == 0

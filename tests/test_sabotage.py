@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -256,6 +257,60 @@ def test_estimate_q_engines_agree():
             assert a.mean == pytest.approx(
                 b.mean, abs=3 * math.hypot(a.sigma, b.sigma) + 1e-9
             )
+
+
+class _Bits:
+    """A generator that serves fair bits from a fixed tuple, in order."""
+
+    def __init__(self, bits):
+        self.bits = iter(bits)
+
+    def integers(self, low, high, size=None):
+        assert (low, high) == (0, 2)
+        if size is None:
+            return next(self.bits)
+        return np.array([next(self.bits) for _ in range(size)])
+
+
+def _enumerated_q(d, t, run_on):
+    """Exact (Q(t,0), Q(t,1)) of the chain lifted from Saks-Wigderson at
+    depth d down to level t: every level-t hard pair, weighted by its
+    probability, against every string of its lift bits (levels t..d-1) and
+    coins (at most one per internal node of the depth-d tree)."""
+    algo = lift_chain(SaksWigderson(d), t)
+    n_bits = (1 << d) - (1 << t) + (1 << d) - 1
+    q = [Fraction(0), Fraction(0)]
+    for prob, x, y in enumerate_hard_pairs(t):
+        a, b = (x, y) if run_on == "x" else (y, x)
+        totals = np.zeros(2, dtype=np.int64)
+        for bits in itertools.product((0, 1), repeat=n_bits):
+            totals += sep_value_counts(algo, t, a, b, _Bits(bits))
+        q = [qb + prob * int(tb) for qb, tb in zip(q, totals)]
+    return tuple(qb / (1 << n_bits) for qb in q)
+
+
+def test_lift_chain_lemma_is_exact():
+    # the chain lifted from depth d has the Q distribution of plain
+    # Saks-Wigderson at level t (docs/decisions.md, entry 3); d = 4 would
+    # need 2^30 strings per level
+    ledger = {0: (1, 0), 1: (0, Fraction(3, 2)), 2: (Fraction(3, 2), Fraction(3, 4)),
+              3: (Fraction(3, 4), Fraction(23, 8))}
+    for run_on in ("x", "y"):
+        for t in range(4):
+            plain = _enumerated_q(t, t, run_on)
+            if run_on == "x":
+                assert plain == ledger[t]
+            for d in range(t + 1, 4):
+                assert _enumerated_q(d, t, run_on) == plain, (d, t, run_on)
+
+
+def test_estimate_q_does_not_depend_on_d():
+    for t in (0, 2, 3):
+        for run_on in ("x", "y"):
+            at_t = estimate_sep_counts("saks_wigderson", t, t, 1000, seed=11, run_on=run_on)
+            for d in (t + 1, 8):
+                assert estimate_sep_counts("saks_wigderson", d, t, 1000, seed=11,
+                                           run_on=run_on) == at_t
 
 
 def test_estimate_q_ci_shrinks():

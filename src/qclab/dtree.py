@@ -8,7 +8,8 @@ root-to-leaf path; this is validated when a ``DecisionTree`` is built.
 The DPs (deterministic depth, distributional error at a depth budget,
 zero-error expected cost) share one engine: the whole lattice of 3^m
 subcubes as a numpy array, relaxed one query at a time. They are exact with
-rational marginals, float with float ones, and limited to arity <= 14.
+rational marginals, float with float ones, and limited to arity <= 14
+(13 with rational marginals, whose lattices hold Python ints).
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ from .boolfunc import (
 )
 
 DP_MAX_ARITY = 14
+# Exact-mode lattices hold Python ints in object arrays: with Fraction /64
+# marginals m = 13 took 15.5 s and 339 MiB, m = 14 60 s and 970 MiB.
+DP_MAX_EXACT_ARITY = 13
 
 __all__ = [
     "DP_MAX_ARITY",
@@ -233,12 +237,15 @@ class _Lattice:
         m = f.arity
         if m > DP_MAX_ARITY:
             raise ValueError(f"arity {m} above DP cap {DP_MAX_ARITY}")
+        per_axis = list(marginals)[::-1]
+        self.exact = not any(isinstance(p, float) for p in per_axis)
+        if self.exact and per_axis and m > DP_MAX_EXACT_ARITY:
+            raise ValueError(f"arity {m} above the exact-arithmetic DP cap {DP_MAX_EXACT_ARITY}; "
+                             "pass float marginals")
         self.m = m
         self.corner = f.table_array().reshape((2,) * m)
         const = self.stack(self.corner, lambda ax, a, b: np.where(a == b, a, 2))
         self.nonconst = const == 2
-        per_axis = list(marginals)[::-1]
-        self.exact = not any(isinstance(p, float) for p in per_axis)
         if self.exact:
             fr = [Fraction(p) for p in per_axis]
             self.weights = [(q.denominator - q.numerator, q.numerator, q.denominator) for q in fr]

@@ -349,49 +349,91 @@ def _greedy_order(d: int, marginals: Sequence) -> list:
     ]
 
 
-def _fold(val, counts, rng, order=None, sep=None) -> list:
+def _fold(val, counts, rng, order=None, at=None) -> list:
     """Run the zero-error evaluator bottom-up on a batch of inputs.
 
-    ``val`` holds the (n, 2^d) int8 leaf values and ``counts`` per-leaf query
-    counters. Each node takes its first child from ``order`` (see
-    ``_greedy_order``) or, without one, from a coin per node drawn from
-    ``rng`` at every level; the sibling is evaluated, and its counters
-    summed, only when the first child reads 1. Returns each counter's root
-    column, summed over the whole run; given a leaf mask ``sep`` of differing
-    indices, summed up to and including the first separating query instead.
+    ``val`` holds the (n, 2^d) C-contiguous bool leaf values and ``counts``
+    the per-leaf query counters: each is a bool leaf mask, or None for the
+    all-ones counter, which is never built. Each node takes its first child
+    from ``order`` (see ``_greedy_order``) or, without one, from a coin per
+    node drawn from ``rng`` at every level. A node's value is the NAND of its
+    children whatever their order; the order only decides which children
+    run: the first always, the other when the first reads 1. A node's count
+    sums the counts of its children that run, in uint16 up to d = 15 and
+    uint32 above, wide enough for the 2^d queries of a full evaluation.
+
+    Returns each counter's root column, summed over the whole run. Given
+    ``at``, the (n,) index of the one differing leaf per row, returns the
+    sums up to and including the separating query instead: the leaf's own
+    count plus the full count of every sibling on its root path that runs
+    first, gathered one level at a time; a first-run sibling that reads 0
+    stops the run short of the leaf and raises ``SeparationError``.
 
     The draws, one (n, 2^k) int8 coin array per level from k = d-1 down to
     0, are part of every fixed-seed output.
     """
     n, width = val.shape
     d = width.bit_length() - 1
-    until = None if sep is None else [np.where(sep, c, 0) for c in counts]
+    ctype = np.uint16 if d <= 15 else np.uint32
+    rows = np.arange(n)
+    if at is not None:
+        until = [np.ones(n, ctype) if c is None else c[rows, at].astype(ctype) for c in counts]
     for k in range(d - 1, -1, -1):
         if order is None:
-            first = rng.integers(0, 2, size=(n, 1 << k), dtype=np.int8) == 1
+            first = rng.integers(0, 2, size=(n, 1 << k), dtype=np.int8).view(np.bool_)
         else:
-            first = np.broadcast_to(order[k], (n, 1 << k))
+            first = order[k]
+        left, right = val[:, 0::2], val[:, 1::2]
+        if at is not None:
+            child = at >> (d - 1 - k)
+            sib = child ^ 1
+            node_first = first[rows, child >> 1] if order is None else first[child >> 1]
+            # the sibling runs first when it is the left child and left goes
+            # first, or the right child and right goes first
+            behind = node_first == (sib & 1 == 0)
+            if (behind & ~val[rows, sib]).any():
+                raise SeparationError("a run ended without querying a differing index")
+            for u, c in zip(until, counts):
+                np.add(u, 1 if c is None else c[rows, sib], out=u, where=behind)
+        # a child runs when it goes first, or after a sibling that goes first
+        # and reads 1
+        runs = (first | right, ~first | left)
+        counts = [_combine(c, runs, ctype) for c in counts]
+        # NAND of each (left, right) byte pair, read as one 16-bit word
+        val = val.view(np.uint16) != 0x0101
+    if at is not None:
+        return until
+    return [np.ones(n, ctype) if c is None else c[:, 0] for c in counts]
 
-        def split(a):
-            return np.where(first, a[:, 0::2], a[:, 1::2]), np.where(first, a[:, 1::2], a[:, 0::2])
 
-        fv, ov = split(val)
-        go_on = fv == 1
-        val = np.where(fv == 0, 1, 1 - ov).astype(np.int8)
-        halves = [split(c) for c in counts]
-        counts = [fc + go_on * oc for fc, oc in halves]
-        if sep is not None:
-            # separation happened inside the first child's run, or after its
-            # full run inside the sibling's
-            fs, os_ = split(sep)
-            until = [np.where(fs, fu, fc + ou)
-                     for (fc, _), (fu, ou) in zip(halves, map(split, until))]
-            sep = fs | (go_on & os_)
-    if sep is None:
-        return [c[:, 0] for c in counts]
-    if not bool(sep[:, 0].all()):
-        raise SeparationError("a run ended without querying a differing index")
-    return [u[:, 0] for u in until]
+def _combine(c, runs, ctype) -> np.ndarray:
+    """A node's count: the sum of its children's counts over the children
+    that run. None is the all-ones leaf counter, which is never built."""
+    if c is None:
+        return np.add(*runs, dtype=ctype)
+    return np.add(c[:, 0::2] * runs[0], c[:, 1::2] * runs[1], dtype=ctype)
+
+
+_UNIFORM_CHUNK = 1 << 16
+
+
+def _bernoulli_leaves(rng, n: int, p: np.ndarray) -> np.ndarray:
+    """(n, len(p)) bool leaves with Pr[leaf j] = p[j]: the same uniforms as
+    one ``rng.random((n, len(p)))`` call, drawn about 2^16 at a time into one
+    buffer and compared straight into the result."""
+    w = len(p)
+    x = np.empty((n, w), dtype=np.bool_)
+    flat = x.reshape(-1)
+    buf = np.empty(min(_UNIFORM_CHUNK, flat.size))
+    # w and the chunk are powers of two, so a chunk is whole rows when
+    # w <= 2^16 and a piece of one row above
+    cols = min(w, _UNIFORM_CHUNK)
+    for s in range(0, flat.size, len(buf)):
+        r = min(len(buf), flat.size - s)
+        u = rng.random(out=buf[:r])
+        o = s % w
+        np.less(u.reshape(-1, cols), p[o:o + cols], out=flat[s:s + r].reshape(-1, cols))
+    return x
 
 
 def mc_cost(algorithm: str, d: int, marginals: Sequence, samples: int, seed: int,
@@ -414,8 +456,7 @@ def mc_cost(algorithm: str, d: int, marginals: Sequence, samples: int, seed: int
     rng = np.random.default_rng(np.random.SeedSequence(seed))
 
     def root_costs(n):
-        x = (rng.random((n, n_leaves)) < p).astype(np.int8)
-        return _fold(x, [np.ones((n, n_leaves), dtype=np.int32)], rng, order)
+        return _fold(_bernoulli_leaves(rng, n, p), [None], rng, order)
 
     return _summary(root_costs(n) for n in _batches(samples, n_leaves, batch))[0]
 

@@ -85,21 +85,34 @@ class HardPair:
         raise AssertionError("hard pair without a differing index")
 
 
-def _lift_step(x: np.ndarray, y: np.ndarray, b: np.ndarray) -> tuple:
-    """Lift (n, w) pair arrays one level with uniform bits b: coordinate i
-    becomes the block (b_i, 1 - b_i) where its bit is 1 and (1, 1) where it
-    is 0, so slot b_i holds the complement and slot 1 - b_i the padding."""
-    def blocks(z):
-        return np.stack((np.where(z == 0, 1, b), np.where(z == 0, 1, 1 - b)),
-                        axis=-1).reshape(len(z), -1).astype(np.uint8, copy=False)
+def _lift_step(x: np.ndarray, at: np.ndarray, b: np.ndarray) -> tuple:
+    """Lift (n, w) bool x arrays one level with uniform uint8 bits b:
+    coordinate i becomes the block (b_i, 1 - b_i) where its bit is 1 and
+    (1, 1) where it is 0, so slot b_i holds the complement and slot 1 - b_i
+    the padding. The pair's y differs from x only at index ``at``, where the
+    blocks differ only in slot b_at, so the lifted pair differs at
+    2 at + b_at."""
+    bits, free = b.view(np.bool_), ~x
+    out = np.empty(x.shape + (2,), dtype=np.bool_)
+    np.bitwise_or(free, bits, out=out[..., 0])
+    np.bitwise_or(free, ~bits, out=out[..., 1])
+    return out.reshape(len(x), -1), 2 * at + b[np.arange(len(x)), at]
 
-    return blocks(x), blocks(y)
+
+def _lift_one(x: tuple, at: int, b: tuple) -> tuple:
+    """One lift of a single pair, given by x and its differing index: the
+    lifted x and differing index."""
+    x2, at2 = _lift_step(np.array([x], dtype=np.bool_), np.array([at]),
+                         np.array([b], dtype=np.uint8))
+    return tuple(x2[0].view(np.uint8).tolist()), int(at2[0])
 
 
-def _lift_blocks(x: tuple, y: tuple, b: tuple) -> tuple:
-    """One lift of a single pair, with its blocks."""
-    x2, y2 = (tuple(z[0].tolist()) for z in _lift_step(*map(np.array, ([x], [y], [b]))))
-    return x2, y2, tuple(zip(x2[0::2], x2[1::2])), tuple(zip(y2[0::2], y2[1::2]))
+def _y_of(x: tuple, at: int) -> tuple:
+    return x[:at] + (1 - x[at],) + x[at + 1:]
+
+
+def _blocks(z: tuple) -> tuple:
+    return tuple(zip(z[0::2], z[1::2]))
 
 
 def sample_hard_pair(d: int, rng, keep_meta: bool = False) -> HardPair:
@@ -110,23 +123,33 @@ def sample_hard_pair(d: int, rng, keep_meta: bool = False) -> HardPair:
     """
     if d < 0:
         raise ValueError("depth must be >= 0")
-    x, y = (0,), (1,)
+    x, at = (0,), 0
     levels = [] if keep_meta else None
     for _ in range(d):
         b = tuple(int(v) for v in rng.integers(0, 2, size=len(x)))
-        x2, y2, us, vs = _lift_blocks(x, y, b)
+        x2, at2 = _lift_one(x, at, b)
         if keep_meta:
-            levels.append(LevelLift(b, x, y, us, vs))
-        x, y = x2, y2
-    return HardPair(d, x, y, tuple(levels) if keep_meta else None)
+            levels.append(LevelLift(b, x, _y_of(x, at), _blocks(x2), _blocks(_y_of(x2, at2))))
+        x, at = x2, at2
+    return HardPair(d, x, _y_of(x, at), tuple(levels) if keep_meta else None)
+
+
+def _sample_pairs(d: int, n: int, rng) -> tuple:
+    """(x, at): the (n, 2^d) bool x of n level-d hard pairs and the (n,)
+    index where each y differs from it."""
+    x = np.zeros((n, 1), dtype=np.bool_)
+    at = np.zeros(n, dtype=np.intp)
+    for _ in range(d):
+        x, at = _lift_step(x, at, rng.integers(0, 2, size=x.shape, dtype=np.uint8))
+    return x, at
 
 
 def sample_pairs_batch(d: int, n: int, rng) -> tuple:
     """Vectorized sampler: returns uint8 arrays x, y of shape (n, 2^d)."""
-    x = np.zeros((n, 1), dtype=np.uint8)
-    y = np.ones((n, 1), dtype=np.uint8)
-    for _ in range(d):
-        x, y = _lift_step(x, y, rng.integers(0, 2, size=x.shape, dtype=np.uint8))
+    x, at = _sample_pairs(d, n, rng)
+    x = x.view(np.uint8)
+    y = x.copy()
+    y[np.arange(n), at] ^= 1
     return x, y
 
 
@@ -135,18 +158,16 @@ def enumerate_hard_pairs(d: int):
 
     Returns a list of (prob, x, y); only sensible for d <= 3.
     """
-    out = [(Fraction(1), (0,), (1,))]
+    out = {((0,), 0): Fraction(1)}
     for _ in range(d):
         nxt = {}
-        for prob, x, y in out:
+        for (x, at), prob in out.items():
             n = len(x)
             for bits in range(1 << n):
-                b = tuple((bits >> i) & 1 for i in range(n))
-                x2, y2, _, _ = _lift_blocks(x, y, b)
-                key = (x2, y2)
+                key = _lift_one(x, at, tuple((bits >> i) & 1 for i in range(n)))
                 nxt[key] = nxt.get(key, Fraction(0)) + prob / (1 << n)
-        out = [(p, x, y) for (x, y), p in nxt.items()]
-    return out
+        out = nxt
+    return [(p, x, _y_of(x, at)) for (x, at), p in out.items()]
 
 
 def check_embedding(pair: HardPair) -> bool:
@@ -285,8 +306,7 @@ def estimate_sep_counts(base, d: int, t: int, samples: int, seed: int,
     _check_mc_depth(d)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     if base == "saks_wigderson":
-        ests = _pair_fold(t, samples, rng, lambda x: [(x == v).astype(np.int64) for v in (0, 1)],
-                          swap=run_on == "y")
+        ests = _pair_fold(t, samples, rng, lambda x: [~x, x], swap=run_on == "y")
     else:
         if getattr(base, "depth", None) != d:
             raise ValueError("base algorithm depth does not match d")
@@ -322,20 +342,20 @@ def mc_sep_cost(algorithm: str, d: int, samples: int, seed: int,
     if algorithm == "greedy_zero":
         order = _greedy_order(d, [0.5] * (1 << d) if marginals is None else marginals)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    return _pair_fold(d, samples, rng, lambda x: [np.ones(x.shape, dtype=np.int64)], order,
-                      batch)[0]
+    return _pair_fold(d, samples, rng, lambda x: [None], order, batch)[0]
 
 
 def _pair_fold(level: int, samples: int, rng, counters, order=None, batch: int = None,
                swap: bool = False) -> list:
     """Fold the evaluator over hard pairs at ``level``, batch by batch, on x
     (on y with ``swap``), and summarize each per-leaf counter of
-    ``counters(x)`` summed up to and including the separating query."""
+    ``counters(x)`` (see ``nandtree._fold``) summed up to and including the
+    separating query."""
     def roots(n):
-        x, y = sample_pairs_batch(level, n, rng)
+        x, at = _sample_pairs(level, n, rng)
         if swap:
-            x, y = y, x
-        return _fold(x.astype(np.int8), counters(x), rng, order, sep=x != y)
+            x[np.arange(n), at] ^= True
+        return _fold(x, counters(x), rng, order, at=at)
 
     return _summary(roots(n) for n in _batches(samples, 1 << level, batch))
 

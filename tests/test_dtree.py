@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -253,6 +254,18 @@ def test_exact_mode_matches_brute_force():
             assert exact_Dmu_eps(f, mu, eps) == next(k for k, e in enumerate(curve) if e <= eps)
         zcost = zero_error_expected_cost(f, mu)
         assert type(zcost) is (int if f.is_constant() else Fraction) and zcost == cost
+
+
+def test_exact_mode_is_capped_below_the_float_cap_before_allocating():
+    # at m = 14 these object-array lattices took about a minute and 970 MiB
+    f = random_function(14, random.Random(4))
+    mu = ProductDistribution(tuple(Fraction(k + 1, 64) for k in range(14)))
+    start = time.perf_counter()
+    for call in (lambda: optimal_dist_error(f, mu, 3), lambda: zero_error_expected_cost(f, mu),
+                 lambda: exact_Dmu_eps(f, mu, Fraction(1, 3))):
+        with pytest.raises(ValueError, match="exact-arithmetic DP cap 13"):
+            call()
+    assert time.perf_counter() - start < 0.5
 
 
 def test_dist_error_curve_large_arity_and_cap():

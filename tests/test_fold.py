@@ -1,5 +1,8 @@
 """The one NAND fold behind mc_cost, mc_sep_cost and the lift-chain counts:
-per-sample oracles, pinned fixed-seed outputs, and the depth guard."""
+per-sample oracles, counter widths, the leaf stream, the memory budget,
+pinned fixed-seed outputs, and the depth guard."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from qclab.nandtree import (
     CostEstimate,
     GreedyZeroEvaluator,
     SeparationError,
+    _bernoulli_leaves,
     _fold,
     _greedy_order,
     golden_marginals,
@@ -21,6 +25,7 @@ from qclab.sabotage import (
     enumerate_hard_pairs,
     estimate_sep_counts,
     mc_sep_cost,
+    sample_pairs_batch,
     sep_cost,
     sep_value_counts,
 )
@@ -33,42 +38,99 @@ def _margs(d):
 # -- per-sample oracles -------------------------------------------------------------
 
 
+def _pairs(support):
+    """Bool x rows and differing indices of (x, y) pairs."""
+    x = np.array([p[1] for p in support], dtype=bool)
+    y = np.array([p[2] for p in support], dtype=bool)
+    return x, (x != y).argmax(axis=1)
+
+
 @pytest.mark.parametrize("d", [0, 1, 2, 3])
 def test_fold_cost_matches_greedy_on_every_input(d):
     n = 1 << d
-    xs = np.array([[(idx >> j) & 1 for j in range(n)] for idx in range(1 << n)], dtype=np.int8)
-    ones = np.ones(xs.shape, dtype=np.int32)
-    (cost,) = _fold(xs, [ones], None, _greedy_order(d, _margs(d)))
-    assert cost.tolist() == [greedy_zero(d, _margs(d), list(x))[1] for x in xs.tolist()]
+    xs = np.array([[(idx >> j) & 1 for j in range(n)] for idx in range(1 << n)], dtype=bool)
+    (cost,) = _fold(xs, [None], None, _greedy_order(d, _margs(d)))
+    assert cost.tolist() == [greedy_zero(d, _margs(d), x)[1] for x in xs.astype(int).tolist()]
+
+
+def _check_sep_counts(d, margs, support):
+    # the fold's per-row counts up to separation, on both runs of each pair,
+    # against the scalar evaluator
+    order = _greedy_order(d, margs)
+    algo = GreedyZeroEvaluator(d, margs)
+    rng = np.random.default_rng(0)  # unused by the deterministic evaluator
+    x, at = _pairs(support)
+    for run, a, b in ((x, 1, 2), (x ^ (np.arange(1 << d) == at[:, None]), 2, 1)):
+        (sep,) = _fold(run, [None], None, order, at=at)
+        assert sep.tolist() == [sep_cost(algo, p[a], p[b], rng) for p in support]
+        q0, q1 = _fold(run, [~run, run], None, order, at=at)
+        assert list(zip(q0.tolist(), q1.tolist())) == [
+            sep_value_counts(algo, d, p[a], p[b], rng) for p in support
+        ]
 
 
 @pytest.mark.parametrize("d", [0, 1, 2, 3])
 def test_fold_separation_counts_match_scalar_runs_on_every_pair(d):
-    support = enumerate_hard_pairs(d)
-    x = np.array([p[1] for p in support], dtype=np.uint8)
-    y = np.array([p[2] for p in support], dtype=np.uint8)
-    order = _greedy_order(d, _margs(d))
-    algo = GreedyZeroEvaluator(d, _margs(d))
-    rng = np.random.default_rng(0)  # unused by the deterministic evaluator
-    (sep,) = _fold(x.astype(np.int8), [np.ones(x.shape, dtype=np.int64)], None, order,
-                   sep=x != y)
-    assert sep.tolist() == [sep_cost(algo, xx, yy, rng) for _, xx, yy in support]
-    q0, q1 = _fold(x.astype(np.int8), [(x == 0).astype(np.int64), (x == 1).astype(np.int64)],
-                   None, order, sep=x != y)
-    assert list(zip(q0.tolist(), q1.tolist())) == [
-        sep_value_counts(algo, d, xx, yy, rng) for _, xx, yy in support
-    ]
+    _check_sep_counts(d, _margs(d), enumerate_hard_pairs(d))
+
+
+@pytest.mark.parametrize("d", [4, 5, 6, 7, 8])
+def test_fold_separation_path_gather_matches_scalar_runs_beyond_enumeration(d):
+    x, y = sample_pairs_batch(d, 150, np.random.default_rng(d))
+    support = [(None, tuple(a), tuple(b)) for a, b in zip(x.tolist(), y.tolist())]
+    _check_sep_counts(d, list(tile_marginals([0.2, 0.9, 0.7], d)), support)
 
 
 def test_fold_raises_when_the_run_never_reads_the_marked_leaf():
     # NAND(0, 1): the left child reads 0 and settles the root, so leaf 1 is
     # never queried
-    x = np.array([[0, 1]], dtype=np.int8)
-    ones = np.ones(x.shape, dtype=np.int64)
+    x = np.array([[False, True]])
     order = [np.array([True])]
-    assert _fold(x, [ones], None, order, sep=np.array([[True, False]]))[0].tolist() == [1]
+    assert _fold(x, [None], None, order, at=np.array([0]))[0].tolist() == [1]
     with pytest.raises(SeparationError):
-        _fold(x, [ones], None, order, sep=np.array([[False, True]]))
+        _fold(x, [None], None, order, at=np.array([1]))
+
+
+def _full_evaluation(d, value=0):
+    """Leaves on which the left-first evaluator reads every leaf: each left
+    child reads 1, so each sibling runs too."""
+    if d == 0:
+        return [value]
+    return _full_evaluation(d - 1, 1) + _full_evaluation(d - 1, 1 - value)
+
+
+@pytest.mark.parametrize("d", [15, 16])
+def test_fold_counts_a_full_evaluation_without_wrapping(d):
+    # 2^16 queries do not fit a uint16 counter
+    x = np.array([_full_evaluation(d)] * 2, dtype=bool)
+    order = [np.ones(1 << k, dtype=bool) for k in range(d)]
+    ones = np.ones(x.shape, dtype=bool)
+    cost, count = _fold(x, [None, ones], None, order)
+    assert cost.tolist() == count.tolist() == [1 << d] * 2
+
+
+@pytest.mark.parametrize("n, w", [(3, 8), (1, 1), (5000, 16), (17, 1 << 12), (2, 1 << 16),
+                                  (3, 1 << 17)])
+def test_chunked_leaf_draw_is_one_uniform_stream(n, w):
+    p = np.random.default_rng(w).random(w)
+    chunked, whole = np.random.default_rng(n), np.random.default_rng(n)
+    assert np.array_equal(_bernoulli_leaves(chunked, n, p), whole.random((n, w)) < p)
+    assert chunked.bit_generator.state == whole.bit_generator.state
+
+
+def test_folds_stay_within_their_memory_budget():
+    # with (n, 2^d) float64 uniforms and int64 counters these two calls
+    # peaked at 102 and 332 MiB traced
+    budget = 48 << 20
+    for run in (lambda: mc_cost("greedy_zero", 12, golden_marginals(12), 2000, seed=7),
+                lambda: mc_sep_cost("saks_wigderson", 12, 2000, seed=8)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget
 
 
 # -- pinned fixed-seed outputs ------------------------------------------------------

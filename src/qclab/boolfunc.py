@@ -323,14 +323,21 @@ def influence_i(f: BooleanFunction, mu: ProductDistribution, i: int):
     return factor * disagree
 
 
+def _is_float(mu: ProductDistribution) -> bool:
+    """Any float marginal makes every value a float (the rule of
+    ``dtree._Lattice``): such mu take the numpy paths, all others the exact
+    loops."""
+    return any(isinstance(p, float) for p in mu.marginals)
+
+
 def influence(f: BooleanFunction, mu: ProductDistribution):
     _check_pair(f, mu)
-    if isinstance(mu.marginals[0], Fraction) or f.arity <= 6:
+    if not _is_float(mu):
         total = 0
         for i in range(1, f.arity + 1):
             total = total + influence_i(f, mu, i)
         return total
-    # float fast path: one weight vector, all variables at once
+    # one weight vector, all variables at once
     tbl = f.table_array()
     w = mu.weight_array()
     idx = np.arange(f.size)
@@ -345,7 +352,7 @@ def influence(f: BooleanFunction, mu: ProductDistribution):
 def prob_one(f: BooleanFunction, mu: ProductDistribution):
     """Pr_{x~mu}[f(x) = 1]."""
     _check_pair(f, mu)
-    if isinstance(mu.marginals[0], Fraction) or f.arity <= 6:
+    if not _is_float(mu):
         q = 0
         for idx in range(f.size):
             if f.value_at(idx):
@@ -365,7 +372,7 @@ def variance(f: BooleanFunction, mu: ProductDistribution):
 def avg_sensitivity(f: BooleanFunction, mu: ProductDistribution):
     """E_{x~mu} s(f, x), by full-table summation."""
     _check_pair(f, mu)
-    if not isinstance(mu.marginals[0], Fraction) and f.arity > 6:
+    if _is_float(mu):
         return float(_sensitivity_vector(f) @ mu.weight_array())
     total = 0
     for idx in range(f.size):

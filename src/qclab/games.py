@@ -5,8 +5,10 @@ rows are adversary choices (inputs, or 0/1-input pairs), columns are
 deterministic trees, and the solver is one dense simplex with Bland's rule in
 two arithmetic modes: matrices with at most 10^4 entries are solved on a
 Fraction tableau with zero tolerance, larger ones on a float64 tableau with a
-1e-9 tolerance. Every payoff matrix and miss profile is read off one table of
-each tree's runs on all inputs.
+1e-9 tolerance. Every payoff matrix and miss profile is read off
+``run_arrays``: each tree's output and query steps on every input, filled
+bottom-up as two int8 arrays; ``dtree.run`` stays the per-point primitive
+and the tests' oracle.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .boolfunc import (
     BooleanFunction,
     Point,
     ProductDistribution,
-    index_of_point,
     point_from_index,
     restriction_value,
     sensitivity,
@@ -44,6 +45,7 @@ from .dtree import (
 
 RATIONAL_ENTRY_LIMIT = 10_000
 LP_TOL = 1e-9
+RUN_TABLE_ELEMENTS = 1 << 26  # int8 entries per run-table array, as nandtree._BATCH_ELEMENTS
 
 __all__ = [
     "StrategyCatalog",
@@ -56,6 +58,7 @@ __all__ = [
     "dump_game",
     "all_sabotage_pairs",
     "zero_error_trees",
+    "run_arrays",
     "r_game",
     "rs_game",
     "rse_game",
@@ -308,55 +311,110 @@ def zero_error_trees(f: BooleanFunction) -> tuple:
     return tuple(out)
 
 
-def _run_table(trees: Sequence[DecisionTree], m: int):
-    """Run every tree on every point of {0,1}^m once.
+def run_arrays(trees: Sequence[DecisionTree], m: int) -> tuple:
+    """Every tree run on every point of {0,1}^m, as two int8 arrays.
 
-    Yields, per tree, its outputs and its ordered queried variables, each a
-    tuple indexed like ``point_from_index``. It yields tree by tree, so a
-    caller that keeps only what it needs never holds every run of a catalog.
+    ``outputs[t, x]`` is tree t's output on the point with index x (indexed
+    like ``point_from_index``), -1 at an unlabelled leaf, and
+    ``positions[t, x, j]`` the 1-based step at which the run queries
+    variable j + 1, or 0 if it never does. Distinct nodes are numbered by
+    ``id`` (catalogs share subtrees) and leaves by label; a node's run on
+    every point is filled from its children's, one height at a time, by one
+    gather: follow x's bit of the node's variable, shift the child's nonzero
+    positions by one and put the node's variable at step 1. A request whose
+    arrays (one row per tree, and one per distinct node while filling) would
+    hold more than ``RUN_TABLE_ELEMENTS`` int8 entries each is refused before
+    they are allocated.
     """
-    points = [point_from_index(i, m) for i in range(1 << m)]
-    for tree in trees:
-        runs = [run(tree, x) for x in points]
-        yield tuple(r.output for r in runs), tuple(r.queried for r in runs)
+    n = 1 << m
+    row_of = {}
+    var, child0, child1, height = [0, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0]
+    leaf_row = {None: 0, 0: 1, 1: 2}
+
+    def number(node) -> int:
+        if isinstance(node, Leaf):
+            return leaf_row[node.label]
+        row = row_of.get(id(node))
+        if row is None:
+            r0, r1 = number(node.child0), number(node.child1)
+            row = row_of[id(node)] = len(var)
+            var.append(node.var)
+            child0.append(r0)
+            child1.append(r1)
+            height.append(1 + max(height[r0], height[r1]))
+        return row
+
+    if any(t.arity != m for t in trees):
+        raise ValueError(f"run table of arity {m} given a tree of another arity")
+    roots = [number(t.root) for t in trees]
+    if max(len(roots), len(var)) * n * m > RUN_TABLE_ELEMENTS:
+        raise ValueError(
+            f"run table of {max(len(roots), len(var))} trees or nodes on 2^{m} points exceeds "
+            f"{RUN_TABLE_ELEMENTS} entries per array"
+        )
+    out = np.empty((len(var), n), dtype=np.int8)
+    out[:3] = np.array([-1, 0, 1], dtype=np.int8)[:, None]
+    pos = np.zeros((len(var), n, m), dtype=np.int8)
+    var, child0, child1, height = map(np.array, (var, child0, child1, height))
+    point_bits = (np.arange(n) >> np.arange(m)[:, None]) & 1  # (m, n)
+    cols = np.arange(n)
+    for h in range(1, int(height.max()) + 1):
+        rows = np.flatnonzero(height == h)
+        child = np.where(point_bits[var[rows] - 1], child1[rows, None], child0[rows, None])
+        out[rows] = out[child, cols]
+        p = pos[child, cols]
+        p += p > 0
+        p[np.arange(len(rows)), :, var[rows] - 1] = 1
+        pos[rows] = p
+    return out[roots], pos[roots]
+
+
+def _hit_mask(trees: Sequence[DecisionTree], m: int, xs: np.ndarray,
+              targets: np.ndarray) -> np.ndarray:
+    """(trees, cases) bools: does the tree's run on point index xs[c] query a
+    variable in the bit mask targets[c] (bit j - 1 for variable j)?"""
+    _, positions = run_arrays(trees, m)
+    queried = (positions > 0).astype(np.int64) @ (np.int64(1) << np.arange(m, dtype=np.int64))
+    return (queried[:, xs] & targets) != 0
+
+
+def _pair_arrays(f: BooleanFunction) -> tuple:
+    """Point index of x and the bit mask of the differing variables for every
+    sabotage pair, in ``all_sabotage_pairs`` order."""
+    tbl = f.table_array()
+    zeros, ones = np.flatnonzero(tbl == 0), np.flatnonzero(tbl == 1)
+    return np.repeat(zeros, len(ones)), (zeros[:, None] ^ ones).ravel()
 
 
 def r_game(f: BooleanFunction, catalog: StrategyCatalog):
     """Rows: inputs; columns: labeled trees; payoff [T(x) != f(x)]."""
     points = [point_from_index(i, f.arity) for i in range(f.size)]
-    outputs = [out for out, _ in _run_table(catalog.trees, f.arity)]
-    matrix = [[int(out[i] != fx) for out in outputs] for i, fx in enumerate(f.bits())]
-    return matrix, points
+    outputs, _ = run_arrays(catalog.trees, f.arity)
+    fbits = np.array(f.bits(), dtype=np.int8)
+    return (outputs != fbits).T.astype(np.int64).tolist(), points
 
 
 def rs_game(f: BooleanFunction, catalog: StrategyCatalog):
     """Rows: sabotage pairs; payoff 1 when the run on x misses every
     differing index."""
     pairs = all_sabotage_pairs(f)
-    queried = [q for _, q in _run_table(catalog.trees, f.arity)]
-    matrix = []
-    for pair in pairs:
-        diff, x = pair.differing(), index_of_point(pair.x)
-        matrix.append([int(diff.isdisjoint(q[x])) for q in queried])
-    return matrix, pairs
+    missed = ~_hit_mask(catalog.trees, f.arity, *_pair_arrays(f))
+    return missed.T.astype(np.int64).tolist(), pairs
 
 
 def rse_game(f: BooleanFunction, trees: Sequence[DecisionTree]):
     """Rows: pairs; columns: zero-error trees; payoff = queries on x up to
     and including the first differing index."""
     pairs = all_sabotage_pairs(f)
-    queried = [q for _, q in _run_table(trees, f.arity)]
-    matrix = []
-    for pair in pairs:
-        diff, x = pair.differing(), index_of_point(pair.x)
-        row = []
-        for q in queried:
-            cost = next((pos for pos, var in enumerate(q[x], start=1) if var in diff), None)
-            if cost is None:
-                raise LPError("zero-error tree failed to separate a pair")
-            row.append(cost)
-        matrix.append(row)
-    return matrix, pairs
+    _, positions = run_arrays(trees, f.arity)
+    xs, diff = _pair_arrays(f)
+    m = f.arity
+    differs = ((diff[:, None] >> np.arange(m)) & 1).astype(bool)  # (pairs, m)
+    at_x = positions[:, xs, :]  # (trees, pairs, m)
+    cost = np.where(differs & (at_x > 0), at_x, m + 1).min(axis=2)
+    if (cost > m).any():
+        raise LPError("zero-error tree failed to separate a pair")
+    return cost.T.tolist(), pairs
 
 
 def r_game_value(f: BooleanFunction, depth: int) -> tuple:
@@ -431,19 +489,28 @@ def miss_probability(r: RandomizedTree, x: Point, i: int):
     return total
 
 
-def _miss_weight(runs, x: int, targets: frozenset):
-    """Weight of the (weight, queried-per-point) runs whose run on point
-    index x queries none of ``targets``, summed in entry order."""
-    miss = 0
-    for w, queried in runs:
-        if targets.isdisjoint(queried[x]):
-            miss = miss + w
-    return miss
+def _worst_miss(r: RandomizedTree, xs: np.ndarray, targets: np.ndarray):
+    """max over cases c of the weight of the entries whose run on point
+    index xs[c] queries no variable in the bit mask targets[c].
 
-
-def _weighted_runs(r: RandomizedTree) -> list:
-    tables = _run_table([t for _, t in r.entries], r.arity)
-    return [(w, q) for (w, _), (_, q) in zip(r.entries, tables)]
+    Each distinct miss pattern (the set of entries that miss) is summed once,
+    in entry order, and the patterns are scanned in the order of the case
+    that first shows them, so the result is the one a case-by-case loop of
+    ``miss = miss + w`` and ``if miss > worst`` returns, bit for bit.
+    """
+    if not len(xs):
+        return 0
+    hit = _hit_mask([t for _, t in r.entries], r.arity, xs, targets)
+    patterns, first = np.unique(hit.T, axis=0, return_index=True)
+    worst = 0
+    for pattern in patterns[np.argsort(first)].tolist():
+        miss = 0
+        for (w, _), h in zip(r.entries, pattern):
+            if not h:
+                miss = miss + w
+        if miss > worst:
+            worst = miss
+    return worst
 
 
 def sens_miss_profile(r: RandomizedTree, f: BooleanFunction):
@@ -453,17 +520,12 @@ def sens_miss_profile(r: RandomizedTree, f: BooleanFunction):
         raise ValueError("sens_miss_profile capped at arity 12")
     if r.arity != f.arity:
         raise ValueError("arity mismatch")
-    runs = _weighted_runs(r)
-    worst = 0
-    for idx in range(f.size):
-        v = f.value_at(idx)
-        for i in range(1, f.arity + 1):
-            if f.value_at(idx ^ (1 << (i - 1))) == v:
-                continue
-            miss = _miss_weight(runs, idx, frozenset((i,)))
-            if miss > worst:
-                worst = miss
-    return worst
+    tbl = f.table_array()
+    idx = np.arange(f.size)
+    bit = np.int64(1) << np.arange(f.arity, dtype=np.int64)
+    sensitive = tbl[:, None] != tbl[idx[:, None] ^ bit]  # (points, variables), x-major
+    xs, var = np.nonzero(sensitive)
+    return _worst_miss(r, xs, bit[var])
 
 
 def pair_miss_profile(r: RandomizedTree, f: BooleanFunction):
@@ -473,13 +535,7 @@ def pair_miss_profile(r: RandomizedTree, f: BooleanFunction):
         raise ValueError("pair_miss_profile capped at arity 10")
     if r.arity != f.arity:
         raise ValueError("arity mismatch")
-    runs = _weighted_runs(r)
-    worst = 0
-    for pair in all_sabotage_pairs(f):
-        miss = _miss_weight(runs, index_of_point(pair.x), pair.differing())
-        if miss > worst:
-            worst = miss
-    return worst
+    return _worst_miss(r, *_pair_arrays(f))
 
 
 # ---------------------------------------------------------------------------

@@ -48,21 +48,46 @@ class CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def _check_one_function(f: bf.BooleanFunction, mu, eps_grid, outputs, pathlen, denom: int,
-                        weights: np.ndarray) -> str:
+class _CatalogIndex:
+    """The full labeled catalog of one arity, indexed by computed truth table.
+
+    A tree's error and depth depend on it only through its table and depth,
+    and its expected path length only through its path lengths, so the
+    brute force over every labeled tree reads: the least depth per table,
+    the tables present, and the trees of each table grouped by a stable
+    argsort (in catalog order).
+    """
+
+    def __init__(self, m: int):
+        outputs, positions = gm.run_arrays(gm.enumerate_trees(m, labeled=True).trees, m)
+        self.pathlen = positions.max(axis=2).astype(np.int64)  # (trees, points)
+        depth = self.pathlen.max(axis=1)  # every path of a repeat-free tree is run
+        table = outputs.astype(np.int64) @ (np.int64(1) << np.arange(1 << m, dtype=np.int64))
+        self.least = np.full(1 << (1 << m), m + 1, dtype=np.int64)
+        np.minimum.at(self.least, table, depth)
+        self.tables = np.flatnonzero(self.least <= m)
+        self.table_bits = ((self.tables[:, None] >> np.arange(1 << m)) & 1).astype(np.int8)
+        self.order = np.argsort(table, kind="stable")
+        self.starts = np.searchsorted(table[self.order], np.arange((1 << (1 << m)) + 1))
+
+    def group(self, table: int) -> np.ndarray:
+        """Catalog rows of the trees that compute ``table``, in catalog order."""
+        return self.order[self.starts[table]:self.starts[table + 1]]
+
+
+def _check_one_function(f: bf.BooleanFunction, mu, eps_grid, catalog: _CatalogIndex,
+                        denom: int, weights: np.ndarray) -> str:
     """Empty string when every DP value matches the brute force over all
-    labeled trees (their outputs and path lengths on every point) exactly."""
+    labeled trees (their truth tables, depths and path lengths) exactly."""
     m = f.arity
     fbits = np.array(f.bits(), dtype=np.int8)
-    depths = pathlen.max(axis=1)  # every path of a repeat-free tree is run
-
     d_dp = dt.exact_D(f)
-    correct = (outputs == fbits).all(axis=1)
-    d_bf = int(depths[correct].min())
+    d_bf = int(catalog.least[f.table])
     if d_dp != d_bf:
         return f"D mismatch: dp {d_dp} bf {d_bf}"
 
-    errors = ((outputs != fbits) * weights).sum(axis=1)
+    errors = (catalog.table_bits != fbits) @ weights  # per table present
+    depths = catalog.least[catalog.tables]
     err_curve_bf = []
     for k in range(m + 1):
         err_curve_bf.append(Fraction(int(errors[depths <= k].min()), denom))
@@ -77,8 +102,7 @@ def _check_one_function(f: bf.BooleanFunction, mu, eps_grid, outputs, pathlen, d
             return f"Dmu_eps mismatch at eps={eps}: dp {k_dp} bf {k_bf}"
 
     cost_dp = dt.zero_error_expected_cost(f, mu)
-    costs = (pathlen * weights).sum(axis=1)[correct]
-    cost_bf = Fraction(int(costs.min()), denom)
+    cost_bf = Fraction(int((catalog.pathlen[catalog.group(f.table)] @ weights).min()), denom)
     if cost_dp != cost_bf:
         return f"zero-error cost mismatch: dp {cost_dp} bf {cost_bf}"
     return ""
@@ -92,12 +116,7 @@ def criterion_1(seed: int = DEFAULT_SEED) -> CriterionResult:
     checked = 0
 
     for m, funcs in ((2, range(16)), (3, rng.sample(range(256), 200))):
-        trees = gm.enumerate_trees(m, labeled=True).trees
-        outputs = np.empty((len(trees), 1 << m), dtype=np.int8)
-        pathlen = np.empty_like(outputs)
-        for row, (outs, queried) in enumerate(gm._run_table(trees, m)):
-            outputs[row] = outs
-            pathlen[row] = [len(q) for q in queried]
+        catalog = _CatalogIndex(m)
         for table in funcs:
             f = bf.BooleanFunction(m, table)
             mu = bf.random_dyadic_distribution(m, rng)
@@ -106,7 +125,7 @@ def criterion_1(seed: int = DEFAULT_SEED) -> CriterionResult:
                 [int(mu.point_prob(bf.point_from_index(i, m)) * denom) for i in range(1 << m)],
                 dtype=np.int64,
             )
-            msg = _check_one_function(f, mu, eps_grid, outputs, pathlen, denom, weights)
+            msg = _check_one_function(f, mu, eps_grid, catalog, denom, weights)
             checked += 1
             if msg:
                 problems.append(f"m={m} table={table}: {msg}")

@@ -10,9 +10,11 @@ the decisions ledger, docs/decisions.md; nothing here is loosened to force a
 pass.
 """
 
+from fractions import Fraction
+
 import pytest
 
-from qclab import verify
+from qclab import dtree, verify
 
 
 def _run(index, **kwargs):
@@ -25,6 +27,25 @@ def test_criterion_01_oracle_equivalence():
     res = _run(1)
     assert res.passed, res.details
     assert res.seconds < 120
+
+
+@pytest.mark.parametrize("name, message", [
+    ("optimal_dist_error", "dist-error mismatch at k=0"),
+    ("zero_error_expected_cost", "zero-error cost mismatch"),
+])
+def test_criterion_01_catches_a_dp_off_by_one_weight_unit(monkeypatch, name, message):
+    # negative control: the indexed brute force must see a DP value moved by
+    # 1/64^m, the smallest step of its dyadic weights, on a single function
+    dp = getattr(dtree, name)
+
+    def perturbed(f, *args):
+        value = dp(f, *args)
+        return value + Fraction(1, 64**f.arity) if (f.arity, f.table) == (2, 6) else value
+
+    monkeypatch.setattr(verify.dt, name, perturbed)
+    res = verify.criterion_1()
+    assert not res.passed
+    assert "1 mismatches; first: m=2 table=6: " + message in res.details
 
 
 def test_criterion_02_rse_nand2():

@@ -193,6 +193,39 @@ def test_influence_fast_path_matches_definition(fm):
     assert influence(f, mu) == pytest.approx(total, abs=1e-10)
 
 
+def _loop_measures(f, mu):
+    """Pr[f = 1], Inf(f) and the average sensitivity by summing point masses."""
+    q = inf = avg = 0
+    for idx in range(f.size):
+        w = mu.point_prob(point_from_index(idx, f.arity))
+        q = q + f.value_at(idx) * w
+        for j in range(f.arity):
+            if f.value_at(idx) != f.value_at(idx ^ (1 << j)):
+                p = mu.marginals[j]
+                inf = inf + 4 * p * (1 - p) * w
+                avg = avg + w
+    return q, inf, avg
+
+
+def test_rational_mu_stays_exact_above_arity_6():
+    # the exact path used to be picked from the first marginal alone, so an
+    # int first marginal sent this rational mu down the float path
+    f = random_function(7, random.Random(7))
+    mu = ProductDistribution((1,) + (Fraction(1, 3),) * 6)
+    got = (prob_one(f, mu), influence(f, mu), avg_sensitivity(f, mu))
+    assert all(type(v) is Fraction for v in got)
+    assert got == _loop_measures(f, mu)
+
+
+@given(functions_with_mu())
+@settings(max_examples=60, deadline=None)
+def test_float_mu_numpy_paths_match_the_loop(fm):
+    f, mu = fm
+    got = (prob_one(f, mu), influence(f, mu), avg_sensitivity(f, mu))
+    assert all(type(v) is float for v in got)
+    assert got == pytest.approx(_loop_measures(f, mu), rel=0, abs=1e-12)
+
+
 @given(functions_with_mu())
 @settings(max_examples=60, deadline=None)
 def test_poincare_and_average_sensitivity(fm):

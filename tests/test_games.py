@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -25,10 +26,12 @@ from qclab.dtree import (
     Query,
     RandomizedTree,
     exact_Dmu_eps,
+    random_tree,
     run,
     singleton,
 )
 from qclab.games import (
+    all_sabotage_pairs,
     amplify,
     catalog_size_formula,
     compose_trees,
@@ -46,6 +49,8 @@ from qclab.games import (
     rs_game,
     rs_game_value,
     rse_game,
+    RUN_TABLE_ELEMENTS,
+    run_arrays,
     sens_miss_profile,
     solve_zero_sum,
     check_amplified_bias,
@@ -75,6 +80,59 @@ def test_catalog_depth_caps():
         enumerate_trees(4, 3, True)
     with pytest.raises(ValueError):
         enumerate_trees(5, 1, True)
+
+
+# -- the run table ------------------------------------------------------------------
+
+
+def _assert_runs_match(trees, m):
+    # dtree.run is the per-point oracle: output (None as -1) and the step of
+    # every queried variable
+    outputs, positions = run_arrays(trees, m)
+    assert outputs.shape == (len(trees), 1 << m) and outputs.dtype == np.int8
+    assert positions.shape == (len(trees), 1 << m, m) and positions.dtype == np.int8
+    for t, tree in enumerate(trees):
+        for i in range(1 << m):
+            r = run(tree, tuple((i >> j) & 1 for j in range(m)))
+            assert outputs[t, i] == (-1 if r.output is None else r.output)
+            want = [0] * m
+            for step, var in enumerate(r.queried, start=1):
+                want[var - 1] = step
+            assert positions[t, i].tolist() == want
+
+
+@pytest.mark.parametrize("m, depth, labeled", [(m, None, lab) for m in (1, 2, 3)
+                                               for lab in (True, False)]
+                         + [(4, 2, True), (4, 2, False)])
+def test_run_arrays_match_run_on_every_catalog_tree(m, depth, labeled):
+    _assert_runs_match(enumerate_trees(m, depth, labeled).trees, m)
+
+
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.booleans(), st.integers(1, 5))
+@settings(max_examples=60, deadline=None)
+def test_run_arrays_match_run_on_random_trees(m, seed, labeled, count):
+    rng = random.Random(seed)
+    # leaf_prob 1 gives single-leaf trees; unlabelled leaves carry None
+    trees = [random_tree(m, rng, labeled=labeled, leaf_prob=rng.choice((0.0, 0.3, 1.0)))
+             for _ in range(count)]
+    _assert_runs_match(trees, m)
+
+
+def test_run_arrays_refuses_an_oversized_table_before_allocating():
+    m = 12
+    per_tree = (1 << m) * m
+    fits = [DecisionTree(m, Leaf(0))] * (RUN_TABLE_ELEMENTS // per_tree)
+    assert run_arrays(fits[:1], m)[0].shape == (1, 1 << m)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="run table"):
+            run_arrays(fits + fits[:1], m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with pytest.raises(ValueError, match="arity"):
+        run_arrays([DecisionTree(2, Leaf(0))], 3)
 
 
 # -- the LP solver ----------------------------------------------------------------
@@ -202,6 +260,15 @@ def test_game_matrices_match_direct_runs(m):
                                     if v in pair.differing()) for t in trees] for pair in pairs]
 
 
+def test_game_matrices_hold_python_ints():
+    # the Fraction simplex stays exact only on Python ints, not numpy scalars
+    f = nand2()
+    for matrix in (r_game(f, enumerate_trees(2, None, True))[0],
+                   rs_game(f, enumerate_trees(2, None, False))[0],
+                   rse_game(f, zero_error_trees(f))[0]):
+        assert {type(v) for row in matrix for v in row} == {int}
+
+
 def test_exact_R_eps_examples():
     assert exact_R_eps(dictator(1), 1 / 3) == 1
     assert exact_R_eps(xor(2), 1 / 3) == 2
@@ -321,6 +388,43 @@ def test_miss_profiles_agree(seed):
 
     r = random_randomized_tree(m, rng, support=4)
     assert pair_miss_profile(r, f) == sens_miss_profile(r, f)
+
+
+def _loop_miss_profiles(r, f):
+    # the case-by-case loops over dtree.run that the run table replaced
+    def miss(x, targets):
+        total = 0
+        for w, t in r.entries:
+            if targets.isdisjoint(run(t, x).queried):
+                total = total + w
+        return total
+
+    sens = pair = 0
+    for idx in range(f.size):
+        x = tuple((idx >> j) & 1 for j in range(f.arity))
+        for i in range(1, f.arity + 1):
+            if f.value_at(idx) != f.value_at(idx ^ (1 << (i - 1))):
+                v = miss(x, {i})
+                sens = v if v > sens else sens
+    for p in all_sabotage_pairs(f):
+        v = miss(p.x, p.differing())
+        pair = v if v > pair else pair
+    return sens, pair
+
+
+@given(st.integers(0, 10**6), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_miss_profiles_equal_the_run_loops_bit_for_bit(seed, floats):
+    rng = random.Random(seed)
+    m = rng.randint(1, 6)
+    f = random_function(m, rng)
+    from qclab.dtree import random_randomized_tree
+
+    r = random_randomized_tree(m, rng, support=6)
+    if floats:
+        r = RandomizedTree(tuple((float(w), t) for w, t in r.entries))
+    got = (sens_miss_profile(r, f), pair_miss_profile(r, f))
+    assert repr(got) == repr(_loop_miss_profiles(r, f))
 
 
 # -- amplification ---------------------------------------------------------------------

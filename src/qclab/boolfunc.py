@@ -138,7 +138,8 @@ class ProductDistribution:
         """Vector of point masses indexed like the truth table."""
         w = np.array([1.0])
         for p in self.marginals:
-            w = np.kron(np.array([1.0 - float(p), float(p)]), w)
+            p = float(p)
+            w = np.concatenate(((1 - p) * w, p * w))
         return w
 
     def sample(self, rng: np.random.Generator, n: int = 1) -> np.ndarray:

@@ -143,6 +143,7 @@ def tree_leaves(tree: DecisionTree):
         walk(node.child1, path + "1", fixed + [(node.var, 1)])
 
     walk(tree.root, "", [])
+    del walk  # a self-referring closure: unbound, it does not hold on to out
     return out
 
 

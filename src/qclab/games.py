@@ -3,12 +3,13 @@
 The randomized and sabotage complexities at tiny arity are exact LP values:
 rows are adversary choices (inputs, or 0/1-input pairs), columns are
 deterministic trees, and the solver is one dense simplex with Bland's rule in
-two arithmetic modes: matrices with at most 10^4 entries are solved on a
-Fraction tableau with zero tolerance, larger ones on a float64 tableau with a
-1e-9 tolerance. Every payoff matrix and miss profile is read off
-``run_arrays``: each tree's output and query steps on every input, filled
-bottom-up as two int8 arrays; ``dtree.run`` stays the per-point primitive
-and the tests' oracle.
+two arithmetic modes: matrices with at most 10^4 rational entries are solved
+on a fraction-free tableau of Python ints over one common denominator, with
+zero tolerance and a best-response check in integers, larger ones on a
+float64 tableau with a 1e-9 tolerance. Every payoff matrix and miss profile
+is read off ``run_arrays``: each tree's output and query steps on every
+input, filled bottom-up as two int8 arrays; ``dtree.run`` stays the
+per-point primitive and the tests' oracle.
 """
 
 from __future__ import annotations
@@ -129,6 +130,9 @@ def enumerate_trees(m: int, depth_cap: Optional[int] = None, labeled: bool = Tru
         return memo[key]
 
     roots = build(tuple(range(1, m + 1)), cap)
+    # build refers to itself through its closure: unbind it, or the memo, and
+    # so every node, outlives the catalog until a cycle collection
+    del build
     return StrategyCatalog(m, cap, labeled, tuple(DecisionTree(m, r) for r in roots))
 
 
@@ -167,12 +171,20 @@ class GameValue:
 def _simplex(a: np.ndarray, tol) -> tuple:
     """max sum(w) s.t. a w <= 1, w >= 0 by a dense tableau with Bland's rule.
 
-    ``a`` is an object array of Fractions with ``tol = 0`` (exact) or a
-    float64 array with ``tol = LP_TOL``; with tol 0 the float rules are the
-    exact ones. The last tableau row holds the reduced costs. Returns (w, duals).
+    ``a`` is an object array of Python ints with ``tol = 0`` (exact) or a
+    float64 array with ``tol = LP_TOL``. The exact tableau is fraction-free
+    (Edmonds, Bareiss): ints ``T`` over one positive common denominator ``d``,
+    the last pivot, so that the true tableau is ``T / d``. A pivot on (r, e)
+    maps every other row i to ``(T[i] T[r, e] - T[i, e] T[r]) // d`` and then
+    sets ``d = T[r, e]``; the division is exact, as every entry of ``T`` is a
+    minor of the initial tableau. The float tableau divides the pivot row
+    instead, and its ``d`` stays 1. Bland's rules read only signs and ratio
+    orders, which a positive ``d`` leaves unchanged, so the exact mode pivots
+    as a Fraction tableau would. The last tableau row holds the reduced costs.
+    Returns (w, duals, d): the optimum is ``w / d`` and its duals ``duals / d``.
     """
     n_rows, n_cols = a.shape
-    zero = 0 * a[0, 0]  # Fraction(0) or 0.0: the tableau's arithmetic
+    zero = 0 * a[0, 0]  # 0 or 0.0: the tableau's arithmetic
     one = zero + 1
     tab = np.full((n_rows + 1, n_cols + n_rows + 1), zero, dtype=a.dtype)
     tab[:n_rows, :n_cols] = a
@@ -180,6 +192,7 @@ def _simplex(a: np.ndarray, tol) -> tuple:
     tab[:n_rows, -1] = one
     tab[-1, :n_cols] = one
     basis = np.arange(n_cols, n_cols + n_rows)
+    d = one
 
     for _ in range(200000):
         pos = np.flatnonzero(tab[-1, :-1] > tol)
@@ -190,16 +203,24 @@ def _simplex(a: np.ndarray, tol) -> tuple:
         rows = np.flatnonzero(col > tol)
         if not len(rows):
             raise LPError("LP unbounded; payoff shift failed")
-        ratios = tab[rows, -1] / col[rows]
-        ties = rows[ratios <= ratios.min() + tol]
+        ties = rows[_min_ratio(tab[rows, -1], col[rows], tol)]
         leave = ties[np.argmin(basis[ties])]  # Bland: lowest basis index
-        tab[leave] /= tab[leave, enter]
-        hit = np.flatnonzero(tab[:, enter])
-        hit = hit[hit != leave]
-        # x - c * 0 is x, up to the sign of a float zero, which no pivot rule
-        # and no clamped output can see: skip the pivot row's zero columns
-        nz = np.flatnonzero(tab[leave])
-        tab[np.ix_(hit, nz)] -= np.outer(tab[hit, enter], tab[leave, nz])
+        if tol:
+            tab[leave] /= tab[leave, enter]
+            hit = np.flatnonzero(tab[:, enter])
+            hit = hit[hit != leave]
+            # x - c * 0 is x, up to the sign of a float zero, which no pivot
+            # rule and no clamped output can see: skip the pivot row's zero
+            # columns
+            nz = np.flatnonzero(tab[leave])
+            tab[np.ix_(hit, nz)] -= np.outer(tab[hit, enter], tab[leave, nz])
+        else:
+            # every other row, those with a zero in the pivot column too, moves
+            # to the new common denominator
+            p = tab[leave, enter]
+            rest = np.arange(n_rows + 1) != leave
+            tab[rest] = (tab[rest] * p - np.outer(tab[rest, enter], tab[leave])) // d
+            d = p
         basis[leave] = enter
     else:
         raise LPError("simplex failed to terminate (cycling guard hit)")
@@ -207,7 +228,20 @@ def _simplex(a: np.ndarray, tol) -> tuple:
     w = np.full(n_cols, zero, dtype=a.dtype)
     structural = basis < n_cols
     w[basis[structural]] = tab[:-1, -1][structural]
-    return list(w), list(-tab[-1, n_cols:-1])
+    return w, -tab[-1, n_cols:-1], d
+
+
+def _min_ratio(rhs: np.ndarray, col: np.ndarray, tol) -> np.ndarray:
+    """Mask of the entries of ``rhs / col`` (col > 0) within tol of the least;
+    with tol 0 the ratios are compared exactly, by cross-multiplication."""
+    if tol:
+        ratios = rhs / col
+        return ratios <= ratios.min() + tol
+    best = 0
+    for i in range(1, len(rhs)):
+        if rhs[i] * col[best] < rhs[best] * col[i]:
+            best = i
+    return rhs * col[best] == rhs[best] * col
 
 
 def solve_zero_sum(matrix: Sequence[Sequence], sense: str = "row_max",
@@ -233,12 +267,11 @@ def solve_zero_sum(matrix: Sequence[Sequence], sense: str = "row_max",
             isinstance(v, (int, Fraction)) for r in rows for v in r
         )
     if exact:
-        a, tol = np.array([[Fraction(v) for v in r] for r in rows], dtype=object), 0
-    else:
-        a, tol = np.array([[float(v) for v in r] for r in rows]), LP_TOL
+        return _solve_exact(rows)
 
+    a = np.array([[float(v) for v in r] for r in rows])
     shift = max(0, 1 - a.min())  # payoffs >= 1 keep the LP bounded
-    w, duals = _simplex(a + shift, tol)
+    w, duals, _ = _simplex(a + shift, LP_TOL)
     total = sum(w)
     if total <= 0:
         raise LPError("degenerate LP: zero strategy mass")
@@ -252,17 +285,50 @@ def solve_zero_sum(matrix: Sequence[Sequence], sense: str = "row_max",
     q = tuple(v / q_total for v in q)
     p = tuple(v / p_total for v in p)
     value = vs - shift
-    _verify_solution(a, value, p, q, 1e-7 if tol else 0)
+    _verify_solution(a, value, p, q)
     return GameValue(value, p, q)
 
 
-def _verify_solution(a: np.ndarray, value, p, q, tol):
+def _solve_exact(rows: list) -> GameValue:
+    """The game ``rows`` (ints, Fractions, or floats taken exactly), solved and
+    verified in Python ints.
+
+    The payoffs are scaled by their least common denominator s to an int
+    matrix ``a`` and shifted to ``a + shift >= s``; the LP optimum is then
+    ``t / d`` with duals ``u / d``, so the strategies are ``q = t / sum(t)``
+    and ``p = u / sum(u)``, and ``a``'s value is ``(d - shift sum(t)) /
+    sum(t)``. Both best responses are checked with zero slack before any
+    Fraction is built.
+    """
+    a = np.array([[v if isinstance(v, (int, Fraction)) else Fraction(v) for v in r]
+                  for r in rows], dtype=object)
+    s = math.lcm(*[v.denominator for v in a.flat])
+    a = a * s // 1  # an int // 1 is that int, a whole Fraction // 1 an int
+    shift = max(0, s - a.min())
+    t, u, d = _simplex(a + shift, 0)
+    t_sum, u_sum = sum(t), sum(u)
+    if t_sum <= 0 or u_sum <= 0 or min(t) < 0 or min(u) < 0:
+        raise LPError("degenerate LP: optimal strategy not a distribution")
+    top = d - shift * t_sum  # the value of a is top / t_sum
+    value = Fraction(top, t_sum * s)
+    bad = np.flatnonzero(a @ t > top)
+    if len(bad):
+        raise LPError(f"row {bad[0]} best response exceeds value {value}")
+    bad = np.flatnonzero((u @ a) * t_sum < top * u_sum)
+    if len(bad):
+        raise LPError(f"column {bad[0]} best response undercuts value {value}")
+    return GameValue(value, tuple(Fraction(v, u_sum) for v in u),
+                     tuple(Fraction(v, t_sum) for v in t))
+
+
+def _verify_solution(a: np.ndarray, value, p, q):
+    """Both best responses of a float solution, within 1e-7 + LP_TOL."""
     resp = a @ np.array(q, dtype=a.dtype)
-    bad = np.flatnonzero(resp > value + tol + LP_TOL)
+    bad = np.flatnonzero(resp > value + 1e-7 + LP_TOL)
     if len(bad):
         raise LPError(f"row {bad[0]} best response {resp[bad[0]]} exceeds value {value}")
     resp = np.array(p, dtype=a.dtype) @ a
-    bad = np.flatnonzero(resp < value - tol - LP_TOL)
+    bad = np.flatnonzero(resp < value - 1e-7 - LP_TOL)
     if len(bad):
         raise LPError(f"column {bad[0]} best response {resp[bad[0]]} undercuts value {value}")
 
@@ -347,6 +413,7 @@ def run_arrays(trees: Sequence[DecisionTree], m: int) -> tuple:
     if any(t.arity != m for t in trees):
         raise ValueError(f"run table of arity {m} given a tree of another arity")
     roots = [number(t.root) for t in trees]
+    del number  # a self-referring closure: unbound, refcounting frees row_of
     if max(len(roots), len(var)) * n * m > RUN_TABLE_ELEMENTS:
         raise ValueError(
             f"run table of {max(len(roots), len(var))} trees or nodes on 2^{m} points exceeds "

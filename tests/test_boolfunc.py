@@ -217,6 +217,18 @@ def test_rational_mu_stays_exact_above_arity_6():
     assert got == _loop_measures(f, mu)
 
 
+def test_weight_array_is_the_kron_product_bit_for_bit():
+    rng = random.Random(9)
+    for m in range(1, 15):
+        for marginals in ([rng.random() for _ in range(m)],
+                          [Fraction(rng.randint(0, 8), 8) for _ in range(m)]):
+            want = np.array([1.0])
+            for p in marginals:
+                want = np.kron(np.array([1.0 - float(p), float(p)]), want)
+            got = ProductDistribution(tuple(marginals)).weight_array()
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 @given(functions_with_mu())
 @settings(max_examples=60, deadline=None)
 def test_float_mu_numpy_paths_match_the_loop(fm):

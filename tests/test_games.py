@@ -1,3 +1,5 @@
+import gc
+import hashlib
 import math
 import random
 import tracemalloc
@@ -30,7 +32,9 @@ from qclab.dtree import (
     run,
     singleton,
 )
+import qclab.games as games
 from qclab.games import (
+    LPError,
     all_sabotage_pairs,
     amplify,
     catalog_size_formula,
@@ -135,6 +139,21 @@ def test_run_arrays_refuses_an_oversized_table_before_allocating():
         run_arrays([DecisionTree(2, Leaf(0))], 3)
 
 
+def test_catalogs_and_games_leave_no_cyclic_garbage():
+    # the catalog memo, the run table's node index and the leaf lists are freed
+    # by refcounting when a call returns, not at some later cycle collection
+    f = BooleanFunction(3, 0xE8)
+    gc.collect()
+    gc.disable()
+    try:
+        r_game_value(f, 2)
+        rs_game_value(f, 1)
+        exact_RSE(f)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 # -- the LP solver ----------------------------------------------------------------
 
 
@@ -191,6 +210,57 @@ def test_lp_matches_scipy(data):
             assert reply >= gv.value - Fraction(1, 10**9)
 
 
+@st.composite
+def _exact_games(draw):
+    # signed Fractions with denominators 1..7, tie-heavy 0/1 matrices (where the
+    # cross-multiplied ratio test and the lowest-basis tie rule pick the
+    # pivots), and dyadic floats solved exactly on request
+    kind = draw(st.sampled_from(("fraction", "zero_one", "dyadic")))
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    if kind == "fraction":
+        entry = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7))
+    elif kind == "zero_one":
+        entry = st.integers(0, 1)
+    else:
+        entry = st.builds(lambda n, e: n / 2**e, st.integers(-40, 40), st.integers(0, 5))
+    return [[draw(entry) for _ in range(cols)] for _ in range(rows)], kind == "dyadic"
+
+
+@given(_exact_games())
+@settings(max_examples=150, deadline=None)
+def test_exact_lp_on_rational_and_degenerate_games(game):
+    matrix, dyadic = game
+    gv = solve_zero_sum(matrix, exact=True if dyadic else None)
+    assert all(type(v) is Fraction for v in (gv.value, *gv.row_strategy, *gv.col_strategy))
+    assert float(gv.value) == pytest.approx(_scipy_game_value(matrix), abs=1e-7)
+    assert sum(gv.row_strategy) == 1 and min(gv.row_strategy) >= 0
+    assert sum(gv.col_strategy) == 1 and min(gv.col_strategy) >= 0
+    # both strategies certify the value exactly against pure replies
+    a = [[Fraction(v) for v in row] for row in matrix]
+    rows, cols = range(len(a)), range(len(a[0]))
+    assert min(sum(gv.row_strategy[i] * a[i][j] for i in rows) for j in cols) == gv.value
+    assert max(sum(a[i][j] * gv.col_strategy[j] for j in cols) for i in rows) == gv.value
+
+
+def test_exact_verification_has_zero_slack(monkeypatch):
+    # the optimum of a game one payoff of which is off by 10^-12 is no optimum
+    # of the game itself, and an exact check has no float slack to let it pass:
+    # raising the payoff breaks a column's best response, lowering it a row's
+    n = 10**12
+    solve = games._simplex
+    assert solve_zero_sum([[1, 0], [0, 1]]).value == Fraction(1, 2)
+    for bump, broken in ((1, "column"), (-1, "row")):
+        def off_by_one_in_n(b, tol, bump=bump):
+            off = np.zeros(b.shape, dtype=object)
+            off[0, 0] = bump
+            w, duals, *rest = solve(b * n + off, tol)
+            return (np.asarray(w) * n, np.asarray(duals) * n, *rest)
+
+        monkeypatch.setattr(games, "_simplex", off_by_one_in_n)
+        with pytest.raises(LPError, match=f"{broken} 0 best response"):
+            solve_zero_sum([[1, 0], [0, 1]])
+
+
 def test_lp_float_path_on_large_matrix():
     rng = np.random.default_rng(2)
     matrix = rng.integers(0, 4, size=(4, 3000)).tolist()
@@ -236,6 +306,20 @@ def test_simplex_outputs_are_pinned():
         9: Fraction(1, 3), 35: Fraction(1, 3), 73: Fraction(1, 3)}
 
 
+def test_exact_games_are_pinned():
+    # every exact game of arity 3 (R and RS for k <= 2, and RSE), by the sha256
+    # of their reprs in table order; recorded on the Fraction tableau
+    digest = hashlib.sha256()
+    for table in range(256):
+        f = BooleanFunction(3, table)
+        for k in range(3):
+            digest.update(repr(r_game_value(f, k)[0]).encode())
+            digest.update(repr(rs_game_value(f, k)[0]).encode())
+        digest.update(repr(exact_RSE(f)).encode())
+    assert digest.hexdigest() == (
+        "70d95507acbbe492f3db5289b9469eb342796e2567c51e5b80f5fbfdafd55a95")
+
+
 # -- complexity games ---------------------------------------------------------------
 
 
@@ -261,7 +345,7 @@ def test_game_matrices_match_direct_runs(m):
 
 
 def test_game_matrices_hold_python_ints():
-    # the Fraction simplex stays exact only on Python ints, not numpy scalars
+    # the exact simplex takes only Python ints and Fractions, not numpy scalars
     f = nand2()
     for matrix in (r_game(f, enumerate_trees(2, None, True))[0],
                    rs_game(f, enumerate_trees(2, None, False))[0],

@@ -264,22 +264,6 @@ def restrict(f: BooleanFunction, c: Subcube) -> BooleanFunction:
     return BooleanFunction(len(free), table)
 
 
-def restriction_value(f: BooleanFunction, c: Subcube):
-    """Constant value of f on subcube c, or None if not constant there."""
-    free = c.free_vars(f.arity)
-    base = 0
-    for i, b in c.fixed:
-        base |= b << (i - 1)
-    first = f.value_at(base)
-    for new_idx in range(1, 1 << len(free)):
-        full = base
-        for j, var in enumerate(free):
-            full |= ((new_idx >> j) & 1) << (var - 1)
-        if f.value_at(full) != first:
-            return None
-    return first
-
-
 # ---------------------------------------------------------------------------
 # Sensitivity and influence
 # ---------------------------------------------------------------------------
@@ -484,31 +468,37 @@ def nand_tree(depth: int) -> BooleanFunction:
     return BooleanFunction(m, table)
 
 
-def builtin_function(name: str) -> BooleanFunction:
+_BUILTINS = {
+    "xor": xor,
+    "and": and_f,
+    "or": or_f,
+    "dictator": dictator,
+    "nandtree": nand_tree,
+    "const0": lambda m: constant(m, 0),
+    "const1": lambda m: constant(m, 1),
+}
+
+
+def builtin_function(name: str, max_arity: int = MAX_ARITY) -> BooleanFunction:
     """Parse builtin names: xor:2, and:3, or:2, dictator:4, nand2, nandtree:2,
-    const0:m, const1:m."""
+    const0:m, const1:m. An arity outside [1, max_arity] is refused before the
+    truth table is built."""
     base, _, arg = name.partition(":")
     base = base.strip().lower()
     if base == "nand2":
-        return nand2()
-    if not arg:
-        raise ValueError(f"builtin {name!r} needs an arity argument, e.g. xor:2")
-    k = int(arg)
-    if base == "xor":
-        return xor(k)
-    if base == "and":
-        return and_f(k)
-    if base == "or":
-        return or_f(k)
-    if base == "dictator":
-        return dictator(k)
-    if base == "nandtree":
-        return nand_tree(k)
-    if base == "const0":
-        return constant(k, 0)
-    if base == "const1":
-        return constant(k, 1)
-    raise ValueError(f"unknown builtin function {name!r}")
+        build, k, arity = (lambda _: nand2()), None, 2
+    else:
+        build = _BUILTINS.get(base)
+        if build is None:
+            raise ValueError(f"unknown builtin function {name!r}")
+        if not arg:
+            raise ValueError(f"builtin {name!r} needs an arity argument, e.g. xor:2")
+        k = int(arg)
+        # nandtree:k has 2^k variables; any k >= max_arity is too many
+        arity = 1 << min(k, max_arity) if base == "nandtree" and k >= 0 else k
+    if not 1 <= arity <= max_arity:
+        raise ValueError(f"builtin {name!r} has arity outside [1, {max_arity}]")
+    return build(k)
 
 
 def random_function(m: int, rng) -> BooleanFunction:

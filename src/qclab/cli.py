@@ -135,10 +135,15 @@ def _pool_map(fn, items):
 # ---------------------------------------------------------------------------
 
 
-def _load_fn(spec: str) -> bf.BooleanFunction:
+def _load_fn(spec: str, max_arity: int) -> bf.BooleanFunction:
+    """A truth-table file or a builtin name; a builtin above ``max_arity``
+    is refused before its table is built."""
     if os.path.exists(spec):
-        return bf.load_function(spec)
-    return bf.builtin_function(spec)
+        f = bf.load_function(spec)
+        if f.arity > max_arity:
+            raise ValueError(f"arity {f.arity} above this command's cap {max_arity}")
+        return f
+    return bf.builtin_function(spec, max_arity)
 
 
 def _load_mu(spec: str, m: int) -> bf.ProductDistribution:
@@ -191,9 +196,7 @@ def _parse_criteria(spec: str) -> list:
 
 
 def cmd_measure(args) -> RunRecord:
-    f = _load_fn(args.fn)
-    if f.arity > dt.DP_MAX_ARITY:
-        raise ValueError(f"arity {f.arity} above the DP cap {dt.DP_MAX_ARITY}")
+    f = _load_fn(args.fn, dt.DP_MAX_ARITY)
     mu = _load_mu(args.mu, f.arity)
     eps = args.eps
     rows = [
@@ -212,9 +215,7 @@ def cmd_measure(args) -> RunRecord:
 
 
 def cmd_game(args) -> RunRecord:
-    f = _load_fn(args.fn)
-    if f.arity > 3:
-        raise ValueError("game command capped at arity 3")
+    f = _load_fn(args.fn, 3)
     eps = args.eps
     rows = [
         {"game": f"R_eps(eps={eps})", "value": gm.exact_R_eps(f, eps), "provenance": "lp"},

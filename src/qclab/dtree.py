@@ -3,7 +3,8 @@
 Trees are immutable: ``Leaf(label)`` with an optional label (``None`` for the
 unlabelled trees used by the product-distribution game) and ``Query(var,
 child0, child1)`` with 1-indexed variables. No variable repeats on any
-root-to-leaf path; this is validated when a ``DecisionTree`` is built.
+root-to-leaf path; this is validated when a ``Query`` is built, and a
+``DecisionTree`` only checks that its variables are within its arity.
 
 The DPs (deterministic depth, distributional error at a depth budget,
 zero-error expected cost) share one engine: the whole lattice of 3^m
@@ -18,7 +19,7 @@ import itertools
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
@@ -85,12 +86,39 @@ class Leaf:
 
 @dataclass(frozen=True)
 class Query:
+    """Query ``var`` and go on to ``child0`` or ``child1`` by its value.
+
+    ``mask`` is the bit set (bit j for variable j) of every variable queried
+    in the subtree. A path repeats a variable exactly when some node's
+    variable appears below it, because every descendant of a node lies on a
+    path through it; so a node whose variable is in a child's mask is
+    refused here, once per node however many trees share it.
+    """
+
     var: int
     child0: object
     child1: object
+    mask: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        var = self.var
+        if isinstance(var, bool) or not isinstance(var, int) or var < 1:
+            raise ValueError(f"query variable must be an int >= 1, got {var!r}")
+        below = _mask(self.child0) | _mask(self.child1)
+        if below >> var & 1:
+            raise ValueError(f"variable {var} repeats on a path")
+        object.__setattr__(self, "mask", below | 1 << var)
 
 
 Node = object  # Leaf | Query
+
+
+def _mask(node: Node) -> int:
+    if isinstance(node, Query):
+        return node.mask
+    if isinstance(node, Leaf):
+        return 0
+    raise ValueError(f"invalid node {node!r}")
 
 
 @dataclass(frozen=True)
@@ -101,7 +129,10 @@ class DecisionTree:
     root: Node
 
     def __post_init__(self):
-        _validate(self.root, self.arity, frozenset())
+        mask = _mask(self.root)
+        if mask >> (self.arity + 1):
+            raise ValueError(f"query variable {mask.bit_length() - 1} out of range "
+                             f"[1, {self.arity}]")
 
     @property
     def depth(self) -> int:
@@ -109,20 +140,6 @@ class DecisionTree:
 
     def is_labeled(self) -> bool:
         return all(label is not None for _, _, label, _ in tree_leaves(self))
-
-
-def _validate(node: Node, arity: int, seen: frozenset):
-    if isinstance(node, Leaf):
-        return
-    if not isinstance(node, Query):
-        raise ValueError(f"invalid node {node!r}")
-    if not 1 <= node.var <= arity:
-        raise ValueError(f"query variable {node.var} out of range [1, {arity}]")
-    if node.var in seen:
-        raise ValueError(f"variable {node.var} repeats on a path")
-    nxt = seen | {node.var}
-    _validate(node.child0, arity, nxt)
-    _validate(node.child1, arity, nxt)
 
 
 def tree_depth(node: Node) -> int:

@@ -6,10 +6,10 @@ deterministic trees, and the solver is one dense simplex with Bland's rule in
 two arithmetic modes: matrices with at most 10^4 rational entries are solved
 on a fraction-free tableau of Python ints over one common denominator, with
 zero tolerance and a best-response check in integers, larger ones on a
-float64 tableau with a 1e-9 tolerance. Every payoff matrix and miss profile
-is read off ``run_arrays``: each tree's output and query steps on every
-input, filled bottom-up as two int8 arrays; ``dtree.run`` stays the
-per-point primitive and the tests' oracle.
+float64 tableau with a 1e-9 tolerance. Every payoff matrix, miss profile
+and the zero-error filter is read off ``run_arrays``: each tree's output and
+query steps on every input, filled bottom-up as two int8 arrays;
+``dtree.run`` stays the per-point primitive and the tests' oracle.
 """
 
 from __future__ import annotations
@@ -27,9 +27,10 @@ from .boolfunc import (
     BooleanFunction,
     Point,
     ProductDistribution,
+    Subcube,
     point_from_index,
-    restriction_value,
     sensitivity,
+    subcube_prob,
 )
 from .dtree import (
     DP_MAX_ARITY,
@@ -40,8 +41,8 @@ from .dtree import (
     _within_eps,
     avg_leaf_bias,
     dist_error_curve_fast,
+    prob_one_in_subcube,
     run,
-    tree_leaves,
 )
 
 RATIONAL_ENTRY_LIMIT = 10_000
@@ -368,13 +369,17 @@ def all_sabotage_pairs(f: BooleanFunction) -> tuple:
 
 
 def zero_error_trees(f: BooleanFunction) -> tuple:
-    """Unlabelled trees where f is constant on every leaf subcube."""
+    """Unlabelled trees where f is constant on every leaf subcube.
+
+    That holds iff every run on every point y queries each variable at which
+    f is sensitive at y: a leaf subcube is connected by flips of its free
+    variables, and all its points share one run.
+    """
     catalog = enumerate_trees(f.arity, None, labeled=False)
-    out = []
-    for tree in catalog.trees:
-        if all(restriction_value(f, cube) is not None for _, cube, _, _ in tree_leaves(tree)):
-            out.append(tree)
-    return tuple(out)
+    queried = _queried_masks(catalog.trees, f.arity)
+    sens = _sensitive(f) @ _var_bits(f.arity)
+    keep = ((queried & sens) == sens).all(axis=1)
+    return tuple(t for t, k in zip(catalog.trees, keep.tolist()) if k)
 
 
 def run_arrays(trees: Sequence[DecisionTree], m: int) -> tuple:
@@ -436,13 +441,29 @@ def run_arrays(trees: Sequence[DecisionTree], m: int) -> tuple:
     return out[roots], pos[roots]
 
 
+def _var_bits(m: int) -> np.ndarray:
+    """Bit j - 1 for variable j, as int64."""
+    return np.int64(1) << np.arange(m, dtype=np.int64)
+
+
+def _queried_masks(trees: Sequence[DecisionTree], m: int) -> np.ndarray:
+    """(trees, points) bit masks of the variables each run queries."""
+    _, positions = run_arrays(trees, m)
+    return (positions > 0).astype(np.int64) @ _var_bits(m)
+
+
+def _sensitive(f: BooleanFunction) -> np.ndarray:
+    """(points, variables) bools: does flipping variable j + 1 at point
+    index x change f?"""
+    tbl = f.table_array()
+    return tbl[:, None] != tbl[np.arange(f.size)[:, None] ^ _var_bits(f.arity)]
+
+
 def _hit_mask(trees: Sequence[DecisionTree], m: int, xs: np.ndarray,
               targets: np.ndarray) -> np.ndarray:
     """(trees, cases) bools: does the tree's run on point index xs[c] query a
     variable in the bit mask targets[c] (bit j - 1 for variable j)?"""
-    _, positions = run_arrays(trees, m)
-    queried = (positions > 0).astype(np.int64) @ (np.int64(1) << np.arange(m, dtype=np.int64))
-    return (queried[:, xs] & targets) != 0
+    return (_queried_masks(trees, m)[:, xs] & targets) != 0
 
 
 def _pair_arrays(f: BooleanFunction) -> tuple:
@@ -587,12 +608,8 @@ def sens_miss_profile(r: RandomizedTree, f: BooleanFunction):
         raise ValueError("sens_miss_profile capped at arity 12")
     if r.arity != f.arity:
         raise ValueError("arity mismatch")
-    tbl = f.table_array()
-    idx = np.arange(f.size)
-    bit = np.int64(1) << np.arange(f.arity, dtype=np.int64)
-    sensitive = tbl[:, None] != tbl[idx[:, None] ^ bit]  # (points, variables), x-major
-    xs, var = np.nonzero(sensitive)
-    return _worst_miss(r, xs, bit[var])
+    xs, var = np.nonzero(_sensitive(f))  # x-major
+    return _worst_miss(r, xs, _var_bits(f.arity)[var])
 
 
 def pair_miss_profile(r: RandomizedTree, f: BooleanFunction):
@@ -709,6 +726,20 @@ def check_amplified_bias(r: RandomizedTree, f: BooleanFunction,
     )
 
 
+def _two_point_bias(r: RandomizedTree, f: BooleanFunction, mu: ProductDistribution, x: Point):
+    """``avg_leaf_bias(r, f, mu)`` for a mu whose mass lies on x and one other
+    point: a leaf with nonzero reach holds one of the two or both, and only
+    one holding both can be biased, so each tree's term is that of the leaf
+    that x reaches."""
+    total = 0
+    for w, tree in r.entries:
+        leaf = run(tree, x)
+        cube = Subcube(tuple(zip(leaf.queried, map(int, leaf.leaf_id))))
+        q = prob_one_in_subcube(f, mu, cube)
+        total = total + w * (subcube_prob(mu, cube) * min(q, 1 - q))
+    return total
+
+
 @dataclass(frozen=True)
 class TwoPointBoundReport:
     pairs_checked: int
@@ -733,7 +764,7 @@ def check_two_point_bound(r: RandomizedTree, f: BooleanFunction, tol=0) -> TwoPo
             marg = [half if j == i else (x[j - 1] + 0 if not exact else Fraction(x[j - 1]))
                     for j in range(1, f.arity + 1)]
             mu = ProductDistribution(tuple(marg))
-            bias = avg_leaf_bias(r, f, mu)
+            bias = _two_point_bias(r, f, mu, x)
             miss = miss_probability(r, x, i)
             violation = miss * half - bias
             checked += 1

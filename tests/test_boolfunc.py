@@ -7,6 +7,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from qclab.boolfunc import (
+    MAX_ARITY,
     BooleanFunction,
     ProductDistribution,
     Subcube,
@@ -317,6 +318,17 @@ def test_builtin_names():
         builtin_function("mystery:2")
     with pytest.raises(ValueError):
         builtin_function("xor")
+
+
+def test_builtin_arity_is_capped_before_the_table_is_built():
+    assert builtin_function("nandtree:3", max_arity=8) == nand_tree(3)
+    assert builtin_function("dictator:4", max_arity=4) == dictator(4)
+    # 3_0 parses as 30, and nandtree:40 has 2^40 variables: refused at once
+    for spec, cap in (("xor:5", 4), ("nandtree:3", 7), ("nand2", 1), ("xor:3_0", MAX_ARITY),
+                      ("nandtree:40", MAX_ARITY), ("and:0", 3), ("or:-2", 3),
+                      ("nandtree:-1", 3), (f"const1:{10**15}", MAX_ARITY)):
+        with pytest.raises(ValueError, match="arity outside"):
+            builtin_function(spec, max_arity=cap)
 
 
 def test_nand_tree_agrees_with_direct_evaluation():

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import os
 import re
 
+from hypothesis import given, settings
+import hypothesis.strategies as st
+
 from qclab import games
-from qclab.boolfunc import nand2, save_function, save_distribution, uniform_distribution
+from qclab.boolfunc import and_f, nand2, save_function, save_distribution, uniform_distribution
 from qclab.cli import main, normalize_for_compare
 
 
@@ -43,6 +48,53 @@ def test_game_command(capsys):
     assert "RS_E,3/2,lp" in out
     status, _, err = run_cli(capsys, "game", "--fn", "xor:4")
     assert status == 2
+
+
+_BUILTIN_BASES = ("xor", "and", "or", "dictator", "const0", "const1", "nandtree")
+
+
+def _not_an_int(text: str) -> bool:
+    try:
+        int(text)
+    except ValueError:
+        return True
+    return False
+
+
+_BAD_GAME_SPECS = st.one_of(
+    # unknown names, with or without an arity, that are not paths either
+    st.tuples(st.text(st.characters(codec="ascii"), max_size=10).filter(
+        lambda b: b.strip().lower() not in _BUILTIN_BASES + ("nand2",)
+        and ":" not in b and not os.path.exists(b)),
+        st.sampled_from(["", ":2", ":3"])).map("".join),
+    # a builtin with no arity, or one that is not an integer
+    st.sampled_from(_BUILTIN_BASES),
+    st.tuples(st.sampled_from(_BUILTIN_BASES),
+              st.text(max_size=8).filter(_not_an_int)).map(":".join),
+    # arity below 1
+    st.builds("{}:{}".format, st.sampled_from(_BUILTIN_BASES[:-1]), st.integers(-10**6, 0)),
+    st.builds("nandtree:{}".format, st.integers(-10**6, -1)),
+    # arity above the game's cap of 3, up to far above what fits in memory
+    st.builds("{}:{}".format, st.sampled_from(_BUILTIN_BASES[:-1]), st.integers(4, 10**12)),
+    st.builds("nandtree:{}".format, st.integers(2, 10**12)),
+)
+
+
+@given(_BAD_GAME_SPECS)
+@settings(max_examples=200, deadline=None)
+def test_game_refuses_malformed_and_oversized_specs(spec):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main(["game", "--fn", spec])
+    assert status == 2 and out.getvalue() == ""
+    assert err.getvalue().startswith("qclab: error:")
+
+
+def test_game_refuses_an_arity_4_truth_table_file(tmp_path, capsys):
+    path = tmp_path / "f.tt"
+    save_function(and_f(4), str(path))
+    status, out, err = run_cli(capsys, "game", "--fn", str(path))
+    assert status == 2 and out == "" and "cap 3" in err
 
 
 def test_nand_command_text_format(capsys):

@@ -72,6 +72,121 @@ def test_repeated_variable_rejected():
         DecisionTree(1, Query(2, Leaf(0), Leaf(1)))
 
 
+def test_query_variables_must_be_ints_of_at_least_one():
+    for var in (1.5, 2.0, True, False, "1", None, 0, -1):
+        with pytest.raises(ValueError):
+            Query(var, Leaf(0), Leaf(1))
+    with pytest.raises(ValueError):
+        DecisionTree(2, Query(1.5, Leaf(0), Leaf(1)))
+    with pytest.raises(ValueError):
+        DecisionTree(2, Query(True, Leaf(0), Leaf(1)))
+
+
+def test_children_and_roots_must_be_nodes():
+    for bad in (None, 0, "leaf", (Leaf(0),)):
+        with pytest.raises(ValueError):
+            Query(1, bad, Leaf(1))
+        with pytest.raises(ValueError):
+            Query(1, Leaf(0), bad)
+        with pytest.raises(ValueError):
+            DecisionTree(1, bad)
+
+
+def test_mask_is_not_shown_compared_or_hashed():
+    a = Query(2, Leaf(0), Query(1, Leaf(0), Leaf(1)))
+    b = Query(2, Leaf(0), Query(1, Leaf(0), Leaf(1)))
+    assert a.mask == 0b110 and Leaf(0) != a
+    assert repr(a) == ("Query(var=2, child0=Leaf(label=0), "
+                       "child1=Query(var=1, child0=Leaf(label=0), child1=Leaf(label=1)))")
+    object.__setattr__(b, "mask", 0)
+    assert a == b and hash(a) == hash(b)
+
+
+@st.composite
+def _raw_trees(draw, m):
+    """Nested (var, child0, child1) tuples over 0..m + 1, None for a leaf:
+    repeats and out-of-range variables included."""
+    def grow(depth):
+        if depth == 0 or draw(st.booleans()):
+            return None
+        return (draw(st.integers(0, m + 1)), grow(depth - 1), grow(depth - 1))
+
+    return grow(draw(st.integers(0, m + 2)))
+
+
+def _path_rule(raw, m, seen=frozenset()) -> bool:
+    """The rule checked node by node, stated on paths: every variable in
+    [1, m] and none repeated on a root-to-leaf path."""
+    if raw is None:
+        return True
+    var, c0, c1 = raw
+    return (1 <= var <= m and var not in seen
+            and _path_rule(c0, m, seen | {var}) and _path_rule(c1, m, seen | {var}))
+
+
+def _variables_below(node) -> set:
+    if isinstance(node, Leaf):
+        return set()
+    return {node.var} | _variables_below(node.child0) | _variables_below(node.child1)
+
+
+@given(st.integers(0, 5).flatmap(lambda m: st.tuples(st.just(m), _raw_trees(m))))
+@settings(max_examples=300, deadline=None)
+def test_node_checks_accept_exactly_the_repeat_free_trees(case):
+    m, raw = case
+
+    def build(raw):
+        if raw is None:
+            return Leaf(None)
+        var, c0, c1 = raw
+        return Query(var, build(c0), build(c1))
+
+    try:
+        tree = DecisionTree(m, build(raw))
+    except ValueError:
+        assert not _path_rule(raw, m)
+        return
+    assert _path_rule(raw, m)
+    nodes = [tree.root]
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, Query):
+            assert node.mask == sum(1 << v for v in _variables_below(node))
+            nodes += [node.child0, node.child1]
+
+
+def test_a_repeat_in_a_shared_subtree_is_refused_at_every_root():
+    # a chain of 60 shared nodes stands for 2^60 paths: checking a node reads
+    # only its children's masks, never the paths below it
+    shared = Leaf(None)
+    for var in range(60, 1, -1):
+        shared = Query(var, shared, shared)
+    assert shared.mask == ((1 << 61) - 1) & ~0b11
+    assert DecisionTree(60, Query(1, shared, Leaf(None))).root.mask == (1 << 61) - 2
+    for var in range(2, 61):
+        with pytest.raises(ValueError, match=f"variable {var} repeats"):
+            Query(var, Leaf(None), shared)
+    with pytest.raises(ValueError, match=r"query variable 60 out of range \[1, 59\]"):
+        DecisionTree(59, shared)
+    # a catalog's roots share their subtrees: the repeat sits at the bottom of
+    # one node object under every root that holds it
+    from qclab.games import enumerate_trees
+    holders = {}
+    for t in enumerate_trees(3, None, labeled=False).trees:
+        nodes = [t.root]
+        while nodes:
+            node = nodes.pop()
+            if isinstance(node, Query):
+                if isinstance(node.child0, Leaf) and isinstance(node.child1, Leaf):
+                    holders.setdefault(id(node), (node, {}))[1][id(t.root)] = t.root
+                nodes += [node.child0, node.child1]
+    bottom, roots = max(holders.values(), key=lambda item: len(item[1]))
+    assert len(roots) > 20
+    for root in roots.values():
+        with pytest.raises(ValueError, match=f"variable {bottom.var} repeats"):
+            Query(bottom.var, root, Leaf(None))
+
+
 def test_run_examples():
     t = DecisionTree(2, Query(1, Leaf(0), Leaf(1)))
     res = run(t, (1, 0))
@@ -391,6 +506,16 @@ def test_tree_json_roundtrip():
         assert tree_from_json(tree_to_json(t)) == t
     text = tree_to_json(DecisionTree(2, Query(1, Leaf(0), Leaf(None))))
     assert text.index("child0") < text.index("child1")
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_tree_json_roundtrip_on_every_catalog_tree(m):
+    from qclab.games import enumerate_trees
+    for labeled in (True, False):
+        for t in enumerate_trees(m, None, labeled).trees:
+            back = tree_from_json(tree_to_json(t))
+            assert back == t and repr(back) == repr(t)
+            assert getattr(back.root, "mask", 0) == getattr(t.root, "mask", 0)
 
 
 def test_random_randomized_tree_weights_exact():

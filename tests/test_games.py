@@ -13,6 +13,7 @@ import hypothesis.strategies as st
 from qclab.boolfunc import (
     BooleanFunction,
     ProductDistribution,
+    Subcube,
     and_f,
     dictator,
     nand2,
@@ -27,10 +28,13 @@ from qclab.dtree import (
     Leaf,
     Query,
     RandomizedTree,
+    avg_leaf_bias,
     exact_Dmu_eps,
+    random_randomized_tree,
     random_tree,
     run,
     singleton,
+    tree_leaves,
 )
 import qclab.games as games
 from qclab.games import (
@@ -75,6 +79,17 @@ def test_catalog_counts_match_recursion():
     for m, unlabeled_count in ((1, 2), (2, 9), (3, 244)):
         cat = enumerate_trees(m, None, labeled=False)
         assert len(cat.trees) == unlabeled_count == catalog_size_formula(m, m, False)
+
+
+def test_catalogs_are_pinned():
+    # the sha256 of the reprs of every catalog at the caps, recorded while
+    # trees were still checked path by path
+    digest = hashlib.sha256()
+    for m, k in [(m, k) for m in (1, 2, 3) for k in range(m + 1)] + [(4, 2)]:
+        for labeled in (True, False):
+            digest.update(repr(enumerate_trees(m, k, labeled).trees).encode())
+    assert digest.hexdigest() == (
+        "dbbc4c6e3cf368112c74d32eeb19ea9926782c517e09fb28240fc39d81d1633c")
 
 
 def test_catalog_depth_caps():
@@ -409,6 +424,42 @@ def test_exact_RSE_values():
     assert exact_RSE(dictator(1)) == 1
 
 
+def restriction_value(f, c):
+    """Constant value of f on subcube c, or None if not constant there."""
+    free = c.free_vars(f.arity)
+    base = 0
+    for i, b in c.fixed:
+        base |= b << (i - 1)
+    first = f.value_at(base)
+    for new_idx in range(1, 1 << len(free)):
+        full = base
+        for j, var in enumerate(free):
+            full |= ((new_idx >> j) & 1) << (var - 1)
+        if f.value_at(full) != first:
+            return None
+    return first
+
+
+def test_restriction_value_examples():
+    f = nand2()
+    assert restriction_value(f, Subcube(((1, 0),))) == 1
+    assert restriction_value(f, Subcube(((1, 1),))) is None
+    assert restriction_value(f, Subcube(((1, 1), (2, 1)))) == 0
+    assert restriction_value(and_f(3), Subcube(())) is None
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_zero_error_trees_match_the_leaf_walk(m):
+    # every function of arity m: the same trees in catalog order as keeping
+    # the trees with f constant on every leaf subcube
+    catalog = enumerate_trees(m, None, labeled=False).trees
+    for table in range(1 << (1 << m)):
+        f = BooleanFunction(m, table)
+        want = tuple(t for t in catalog if all(
+            restriction_value(f, cube) is not None for _, cube, _, _ in tree_leaves(t)))
+        assert zero_error_trees(f) == want
+
+
 def test_zero_error_tree_filter():
     trees = zero_error_trees(nand2())
     assert len(trees) == 4
@@ -577,6 +628,29 @@ def test_check_two_point_bound_cases():
     assert check_two_point_bound(singleton(complete_tree(2)), f).ok
     rep = check_two_point_bound(singleton(DecisionTree(2, Leaf(None))), f)
     assert rep.ok and rep.max_violation == 0  # equality at the empty tree
+
+
+@given(st.integers(0, 10**6), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_two_point_bias_equals_avg_leaf_bias(seed, floats):
+    # the leaf x reaches against every leaf of every tree, in Fractions (or
+    # floats, as check_two_point_bound builds them); mu puts 1/2 on x and
+    # 1/2 on x with variable i flipped
+    rng = random.Random(seed)
+    m = rng.randint(1, 4)
+    f = BooleanFunction(m, rng.getrandbits(1 << m))
+    r = random_randomized_tree(m, rng, support=3)
+    idx, i = rng.randrange(1 << m), rng.randint(1, m)
+    x = tuple((idx >> j) & 1 for j in range(m))
+    if floats:
+        r = RandomizedTree(tuple((float(w), t) for w, t in r.entries))
+        marg = [0.5 if j == i else x[j - 1] for j in range(1, m + 1)]
+    else:
+        marg = [Fraction(1, 2) if j == i else Fraction(x[j - 1]) for j in range(1, m + 1)]
+    mu = ProductDistribution(tuple(marg))
+    bias = games._two_point_bias(r, f, mu, x)
+    assert bias == avg_leaf_bias(r, f, mu)
+    assert type(bias) is type(avg_leaf_bias(r, f, mu))
 
 
 # -- the adversarial-distribution search ------------------------------------------------

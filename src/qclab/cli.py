@@ -159,6 +159,16 @@ def _load_mu(spec: str, m: int) -> bf.ProductDistribution:
     raise ValueError(f"unknown distribution spec {spec!r}")
 
 
+def _eps_arg(text: str) -> float:
+    """The ``--eps`` type: a float that the library's eps check accepts."""
+    try:
+        eps = float(text)
+        dt._check_eps(eps)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return eps
+
+
 def _parse_depths(args) -> list:
     if args.depths:
         lo, _, hi = args.depths.partition("..")
@@ -372,7 +382,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, mu_default=None):
-        sp.add_argument("--eps", type=float, default=1 / 3)
+        sp.add_argument("--eps", type=_eps_arg, default=1 / 3)
         sp.add_argument("--seed", type=int, default=vf.DEFAULT_SEED)
         sp.add_argument("--out", default=None)
         sp.add_argument("--format", choices=("csv", "text"), default="csv")

@@ -244,6 +244,8 @@ class _Lattice:
     split on its lowest free variable. Every DP runs ``rounds`` from its base
     array; round k holds the best tree with at most k queries, where a leaf
     on a non-constant subcube costs more than any tree (m + 1 queries).
+    Rounds are computed only as they are read, and the non-constant mask
+    only by the two DPs whose base needs it (``depths`` and ``costs``).
 
     With a float marginal the values are floats. Otherwise they are Python
     ints scaled by ``one``, the product of the marginals' denominators: each
@@ -262,8 +264,6 @@ class _Lattice:
                              "pass float marginals")
         self.m = m
         self.corner = f.table_array().reshape((2,) * m)
-        const = self.stack(self.corner, lambda ax, a, b: np.where(a == b, a, 2))
-        self.nonconst = const == 2
         if self.exact:
             fr = [Fraction(p) for p in per_axis]
             self.weights = [(q.denominator - q.numerator, q.numerator, q.denominator) for q in fr]
@@ -300,8 +300,12 @@ class _Lattice:
                 free = _fix(cur, ax, 2)
                 np.minimum(free, step(ax, _fix(prev, ax, 0), _fix(prev, ax, 1)), out=free)
 
+    def nonconst(self) -> np.ndarray:
+        """True on the subcubes where f is not constant."""
+        return self.stack(self.corner, lambda ax, a, b: np.where(a == b, a, 2)) == 2
+
     def depths(self):
-        base = np.where(self.nonconst, np.int8(self.m + 1), np.int8(0))
+        base = np.where(self.nonconst(), np.int8(self.m + 1), np.int8(0))
         return self.rounds(base, lambda ax, a, b: 1 + np.maximum(a, b))
 
     def errors(self):
@@ -309,8 +313,9 @@ class _Lattice:
         return self.rounds(np.minimum(p1, self.one - p1), self.mix)
 
     def costs(self):
-        base = np.zeros(self.nonconst.shape, self.dtype)
-        base[self.nonconst] = (self.m + 1) * self.one  # no tree yet
+        nonconst = self.nonconst()
+        base = np.zeros(nonconst.shape, self.dtype)
+        base[nonconst] = (self.m + 1) * self.one  # no tree yet
         return self.rounds(base, lambda ax, a, b: self.one + self.mix(ax, a, b))
 
 
@@ -342,19 +347,35 @@ def _within_eps(value, eps, tol) -> bool:
     return value <= eps + tol
 
 
+def _check_eps(eps) -> None:
+    """Refuse an eps that no error meets, so no least depth exists."""
+    if not eps >= 0:  # also NaN
+        raise ValueError(f"eps must be >= 0, got {eps!r}")
+
+
+def _root_errors(f: BooleanFunction, marginals: Sequence, eps=None):
+    """Yield err(0), err(1), ... at the whole cube: all m + 1 rounds, or with
+    ``eps`` up to the first error within it, so no round past the least depth
+    is computed. err(m) = 0 meets every eps >= 0, so the stop comes by m."""
+    if eps is not None:
+        _check_eps(eps)
+    lat = _Lattice(f, marginals)
+    for cur in itertools.islice(lat.errors(), f.arity + 1):
+        err = lat.value(cur.flat[-1])
+        yield err
+        if eps is not None and _within_eps(err, eps, 1e-12):
+            return
+
+
 def exact_Dmu_eps(f: BooleanFunction, mu: ProductDistribution, eps) -> int:
     """Least depth k with optimal_dist_error(f, mu, k) <= eps.
 
     Rational errors and eps are compared exactly, anything else with a 1e-12
-    slack.
+    slack. A negative or NaN eps raises ``ValueError``.
     """
     if f.arity != mu.arity:
         raise ValueError("arity mismatch")
-    lat = _Lattice(f, mu.marginals)
-    for k, cur in enumerate(itertools.islice(lat.errors(), f.arity + 1)):
-        if _within_eps(lat.value(cur.flat[-1]), eps, 1e-12):
-            return k
-    raise AssertionError("unreachable: depth m always has error 0")
+    return sum(1 for _ in _root_errors(f, mu.marginals, eps)) - 1
 
 
 def zero_error_expected_cost(f: BooleanFunction, mu: ProductDistribution):
@@ -367,16 +388,17 @@ def zero_error_expected_cost(f: BooleanFunction, mu: ProductDistribution):
     return lat.value(_nth(lat.costs(), f.arity).flat[-1])
 
 
-def dist_error_curve_fast(f: BooleanFunction, marginals: Sequence[float]) -> np.ndarray:
+def dist_error_curve_fast(f: BooleanFunction, marginals: Sequence[float], eps=None) -> np.ndarray:
     """err(k) for k = 0..m in float arithmetic, from one lattice.
 
-    Equal to ``optimal_dist_error`` for each k with float marginals; a search
-    calls it to score many distributions.
+    Equal to ``optimal_dist_error`` for each k with float marginals. With
+    ``eps`` the curve ends at the least depth k* whose error is within eps,
+    by the rule of ``exact_Dmu_eps``: it is err(0..k*), so ``len - 1`` is
+    D_mu,eps; a search calls it so to score many distributions.
     """
     if f.arity != len(marginals):
         raise ValueError("arity mismatch")
-    lat = _Lattice(f, [float(q) for q in marginals])
-    return np.array([cur.flat[-1] for cur in itertools.islice(lat.errors(), f.arity + 1)])
+    return np.array(list(_root_errors(f, [float(q) for q in marginals], eps)))
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from .dtree import (
     Leaf,
     Query,
     RandomizedTree,
+    _check_eps,
     _within_eps,
     avg_leaf_bias,
     dist_error_curve_fast,
@@ -523,6 +524,7 @@ def exact_R_eps(f: BooleanFunction, eps) -> int:
     """Least k such that the depth-k labeled-tree game has value <= eps."""
     if f.arity > 3:
         raise ValueError("exact_R_eps capped at arity 3")
+    _check_eps(eps)
     for k in range(f.arity + 1):
         gv, _ = r_game_value(f, k)
         if _within_eps(gv.value, eps, LP_TOL):
@@ -534,6 +536,7 @@ def exact_RS_eps(f: BooleanFunction, eps) -> int:
     """Least k such that the depth-k sabotage game has value <= eps."""
     if f.arity > 3:
         raise ValueError("exact_RS_eps capped at arity 3")
+    _check_eps(eps)
     if not all_sabotage_pairs(f):
         return 0
     for k in range(f.arity + 1):
@@ -800,15 +803,17 @@ def dprod_search(f: BooleanFunction, eps: float, restarts: int = 6,
     m = f.arity
     if m > DP_MAX_ARITY:
         raise ValueError(f"dprod_search capped at arity {DP_MAX_ARITY}")
+    _check_eps(eps)
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
     rng = np.random.default_rng(seed)
     evals = 0
 
     def score(p):
         nonlocal evals
         evals += 1
-        curve = dist_error_curve_fast(f, p)
-        k = next(k for k in range(m + 1) if curve[k] <= eps + 1e-12)
-        return (k, float(curve[k]))
+        curve = dist_error_curve_fast(f, p, eps)  # err(0..D_mu,eps)
+        return (len(curve) - 1, float(curve[-1]))
 
     # Latin-hypercube start points on the coarse grid 0.1 .. 0.9
     grid = np.linspace(0.1, 0.9, restarts)

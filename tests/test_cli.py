@@ -1,9 +1,11 @@
 import contextlib
 import io
 import json
+import math
 import os
 import re
 
+import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
@@ -85,9 +87,51 @@ _BAD_GAME_SPECS = st.one_of(
 def test_game_refuses_malformed_and_oversized_specs(spec):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        status = main(["game", "--fn", spec])
+        status = main(["game", f"--fn={spec}"])  # "=" keeps a spec like "-;" a value
     assert status == 2 and out.getvalue() == ""
     assert err.getvalue().startswith("qclab: error:")
+
+
+def _not_a_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return True
+    return False
+
+
+_BAD_EPS = st.one_of(
+    st.floats(max_value=-math.ulp(0.0)).map(repr),  # every negative float, -inf too
+    st.integers(max_value=-1).map(str),
+    st.sampled_from(["nan", "NaN", "-nan", "+nan", " nan "]),
+    st.text(max_size=8).filter(_not_a_float),
+)
+
+
+@given(st.sampled_from([("measure", "--fn", "xor:2"), ("game", "--fn", "xor:2"),
+                        ("nand", "--depth", "4", "--mu", "search")]), _BAD_EPS)
+@settings(max_examples=200, deadline=None)
+def test_a_bad_eps_exits_2_before_any_work(command, eps):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            pytest.raises(SystemExit) as exit_:
+        main([*command, f"--eps={eps}"])
+    assert exit_.value.code == 2 and out.getvalue() == ""
+    assert "argument --eps" in err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ("measure", "--fn", "xor:2", "--eps", "-0.1"),
+    ("measure", "--fn", "xor:2", "--eps", "nan"),
+    ("game", "--fn", "xor:2", "--eps", "-0.1"),
+    ("nand", "--mu", "search", "--depth", "4", "--eps", "-0.1"),
+])
+def test_a_negative_or_nan_eps_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(list(argv))
+    out = capsys.readouterr()
+    assert exit_.value.code == 2 and out.out == ""
+    assert "eps must be >= 0" in out.err
 
 
 def test_game_refuses_an_arity_4_truth_table_file(tmp_path, capsys):

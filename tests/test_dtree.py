@@ -22,6 +22,7 @@ from qclab.boolfunc import (
     uniform_distribution,
     xor,
 )
+import qclab.dtree as dtree
 from qclab.dtree import (
     DecisionTree,
     Leaf,
@@ -392,6 +393,152 @@ def test_dist_error_curve_large_arity_and_cap():
     assert all(b <= a for a, b in zip(curve, curve[1:]))
     with pytest.raises(ValueError):
         dist_error_curve_fast(BooleanFunction(15, 0), [0.5] * 15)
+
+
+# Zero-mass marginals per arity: each has a 0 or a 1, and the last is a point mass.
+_ZERO_MASS = {
+    1: [(0,), (1,)],
+    2: [(0, Fraction(1, 3)), (Fraction(2, 5), 1), (1, 0)],
+    3: [(0, Fraction(1, 3), 1), (Fraction(3, 7), 1, Fraction(1, 2)), (1, 0, 1)],
+}
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_zero_mass_marginals_match_brute_force(m):
+    """Marginals of exactly 0 and 1, as Fractions and as floats, on every
+    function of arity m: every DP against the catalog brute force."""
+    for table in range(1 << (1 << m)):
+        f = BooleanFunction(m, table)
+        for marginals in _ZERO_MASS[m]:
+            for mu, eps_list in (
+                    (ProductDistribution(tuple(Fraction(p) for p in marginals)),
+                     (Fraction(0), Fraction(1, 4), Fraction(1, 3))),
+                    (ProductDistribution(tuple(float(p) for p in marginals)), (0.0, 0.25, 1 / 3))):
+                exact = isinstance(mu.marginals[0], Fraction)
+                equal = (lambda a, b: a == b) if exact else (
+                    lambda a, b: a == pytest.approx(b, abs=1e-12))
+                d, curve, cost = _brute_force(f, mu)
+                assert exact_D(f) == d
+                for k in range(m + 2):
+                    err = optimal_dist_error(f, mu, k)
+                    assert type(err) is (Fraction if exact else float)
+                    assert equal(err, curve[min(k, m)])
+                zcost = zero_error_expected_cost(f, mu)
+                assert type(zcost) is (int if f.is_constant() else type(err))
+                assert equal(zcost, cost)
+                fast = dist_error_curve_fast(f, mu.marginals)
+                assert fast == pytest.approx([float(e) for e in curve], abs=1e-12)
+                for eps in eps_list:
+                    slack = 0 if exact else 1e-12
+                    least = next(k for k, e in enumerate(curve) if e <= eps + slack)
+                    assert exact_Dmu_eps(f, mu, eps) == least
+                    stop = next(k for k, e in enumerate(fast) if e <= eps + 1e-12)
+                    stopped = dist_error_curve_fast(f, mu.marginals, eps)
+                    assert stopped.tobytes() == fast[:stop + 1].tobytes()
+
+
+def test_a_negative_or_nan_eps_is_refused_before_any_lattice_work(monkeypatch):
+    def no_lattice(*args, **kwargs):
+        raise AssertionError("a lattice was built before eps was checked")
+
+    monkeypatch.setattr(dtree, "_Lattice", no_lattice)
+    u = uniform_distribution(2)
+    for eps in (-0.1, float("nan"), -math.inf, Fraction(-1, 3), -1):
+        with pytest.raises(ValueError, match="eps must be >= 0"):
+            exact_Dmu_eps(xor(2), u, eps)
+        with pytest.raises(ValueError, match="eps must be >= 0"):
+            dist_error_curve_fast(xor(2), u.marginals, eps)
+
+
+# Curves recorded before rounds were computed lazily, as float64 bytes in hex.
+_CURVE_PINS = [
+    (nand_tree(2), [0.3, 0.6, 0.7, 0.2],
+     "5817b7d100ded23f5f29cb10c7bac83f2675029a081bae3f94cb7f48bf7d7d3f0000000000000000"),
+    (random_function(6, random.Random(5)), [0.1 * k + 0.15 for k in range(6)],
+     "de9387855a63df3f029a081b9e46da3fe3fc4d284420d63f73d712f241bfca3f"
+     "6991ed7c3f95b43f1ea2d11dc4ce763f0000000000000000"),
+    (and_f(3), [0.0, 1.0, 0.5], "00" * 32),
+]
+
+
+def test_dist_error_curves_are_pinned():
+    for f, marginals, pin in _CURVE_PINS:
+        curve = dist_error_curve_fast(f, marginals)
+        assert curve.dtype == np.float64 and curve.tobytes().hex() == pin
+
+
+def test_a_stopped_curve_is_the_full_curve_up_to_the_least_depth():
+    for f, marginals, _ in _CURVE_PINS:
+        full = dist_error_curve_fast(f, marginals)
+        mu = ProductDistribution(tuple(marginals))
+        for eps in (0.0, 0.01, 0.1, 0.25, 1 / 3, 0.5, math.inf):
+            least = exact_Dmu_eps(f, mu, eps)
+            assert dist_error_curve_fast(f, marginals, eps).tobytes() == full[:least + 1].tobytes()
+
+
+def _count_lattice_work(monkeypatch):
+    """Per lattice, in order of construction: its marginals, how many rounds
+    its DPs computed and how many arrays it stacked over the subcubes
+    (Pr[f = 1] for an error base, the non-constant mask for the others)."""
+    work = {}
+    init, rounds, stack = dtree._Lattice.__init__, dtree._Lattice.rounds, dtree._Lattice.stack
+
+    def counted_init(self, f, marginals=()):
+        work[self] = {"marginals": tuple(marginals), "rounds": 0, "stacks": 0}
+        init(self, f, marginals)
+
+    def counted_rounds(self, base, step):
+        for cur in rounds(self, base, step):
+            work[self]["rounds"] += 1
+            yield cur
+
+    def counted_stack(self, corner, combine):
+        work[self]["stacks"] += 1
+        return stack(self, corner, combine)
+
+    monkeypatch.setattr(dtree._Lattice, "__init__", counted_init)
+    monkeypatch.setattr(dtree._Lattice, "rounds", counted_rounds)
+    monkeypatch.setattr(dtree._Lattice, "stack", counted_stack)
+    return work
+
+
+def test_the_dps_compute_no_round_past_the_one_they_read(monkeypatch):
+    from qclab.games import dprod_search
+
+    f = nand_tree(2)
+    mu = ProductDistribution((0.3, 0.6, 0.7, 0.2))
+    full = dist_error_curve_fast(f, mu.marginals)
+    d = exact_D(f)
+    least = {eps: exact_Dmu_eps(f, mu, eps) for eps in (0.01, 0.1, 0.25, 1 / 3)}
+    assert sorted(least.values()) == [0, 1, 2, 3]
+    work = _count_lattice_work(monkeypatch)
+
+    def one_lattice(call):
+        work.clear()
+        call()
+        (counts,) = work.values()
+        return counts["rounds"], counts["stacks"]
+
+    # the error DPs stack only Pr[f = 1]: no non-constant mask
+    for eps, k in least.items():
+        assert one_lattice(lambda: exact_Dmu_eps(f, mu, eps)) == (k + 1, 1)
+        assert one_lattice(lambda: dist_error_curve_fast(f, mu.marginals, eps)) == (k + 1, 1)
+    for k in range(6):
+        assert one_lattice(lambda: optimal_dist_error(f, mu, k)) == (min(k, 4) + 1, 1)
+    assert one_lattice(lambda: dist_error_curve_fast(f, mu.marginals)) == (5, 1)
+    # depth and zero-error cost stack only the mask, and D reads only up to D
+    assert one_lattice(lambda: exact_D(f)) == (d + 1, 1)
+    assert one_lattice(lambda: zero_error_expected_cost(f, mu)) == (5, 1)
+
+    work.clear()
+    res = dprod_search(f, 1 / 3, restarts=1, seed=3)
+    assert len(work) == res.evaluations
+    monkeypatch.undo()
+    for counts in work.values():
+        curve = dist_error_curve_fast(f, counts["marginals"])
+        stop = next(k for k, e in enumerate(curve) if e <= 1 / 3 + 1e-12)
+        assert (counts["rounds"], counts["stacks"]) == (stop + 1, 1)
+    assert max(c["rounds"] for c in work.values()) < len(full)
 
 
 # -- zero-error expected cost ----------------------------------------------------

@@ -671,6 +671,59 @@ def test_dprod_search_nand_tree_sandwich():
     assert uniform_value <= res.depth <= exact_D(g2)
 
 
+# Results recorded before the search's curves stopped at the least depth:
+# (f, restarts, seed, repr of the result).
+_DPROD_PINS = [
+    (nand_tree(3), 1, 20240818,
+     "DprodSearchResult(mu=ProductDistribution(marginals=(0.6, 0.6, 0.6, 0.6, 0.6, 0.6, 0.6, "
+     "0.6)), depth=2, evaluations=129)"),
+    (nand_tree(3), 4, 20240818,
+     "DprodSearchResult(mu=ProductDistribution(marginals=(0.7213333333333333, 0.61, 0.62, "
+     "0.6766666666666666, 0.608, 0.7223333333333333, 0.7413333333333333, "
+     "0.5666666666666667)), depth=2, evaluations=881)"),
+    (nand_tree(3), 4, 3,
+     "DprodSearchResult(mu=ProductDistribution(marginals=(0.799, 0.8, 0.6080000000000001, "
+     "0.2566666666666667, 0.7000000000000001, 0.5333333333333333, 0.6233333333333333, "
+     "0.6333333333333333)), depth=2, evaluations=826)"),
+    (xor(3), 3, 1,
+     "DprodSearchResult(mu=ProductDistribution(marginals=(0.4, 0.6000000000000001, 0.5)), "
+     "depth=3, evaluations=105)"),
+    (nand_tree(2), 4, 3,
+     "DprodSearchResult(mu=ProductDistribution(marginals=(0.5563333333333333, "
+     "0.5556666666666666, 0.5646666666666667, 0.522)), depth=1, evaluations=335)"),
+]
+
+
+@pytest.mark.parametrize("f, restarts, seed, pin", _DPROD_PINS)
+def test_dprod_search_is_pinned(f, restarts, seed, pin):
+    assert repr(dprod_search(f, 1 / 3, restarts=restarts, seed=seed)) == pin
+
+
+def test_dprod_search_refuses_bad_arguments_before_any_lattice_work(monkeypatch):
+    def no_curve(*args, **kwargs):
+        raise AssertionError("a curve was computed before the arguments were checked")
+
+    monkeypatch.setattr(games, "dist_error_curve_fast", no_curve)
+    for eps in (-0.1, float("nan"), Fraction(-1, 3)):
+        with pytest.raises(ValueError, match="eps must be >= 0"):
+            dprod_search(xor(2), eps)
+    for restarts in (0, -1):
+        with pytest.raises(ValueError, match="restarts must be >= 1"):
+            dprod_search(xor(2), 1 / 3, restarts=restarts)
+
+
+def test_eps_games_refuse_a_negative_or_nan_eps_before_any_lp(monkeypatch):
+    def no_game(*args, **kwargs):
+        raise AssertionError("a game was solved before eps was checked")
+
+    monkeypatch.setattr(games, "r_game_value", no_game)
+    monkeypatch.setattr(games, "rs_game_value", no_game)
+    for eps in (-0.1, float("nan"), Fraction(-1, 3)):
+        for exact_eps in (exact_R_eps, exact_RS_eps):
+            with pytest.raises(ValueError, match="eps must be >= 0"):
+                exact_eps(xor(2), eps)
+
+
 def test_dump_game_renders():
     text = dump_game([[1, 2], [3, 4]], ["a", "b"], ["c", "d"])
     assert '"payoff"' in text and '"rows"' in text

@@ -147,6 +147,19 @@ class ProductDistribution:
         return (rng.random((n, self.arity)) < p).astype(np.uint8)
 
 
+def _support(mu: ProductDistribution) -> list:
+    """The (truth-table index, mass) pairs of mu's positive-mass points, by
+    ascending index. Masses multiply the marginal factors in variable order,
+    as ``point_prob`` does, in the marginals' own arithmetic; a zero factor
+    drops its branch, so each 0/1 marginal leaves the list its size."""
+    points = [(0, 1)]
+    for j, p in enumerate(mu.marginals):
+        bit, q = 1 << j, 1 - p
+        points = (([(idx, w * q) for idx, w in points] if q else [])
+                  + ([(idx | bit, w * p) for idx, w in points] if p else []))
+    return points
+
+
 @dataclass(frozen=True)
 class Subcube:
     """A subcube given by fixed variable assignments ``{i: b}`` (1-indexed)."""
@@ -178,9 +191,6 @@ class Subcube:
 
     def fixed_vars(self) -> tuple:
         return tuple(i for i, _ in self.fixed)
-
-    def contains(self, x: Point) -> bool:
-        return all(x[i - 1] == b for i, b in self.fixed)
 
     def merge(self, other: "Subcube") -> "Subcube":
         """Intersection of two subcubes; conflicting assignments are an error."""
@@ -302,9 +312,9 @@ def influence_i(f: BooleanFunction, mu: ProductDistribution, i: int):
         return factor
     disagree = 0
     bit = 1 << (i - 1)
-    for idx in range(f.size):
+    for idx, w in _support(mu):
         if f.value_at(idx) != f.value_at(idx ^ bit):
-            disagree = disagree + mu.point_prob(point_from_index(idx, f.arity))
+            disagree = disagree + w
     return factor * disagree
 
 
@@ -339,9 +349,9 @@ def prob_one(f: BooleanFunction, mu: ProductDistribution):
     _check_pair(f, mu)
     if not _is_float(mu):
         q = 0
-        for idx in range(f.size):
+        for idx, w in _support(mu):
             if f.value_at(idx):
-                q = q + mu.point_prob(point_from_index(idx, f.arity))
+                q = q + w
         return q
     tbl = f.table_array()
     w = mu.weight_array()
@@ -360,11 +370,11 @@ def avg_sensitivity(f: BooleanFunction, mu: ProductDistribution):
     if _is_float(mu):
         return float(_sensitivity_vector(f) @ mu.weight_array())
     total = 0
-    for idx in range(f.size):
+    for idx, w in _support(mu):
         v = f.value_at(idx)
         s = sum(1 for j in range(f.arity) if f.value_at(idx ^ (1 << j)) != v)
         if s:
-            total = total + s * mu.point_prob(point_from_index(idx, f.arity))
+            total = total + s * w
     return total
 
 

@@ -175,6 +175,7 @@ def _parse_depths(args) -> list:
         lo, hi = int(lo), int(hi or lo)
         if hi < lo:
             raise ValueError("empty depth range")
+        nt._check_mc_depth(lo)
         nt._check_mc_depth(hi)
         return list(range(lo, hi + 1))
     if args.depth is not None:
@@ -310,6 +311,10 @@ def cmd_nand(args) -> RunRecord:
 
 def cmd_sabotage(args) -> RunRecord:
     d = args.depth
+    # the recursion checks compare levels t and t + 1 <= min(t_max, d)
+    if d < 1 or args.t_max < 1:
+        raise ValueError(f"sabotage needs --depth >= 1 and --t-max >= 1, "
+                         f"got {d} and {args.t_max}")
     nt._check_mc_depth(d)
     nt._check_samples(args.samples)
     rows = []
@@ -381,8 +386,9 @@ def _build_parser() -> argparse.ArgumentParser:
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, mu_default=None):
-        sp.add_argument("--eps", type=_eps_arg, default=1 / 3)
+    def common(sp, mu_default=None, eps=True):
+        if eps:
+            sp.add_argument("--eps", type=_eps_arg, default=1 / 3)
         sp.add_argument("--seed", type=int, default=vf.DEFAULT_SEED)
         sp.add_argument("--out", default=None)
         sp.add_argument("--format", choices=("csv", "text"), default="csv")
@@ -413,11 +419,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t-max", type=int, default=99)
     sp.add_argument("--samples", type=int, default=10_000)
     sp.add_argument("--dump-pairs", type=int, default=0)
-    common(sp)
+    common(sp, eps=False)
 
     sp = sub.add_parser("verify", help="run the acceptance criteria")
     sp.add_argument("--criteria", default="", help="e.g. 1,2,5-7 (default: all)")
-    common(sp)
+    common(sp, eps=False)
     return p
 
 

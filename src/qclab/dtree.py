@@ -31,7 +31,7 @@ from .boolfunc import (
     Point,
     ProductDistribution,
     Subcube,
-    subcube_prob,
+    _support,
 )
 
 DP_MAX_ARITY = 14
@@ -51,13 +51,11 @@ __all__ = [
     "run",
     "tree_depth",
     "tree_leaves",
-    "queried_set",
     "exact_D",
     "optimal_dist_error",
     "exact_Dmu_eps",
     "zero_error_expected_cost",
     "dist_error_curve_fast",
-    "prob_one_in_subcube",
     "leaf_profile",
     "avg_leaf_bias",
     "label_leaves",
@@ -138,9 +136,6 @@ class DecisionTree:
     def depth(self) -> int:
         return tree_depth(self.root)
 
-    def is_labeled(self) -> bool:
-        return all(label is not None for _, _, label, _ in tree_leaves(self))
-
 
 def tree_depth(node: Node) -> int:
     if isinstance(node, Leaf):
@@ -182,10 +177,6 @@ def run(tree: DecisionTree, x: Point) -> RunResult:
         path.append(str(b))
         node = node.child1 if b else node.child0
     return RunResult("".join(path), tuple(queried), node.label)
-
-
-def queried_set(tree: DecisionTree, x: Point) -> frozenset:
-    return frozenset(run(tree, x).queried)
 
 
 @dataclass(frozen=True)
@@ -406,36 +397,40 @@ def dist_error_curve_fast(f: BooleanFunction, marginals: Sequence[float], eps=No
 # ---------------------------------------------------------------------------
 
 
-def prob_one_in_subcube(f: BooleanFunction, mu: ProductDistribution, c: Subcube):
-    """Pr[f = 1] under mu conditioned on c (c must have positive mass).
+def _leaf_masses(tree: DecisionTree, f: BooleanFunction, support: list) -> dict:
+    """{leaf_id: (Pr[leaf, f=0], Pr[leaf, f=1])} for every leaf that holds a
+    point of ``support`` (``boolfunc._support``), in leaf order.
 
-    Variables with 0/1 marginals are forced rather than enumerated, so
-    two-point and other degenerate distributions stay cheap.
+    The points are split down the tree by each queried bit, so a subtree
+    that no point reaches is never entered, and a two-point mu follows at
+    most two paths. Each mass sums its leaf's points by ascending index.
     """
-    fixed = c.fixed_map()
-    base = 0
-    for i, b in fixed.items():
-        base |= b << (i - 1)
-    free = []
-    for var in c.free_vars(f.arity):
-        pv = mu.marginals[var - 1]
-        if pv == 0:
+    masses = {}
+    stack = [(tree.root, "", support)]
+    while stack:
+        node, path, points = stack.pop()
+        if isinstance(node, Query):
+            bit = 1 << (node.var - 1)
+            ones = [pt for pt in points if pt[0] & bit]
+            zeros = [pt for pt in points if not pt[0] & bit]
+            if ones:  # pushed first, so child0's leaves come out first
+                stack.append((node.child1, path + "1", ones))
+            if zeros:
+                stack.append((node.child0, path + "0", zeros))
             continue
-        if pv == 1:
-            base |= 1 << (var - 1)
-            continue
-        free.append((var, pv))
-    q = 0
-    for comp in range(1 << len(free)):
-        idx = base
-        w = 1
-        for j, (var, pv) in enumerate(free):
-            bit = (comp >> j) & 1
-            idx |= bit << (var - 1)
-            w = w * (pv if bit else (1 - pv))
-        if f.value_at(idx):
-            q = q + w
-    return q
+        m0 = m1 = 0
+        for idx, w in points:
+            if f.value_at(idx):
+                m1 = m1 + w
+            else:
+                m0 = m0 + w
+        masses[path] = (m0, m1)
+    return masses
+
+
+def _check_arities(tree: DecisionTree, f: BooleanFunction, mu: ProductDistribution):
+    if tree.arity != f.arity or f.arity != mu.arity:
+        raise ValueError("arity mismatch")
 
 
 class LeafStat(NamedTuple):
@@ -458,26 +453,29 @@ class LeafProfile:
 def leaf_profile(tree: DecisionTree, f: BooleanFunction, mu: ProductDistribution) -> LeafProfile:
     """Reach probability and bias min{Pr[f=0|leaf], Pr[f=1|leaf]} per leaf.
 
-    Zero-reach leaves get bias 0.
+    Zero-reach leaves, and leaves where f is constant on mu's mass, get bias 0.
     """
-    if tree.arity != f.arity or f.arity != mu.arity:
-        raise ValueError("arity mismatch")
+    _check_arities(tree, f, mu)
+    masses = _leaf_masses(tree, f, _support(mu))
     stats = []
-    for leaf_id, cube, _, _ in tree_leaves(tree):
-        reach = subcube_prob(mu, cube)
-        if reach == 0:
-            stats.append(LeafStat(leaf_id, reach, 0))
-            continue
-        q = prob_one_in_subcube(f, mu, cube)
-        stats.append(LeafStat(leaf_id, reach, min(q, 1 - q)))
+    for leaf_id, _, _, _ in tree_leaves(tree):
+        m0, m1 = masses.get(leaf_id, (0, 0))
+        reach = m0 + m1
+        stats.append(LeafStat(leaf_id, reach, min(m0, m1) / reach if m0 and m1 else 0))
     return LeafProfile(tuple(stats))
 
 
 def avg_leaf_bias(r: RandomizedTree, f: BooleanFunction, mu: ProductDistribution):
-    """E_{T~R} E_{leaf~reach}[bias]; the unlabelled-tree error proxy."""
+    """E_{T~R} sum over leaves of min{Pr[leaf, f=0], Pr[leaf, f=1]}: the
+    reach-weighted leaf bias, the unlabelled-tree error proxy."""
+    support = _support(mu)
     total = 0
     for w, tree in r.entries:
-        total = total + w * leaf_profile(tree, f, mu).total_bias()
+        _check_arities(tree, f, mu)
+        bias = 0
+        for m0, m1 in _leaf_masses(tree, f, support).values():
+            bias = bias + min(m0, m1)
+        total = total + w * bias
     return total
 
 
@@ -486,38 +484,30 @@ def label_leaves(tree: DecisionTree, f: BooleanFunction, mu: ProductDistribution
 
     Zero-mass leaves are labeled 0.
     """
-    if tree.arity != f.arity or f.arity != mu.arity:
-        raise ValueError("arity mismatch")
+    _check_arities(tree, f, mu)
+    masses = _leaf_masses(tree, f, _support(mu))
 
-    def walk(node, fixed):
+    def walk(node, path):
         if isinstance(node, Leaf):
-            cube = Subcube(tuple(fixed))
-            if subcube_prob(mu, cube) == 0:
-                return Leaf(0)
-            q = prob_one_in_subcube(f, mu, cube)
-            return Leaf(1 if 2 * q >= 1 else 0)
-        return Query(
-            node.var,
-            walk(node.child0, fixed + [(node.var, 0)]),
-            walk(node.child1, fixed + [(node.var, 1)]),
-        )
+            m0, m1 = masses.get(path, (0, 0))
+            return Leaf(1 if m1 and m1 >= m0 else 0)
+        return Query(node.var, walk(node.child0, path + "0"), walk(node.child1, path + "1"))
 
-    return DecisionTree(tree.arity, walk(tree.root, []))
+    return DecisionTree(tree.arity, walk(tree.root, ""))
 
 
 def tree_error(tree: DecisionTree, f: BooleanFunction, mu: ProductDistribution):
     """Pr_{x~mu}[f(x) != T(x)], exact by summation over leaves."""
-    if tree.arity != f.arity or f.arity != mu.arity:
-        raise ValueError("arity mismatch")
+    _check_arities(tree, f, mu)
+    masses = _leaf_masses(tree, f, _support(mu))
     err = 0
-    for leaf_id, cube, label, _ in tree_leaves(tree):
-        reach = subcube_prob(mu, cube)
-        if reach == 0:
+    for leaf_id, _, label, _ in tree_leaves(tree):
+        if leaf_id not in masses:
             continue
         if label is None:
             raise ValueError(f"reachable leaf {leaf_id!r} has no label")
-        q = prob_one_in_subcube(f, mu, cube)
-        err = err + reach * (q if label == 0 else (1 - q))
+        m0, m1 = masses[leaf_id]
+        err = err + (m1 if label == 0 else m0)
     return err
 
 

@@ -27,10 +27,8 @@ from .boolfunc import (
     BooleanFunction,
     Point,
     ProductDistribution,
-    Subcube,
     point_from_index,
     sensitivity,
-    subcube_prob,
 )
 from .dtree import (
     DP_MAX_ARITY,
@@ -42,7 +40,6 @@ from .dtree import (
     _within_eps,
     avg_leaf_bias,
     dist_error_curve_fast,
-    prob_one_in_subcube,
     run,
 )
 
@@ -729,20 +726,6 @@ def check_amplified_bias(r: RandomizedTree, f: BooleanFunction,
     )
 
 
-def _two_point_bias(r: RandomizedTree, f: BooleanFunction, mu: ProductDistribution, x: Point):
-    """``avg_leaf_bias(r, f, mu)`` for a mu whose mass lies on x and one other
-    point: a leaf with nonzero reach holds one of the two or both, and only
-    one holding both can be biased, so each tree's term is that of the leaf
-    that x reaches."""
-    total = 0
-    for w, tree in r.entries:
-        leaf = run(tree, x)
-        cube = Subcube(tuple(zip(leaf.queried, map(int, leaf.leaf_id))))
-        q = prob_one_in_subcube(f, mu, cube)
-        total = total + w * (subcube_prob(mu, cube) * min(q, 1 - q))
-    return total
-
-
 @dataclass(frozen=True)
 class TwoPointBoundReport:
     pairs_checked: int
@@ -764,10 +747,9 @@ def check_two_point_bound(r: RandomizedTree, f: BooleanFunction, tol=0) -> TwoPo
         for i in range(1, f.arity + 1):
             if f.value_at(idx ^ (1 << (i - 1))) == v:
                 continue
-            marg = [half if j == i else (x[j - 1] + 0 if not exact else Fraction(x[j - 1]))
-                    for j in range(1, f.arity + 1)]
-            mu = ProductDistribution(tuple(marg))
-            bias = _two_point_bias(r, f, mu, x)
+            mu = ProductDistribution(tuple(half if j == i else x[j - 1]
+                                           for j in range(1, f.arity + 1)))
+            bias = avg_leaf_bias(r, f, mu)
             miss = miss_probability(r, x, i)
             violation = miss * half - bias
             checked += 1

@@ -296,6 +296,8 @@ MC_MAX_DEPTH = (_BATCH_ELEMENTS // _MIN_BATCH_ROWS).bit_length() - 1
 
 
 def _check_mc_depth(d: int) -> None:
+    if d < 0:
+        raise ValueError(f"depth must be >= 0, got {d}")
     if d > MC_MAX_DEPTH:
         raise ValueError(
             f"depth {d} above the Monte-Carlo cap {MC_MAX_DEPTH}: {_MIN_BATCH_ROWS} rows "

@@ -500,12 +500,16 @@ def check_recursions(estimates: dict, z: float = 3.0) -> RecursionReport:
     aggregates it. The geometric growth is unaffected: a bounded additive
     perturbation of the supercritical two-term recursion still grows at its
     spectral rate.
+
+    Estimates with no two consecutive levels check no inequality, so they
+    raise ``ValueError`` rather than report a vacuous pass.
     """
     levels = sorted(estimates)
+    pairs = [(lo, hi) for lo, hi in zip(levels, levels[1:]) if hi == lo + 1]
+    if not pairs:
+        raise ValueError(f"recursion checks need two consecutive levels, got {levels}")
     rows = []
-    for lo, hi in zip(levels, levels[1:]):
-        if hi != lo + 1:
-            continue
+    for lo, hi in pairs:
         e0_lo, e1_lo = estimates[lo]
         e0_hi, e1_hi = estimates[hi]
         sig_a = math.hypot(e0_hi.sigma, e1_lo.sigma)

@@ -43,6 +43,7 @@ from qclab.boolfunc import (
     variance,
     xor,
 )
+from qclab.boolfunc import _support
 
 # -- strategies --------------------------------------------------------------
 
@@ -216,6 +217,25 @@ def test_rational_mu_stays_exact_above_arity_6():
     got = (prob_one(f, mu), influence(f, mu), avg_sensitivity(f, mu))
     assert all(type(v) is Fraction for v in got)
     assert got == _loop_measures(f, mu)
+
+
+def test_exact_measures_sum_over_the_positive_mass_support():
+    # 0 and 1 marginals (Fraction or int) drop their zero branches, so the
+    # support holds exactly the positive-mass points, by ascending index
+    rng = random.Random(11)
+    for _ in range(200):
+        m = rng.randint(1, 7)
+        f = random_function(m, rng)
+        mu = ProductDistribution(tuple(
+            rng.choice((0, 1, Fraction(0), Fraction(1), Fraction(rng.randint(1, 7), 8)))
+            for _ in range(m)))
+        masses = [mu.point_prob(point_from_index(idx, m)) for idx in range(f.size)]
+        assert _support(mu) == [(idx, w) for idx, w in enumerate(masses) if w]
+        assert (prob_one(f, mu), influence(f, mu), avg_sensitivity(f, mu)) == _loop_measures(f, mu)
+        for i in range(1, m + 1):
+            p, bit = mu.marginals[i - 1], 1 << (i - 1)
+            assert influence_i(f, mu, i) == 4 * p * (1 - p) * sum(
+                w for idx, w in enumerate(masses) if f.value_at(idx) != f.value_at(idx ^ bit))
 
 
 def test_weight_array_is_the_kron_product_bit_for_bit():

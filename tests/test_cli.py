@@ -9,13 +9,16 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from qclab import games
+from qclab import games, nandtree, sabotage
 from qclab.boolfunc import and_f, nand2, save_function, save_distribution, uniform_distribution
 from qclab.cli import main, normalize_for_compare
 
 
 def run_cli(capsys, *argv):
-    status = main(list(argv))
+    try:
+        status = main(list(argv))
+    except SystemExit as exc:  # argparse refusals
+        status = exc.code
     out = capsys.readouterr()
     return status, out.out, out.err
 
@@ -162,13 +165,28 @@ def test_huge_depths_exit_2_before_allocating(capsys, monkeypatch):
     def no_search(*args, **kwargs):
         raise AssertionError("dprod_search ran before the sample count was checked")
 
+    def no_mc(*args, **kwargs):
+        raise AssertionError("Monte-Carlo work ran before the arguments were checked")
+
     monkeypatch.setattr(games, "dprod_search", no_search)
+    monkeypatch.setattr(nandtree, "mc_cost", no_mc)
+    monkeypatch.setattr(sabotage, "estimate_sep_counts", no_mc)
     cap, few = "Monte-Carlo cap 22", "need at least 100 samples"
+    negative, levels = "depth must be >= 0", "sabotage needs --depth >= 1 and --t-max >= 1"
     for argv, message in ((("nand", "--depth", "40", "--samples", "500"), cap),
                           (("nand", "--depths", "4..40", "--samples", "500"), cap),
                           (("nand", "--depth", "4", "--mu", "search", "--samples", "0"), few),
+                          (("nand", "--depth", "-1", "--samples", "500"), negative),
+                          (("nand", "--depths=-1..3", "--samples", "500"), negative),
                           (("sabotage", "--depth", "40", "--samples", "500"), cap),
-                          (("sabotage", "--depth", "6", "--samples", "0"), few)):
+                          (("sabotage", "--depth", "6", "--samples", "0"), few),
+                          (("sabotage", "--depth", "0", "--samples", "500"), levels),
+                          (("sabotage", "--depth", "-1", "--samples", "500"), levels),
+                          (("sabotage", "--depth", "6", "--t-max", "0"), levels),
+                          (("sabotage", "--depth", "6", "--t-max", "-2"), levels),
+                          (("sabotage", "--depth", "3", "--eps", "0.1"), "unrecognized arguments"),
+                          (("verify", "--criteria", "12", "--eps", "0.1"),
+                           "unrecognized arguments")):
         status, out, err = run_cli(capsys, *argv)
         assert status == 2 and out == ""
         assert message in err

@@ -16,6 +16,7 @@ from qclab.boolfunc import (
     constant,
     nand2,
     nand_tree,
+    point_from_index,
     prob_one,
     random_dyadic_distribution,
     random_function,
@@ -627,6 +628,68 @@ def test_majority_label_error_equals_total_bias():
         err = tree_error(labeled, f, mu)
         assert err <= bias  # equality unless some leaf is exactly balanced
         assert bias <= err + Fraction(1, 2)
+
+
+def _brute_leaf_masses(tree, f, mu):
+    """{leaf_id: [Pr[leaf, f=0], Pr[leaf, f=1]]} for every leaf, in leaf
+    order, by running the tree on every point."""
+    masses = {leaf_id: [0, 0] for leaf_id, _, _, _ in tree_leaves(tree)}
+    for idx in range(f.size):
+        x = point_from_index(idx, f.arity)
+        masses[run(tree, x).leaf_id][f.value_at(idx)] += mu.point_prob(x)
+    return masses
+
+
+def _brute_error(tree, f, mu):
+    err = 0
+    for idx in range(f.size):
+        x = point_from_index(idx, f.arity)
+        if run(tree, x).output != f.value_at(idx):
+            err += mu.point_prob(x)
+    return err
+
+
+@given(st.integers(0, 10**6), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_leaf_statistics_match_a_brute_force_over_every_point(seed, two_point):
+    # Fraction marginals in {0, 1, k/8}, or criterion 7's two-point mu: 1/2
+    # on x and on x with variable i flipped
+    rng = random.Random(seed)
+    m = rng.randint(1, 5)
+    f = random_function(m, rng)
+    if two_point:
+        x, i = point_from_index(rng.randrange(1 << m), m), rng.randint(1, m)
+        marg = [Fraction(1, 2) if j == i else Fraction(x[j - 1]) for j in range(1, m + 1)]
+    else:
+        marg = [Fraction(rng.choice((0, 8, rng.randint(1, 7))), 8) for _ in range(m)]
+    mu = ProductDistribution(tuple(marg))
+    r = random_randomized_tree(m, rng, support=3)
+    want_bias = 0
+    for w, t in r.entries:
+        masses = _brute_leaf_masses(t, f, mu)
+        stats = leaf_profile(t, f, mu).leaves
+        assert [stat.leaf_id for stat in stats] == list(masses)
+        for stat, (m0, m1) in zip(stats, masses.values()):
+            assert stat.reach == m0 + m1
+            assert stat.bias == (min(m0, m1) / (m0 + m1) if m0 + m1 else 0)
+            want_bias += w * min(m0, m1)
+        labeled = label_leaves(t, f, mu)
+        for (_, _, label, _), (m0, m1) in zip(tree_leaves(labeled), masses.values()):
+            assert label == (int(2 * m1 >= m0 + m1) if m0 + m1 else 0)
+        assert tree_error(labeled, f, mu) == _brute_error(labeled, f, mu)
+        guess = random_tree(m, rng, labeled=True)
+        assert tree_error(guess, f, mu) == _brute_error(guess, f, mu)
+    assert avg_leaf_bias(r, f, mu) == want_bias
+
+
+def test_leaf_statistics_refuse_mismatched_arities():
+    mu, t = uniform_distribution(2), DecisionTree(2, Leaf(1))
+    for tree, f in ((t, xor(3)), (DecisionTree(3, Leaf(1)), xor(2))):
+        for stat in (leaf_profile, label_leaves, tree_error):
+            with pytest.raises(ValueError, match="arity mismatch"):
+                stat(tree, f, mu)
+        with pytest.raises(ValueError, match="arity mismatch"):
+            avg_leaf_bias(singleton(tree), f, mu)
 
 
 def test_avg_leaf_bias_linearity():

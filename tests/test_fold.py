@@ -188,3 +188,7 @@ def test_depth_guard_rejects_before_any_allocation():
             mc_sep_cost("saks_wigderson", d, samples, seed=0)
         with pytest.raises(ValueError, match=match):
             estimate_sep_counts("saks_wigderson", d, 0, samples, seed=0)
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        mc_cost("greedy_zero", -1, _Untouchable(), 1000, seed=0)
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        mc_sep_cost("saks_wigderson", -1, 1000, seed=0)

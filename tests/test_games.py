@@ -28,7 +28,6 @@ from qclab.dtree import (
     Leaf,
     Query,
     RandomizedTree,
-    avg_leaf_bias,
     exact_Dmu_eps,
     random_randomized_tree,
     random_tree,
@@ -628,29 +627,6 @@ def test_check_two_point_bound_cases():
     assert check_two_point_bound(singleton(complete_tree(2)), f).ok
     rep = check_two_point_bound(singleton(DecisionTree(2, Leaf(None))), f)
     assert rep.ok and rep.max_violation == 0  # equality at the empty tree
-
-
-@given(st.integers(0, 10**6), st.booleans())
-@settings(max_examples=150, deadline=None)
-def test_two_point_bias_equals_avg_leaf_bias(seed, floats):
-    # the leaf x reaches against every leaf of every tree, in Fractions (or
-    # floats, as check_two_point_bound builds them); mu puts 1/2 on x and
-    # 1/2 on x with variable i flipped
-    rng = random.Random(seed)
-    m = rng.randint(1, 4)
-    f = BooleanFunction(m, rng.getrandbits(1 << m))
-    r = random_randomized_tree(m, rng, support=3)
-    idx, i = rng.randrange(1 << m), rng.randint(1, m)
-    x = tuple((idx >> j) & 1 for j in range(m))
-    if floats:
-        r = RandomizedTree(tuple((float(w), t) for w, t in r.entries))
-        marg = [0.5 if j == i else x[j - 1] for j in range(1, m + 1)]
-    else:
-        marg = [Fraction(1, 2) if j == i else Fraction(x[j - 1]) for j in range(1, m + 1)]
-    mu = ProductDistribution(tuple(marg))
-    bias = games._two_point_bias(r, f, mu, x)
-    assert bias == avg_leaf_bias(r, f, mu)
-    assert type(bias) is type(avg_leaf_bias(r, f, mu))
 
 
 # -- the adversarial-distribution search ------------------------------------------------

@@ -372,6 +372,14 @@ def test_check_recursions_synthetic_equality():
         assert row["lhs"] == pytest.approx(row["rhs"])
 
 
+def test_check_recursions_refuse_estimates_without_consecutive_levels():
+    est = synthetic_estimates(4)
+    for levels in ((), (0,), (3,), (0, 2), (1, 3)):
+        with pytest.raises(ValueError, match="two consecutive levels"):
+            check_recursions({t: est[t] for t in levels})
+    assert len(check_recursions({t: est[t] for t in (0, 2, 3)}).rows) == 2
+
+
 def test_check_recursions_on_the_chain():
     estimates = {
         t: estimate_sep_counts("saks_wigderson", 6, t, 25_000, seed=60 + t) for t in range(7)

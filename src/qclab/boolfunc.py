@@ -11,14 +11,18 @@ work.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 MAX_ARITY = 24
 TOL = 1e-9
+# An exact mass vector holds 2^m Python ints: with interior /64 marginals it
+# took 114 MiB at m = 20 and 367 MiB at m = 22, and each arity doubles it.
+MASS_MAX_EXACT_ARITY = 22
 
 Point = tuple
 
@@ -135,29 +139,56 @@ class ProductDistribution:
         return prob
 
     def weight_array(self) -> np.ndarray:
-        """Vector of point masses indexed like the truth table."""
-        w = np.array([1.0])
-        for p in self.marginals:
-            p = float(p)
-            w = np.concatenate(((1 - p) * w, p * w))
-        return w
+        """Vector of float64 point masses indexed like the truth table."""
+        w, _ = _masses([float(p) for p in self.marginals])
+        return w.astype(np.float64, copy=False)  # no marginal: the exact int 1
 
     def sample(self, rng: np.random.Generator, n: int = 1) -> np.ndarray:
         p = np.array([float(q) for q in self.marginals])
         return (rng.random((n, self.arity)) < p).astype(np.uint8)
 
 
-def _support(mu: ProductDistribution) -> list:
-    """The (truth-table index, mass) pairs of mu's positive-mass points, by
-    ascending index. Masses multiply the marginal factors in variable order,
-    as ``point_prob`` does, in the marginals' own arithmetic; a zero factor
-    drops its branch, so each 0/1 marginal leaves the list its size."""
-    points = [(0, 1)]
-    for j, p in enumerate(mu.marginals):
-        bit, q = 1 << j, 1 - p
-        points = (([(idx, w * q) for idx, w in points] if q else [])
-                  + ([(idx | bit, w * p) for idx, w in points] if p else []))
-    return points
+class _Arithmetic(NamedTuple):
+    exact: bool
+    weights: list  # (w0, w1) per variable, in variable order
+    one: object
+    value: object  # a sum of scaled values -> the probability it stands for
+    dtype: object  # of a numpy array of values
+
+
+def _arithmetic(marginals: Sequence) -> _Arithmetic:
+    """The one arithmetic rule for values over a product distribution.
+
+    Any float marginal makes every value a float: variable j's weights are
+    ``(1 - p, p)`` for ``p = float(p_j)``, ``one`` is 1.0 and ``value`` is
+    float, in float64 arrays. Otherwise p_j = n_j / d_j (an int, or a
+    Fraction in lowest terms), the weights are ``(d_j - n_j, n_j)``, and a
+    value is a Python int scaled by ``one``, the product of the
+    denominators, in object arrays: ``value(v)`` is ``Fraction(v, one)``, or
+    an int when every marginal is an int.
+    """
+    if any(isinstance(p, float) for p in marginals):
+        return _Arithmetic(False, [(1 - p, p) for p in map(float, marginals)], 1.0, float,
+                           np.float64)
+    one = math.prod(p.denominator for p in marginals)
+    rational = any(isinstance(p, Fraction) for p in marginals)
+    return _Arithmetic(True, [(p.denominator - p.numerator, p.numerator) for p in marginals],
+                       one, (lambda v: Fraction(v, one)) if rational else int, object)
+
+
+def _masses(marginals: Sequence) -> tuple:
+    """``(w, arithmetic)``: the 2^m point masses, indexed like the truth
+    table, each the product of one ``_arithmetic`` weight per variable (exact:
+    Python ints over ``one``, refused above ``MASS_MAX_EXACT_ARITY``)."""
+    ar = _arithmetic(marginals)
+    if ar.exact and len(marginals) > MASS_MAX_EXACT_ARITY:
+        raise ValueError(f"exact point masses capped at arity {MASS_MAX_EXACT_ARITY}; "
+                         "pass float marginals")
+    pairs = np.array(ar.weights, dtype=ar.dtype)
+    w = np.ones(1, dtype=ar.dtype)
+    for pair in pairs:  # (w0 * w, w1 * w), one variable more significant
+        w = np.multiply.outer(pair, w).ravel()
+    return w, ar
 
 
 @dataclass(frozen=True)
@@ -301,61 +332,41 @@ def sensitivity(f: BooleanFunction) -> int:
     return int(_sensitivity_vector(f).max())
 
 
+def _influences(f: BooleanFunction, mu: ProductDistribution, variables):
+    """Yield 4 p_i (1-p_i) Pr_{x~mu}[f(x) != f(x^{+i})] for each i of ``variables``."""
+    w, ar = _masses(mu.marginals)
+    tbl = f.table_array()
+    idx = np.arange(f.size)
+    for i in variables:
+        # exact: the marginal itself, so an int 0/1 marginal gives the int 0
+        p = mu.marginals[i - 1] if ar.exact else ar.weights[i - 1][1]
+        factor = 4 * p * (1 - p)
+        if factor:
+            factor = factor * ar.value(w[tbl != tbl[idx ^ (1 << (i - 1))]].sum())
+        yield factor
+
+
 def influence_i(f: BooleanFunction, mu: ProductDistribution, i: int):
     """4 p_i (1-p_i) Pr_{x~mu}[f(x) != f(x^{+i})]."""
     _check_pair(f, mu)
     if not 1 <= i <= f.arity:
         raise ValueError(f"variable index {i} out of range")
-    p = mu.marginals[i - 1]
-    factor = 4 * p * (1 - p)
-    if factor == 0:
-        return factor
-    disagree = 0
-    bit = 1 << (i - 1)
-    for idx, w in _support(mu):
-        if f.value_at(idx) != f.value_at(idx ^ bit):
-            disagree = disagree + w
-    return factor * disagree
-
-
-def _is_float(mu: ProductDistribution) -> bool:
-    """Any float marginal makes every value a float (the rule of
-    ``dtree._Lattice``): such mu take the numpy paths, all others the exact
-    loops."""
-    return any(isinstance(p, float) for p in mu.marginals)
+    return next(_influences(f, mu, [i]))
 
 
 def influence(f: BooleanFunction, mu: ProductDistribution):
     _check_pair(f, mu)
-    if not _is_float(mu):
-        total = 0
-        for i in range(1, f.arity + 1):
-            total = total + influence_i(f, mu, i)
-        return total
-    # one weight vector, all variables at once
-    tbl = f.table_array()
-    w = mu.weight_array()
-    idx = np.arange(f.size)
-    total = 0.0
-    for j, p in enumerate(mu.marginals):
-        pj = float(p)
-        disagree = float(w[tbl != tbl[idx ^ (1 << j)]].sum())
-        total += 4.0 * pj * (1.0 - pj) * disagree
+    total = 0
+    for term in _influences(f, mu, range(1, f.arity + 1)):
+        total = total + term
     return total
 
 
 def prob_one(f: BooleanFunction, mu: ProductDistribution):
     """Pr_{x~mu}[f(x) = 1]."""
     _check_pair(f, mu)
-    if not _is_float(mu):
-        q = 0
-        for idx, w in _support(mu):
-            if f.value_at(idx):
-                q = q + w
-        return q
-    tbl = f.table_array()
-    w = mu.weight_array()
-    return float(w[tbl == 1].sum())
+    w, ar = _masses(mu.marginals)
+    return ar.value(w[f.table_array() == 1].sum())
 
 
 def variance(f: BooleanFunction, mu: ProductDistribution):
@@ -367,15 +378,8 @@ def variance(f: BooleanFunction, mu: ProductDistribution):
 def avg_sensitivity(f: BooleanFunction, mu: ProductDistribution):
     """E_{x~mu} s(f, x), by full-table summation."""
     _check_pair(f, mu)
-    if _is_float(mu):
-        return float(_sensitivity_vector(f) @ mu.weight_array())
-    total = 0
-    for idx, w in _support(mu):
-        v = f.value_at(idx)
-        s = sum(1 for j in range(f.arity) if f.value_at(idx ^ (1 << j)) != v)
-        if s:
-            total = total + s * w
-    return total
+    w, ar = _masses(mu.marginals)
+    return ar.value(_sensitivity_vector(f) @ w)
 
 
 @dataclass(frozen=True)

@@ -231,32 +231,23 @@ def cmd_game(args) -> RunRecord:
     rows = [
         {"game": f"R_eps(eps={eps})", "value": gm.exact_R_eps(f, eps), "provenance": "lp"},
         {"game": f"RS_eps(eps={eps})", "value": gm.exact_RS_eps(f, eps), "provenance": "lp"},
-        {"game": "RS_E", "value": gm.exact_RSE(f), "provenance": "lp"},
     ]
+    gv, trees, matrix, pairs = gm._rse_solution(f)  # one game for the value, strategies, dump
+    rows.append({"game": "RS_E", "value": gv.value, "provenance": "lp"})
     record = RunRecord("game", {"fn": args.fn, "eps": eps}, rows)
+    pair_labels = [f"x={''.join(map(str, p.x))},y={''.join(map(str, p.y))}" for p in pairs]
     if args.strategies:
-        pairs = gm.all_sabotage_pairs(f)
-        if pairs:
-            trees = gm.zero_error_trees(f)
-            matrix, _ = gm.rse_game(f, trees)
-            gv = gm.solve_zero_sum(matrix)
-            for w, tree in zip(gv.col_strategy, trees):
-                if w > 0:
-                    rows.append({"game": "RS_E_strategy", "value": w,
-                                 "provenance": "lp", "tree": dt.tree_to_json(tree)})
-            for w, pair in zip(gv.row_strategy, pairs):
-                if w > 0:
-                    rows.append({"game": "RS_E_adversary", "value": w, "provenance": "lp",
-                                 "tree": f"x={''.join(map(str, pair.x))},y={''.join(map(str, pair.y))}"})
+        for w, tree in zip(gv.col_strategy, trees):
+            if w > 0:
+                rows.append({"game": "RS_E_strategy", "value": w,
+                             "provenance": "lp", "tree": dt.tree_to_json(tree)})
+        for w, label in zip(gv.row_strategy, pair_labels):
+            if w > 0:
+                rows.append({"game": "RS_E_adversary", "value": w, "provenance": "lp",
+                             "tree": label})
     if args.dump_game:
-        trees = gm.zero_error_trees(f)
-        matrix, pairs = gm.rse_game(f, trees)
         with open(args.dump_game, "w") as fh:
-            fh.write(gm.dump_game(
-                matrix,
-                [f"x={''.join(map(str, p.x))},y={''.join(map(str, p.y))}" for p in pairs],
-                [dt.tree_to_json(t) for t in trees],
-            ))
+            fh.write(gm.dump_game(matrix, pair_labels, [dt.tree_to_json(t) for t in trees]))
     return record
 
 

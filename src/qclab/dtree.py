@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -31,7 +30,8 @@ from .boolfunc import (
     Point,
     ProductDistribution,
     Subcube,
-    _support,
+    _arithmetic,
+    _masses,
 )
 
 DP_MAX_ARITY = 14
@@ -238,39 +238,29 @@ class _Lattice:
     Rounds are computed only as they are read, and the non-constant mask
     only by the two DPs whose base needs it (``depths`` and ``costs``).
 
-    With a float marginal the values are floats. Otherwise they are Python
-    ints scaled by ``one``, the product of the marginals' denominators: each
-    mix divides exactly, because a value over a subcube is multilinear in the
-    marginals of its free variables.
+    Values follow ``boolfunc._arithmetic``: floats with a float marginal,
+    otherwise Python ints scaled by ``one``, the product of the marginals'
+    denominators, where each mix divides exactly, because a value over a
+    subcube is multilinear in the marginals of its free variables.
     """
 
     def __init__(self, f: BooleanFunction, marginals: Sequence = ()):
         m = f.arity
         if m > DP_MAX_ARITY:
             raise ValueError(f"arity {m} above DP cap {DP_MAX_ARITY}")
-        per_axis = list(marginals)[::-1]
-        self.exact = not any(isinstance(p, float) for p in per_axis)
-        if self.exact and per_axis and m > DP_MAX_EXACT_ARITY:
+        # axis order is variable order reversed
+        self.exact, self.weights, self.one, self.value, self.dtype = _arithmetic(marginals[::-1])
+        if self.exact and marginals and m > DP_MAX_EXACT_ARITY:
             raise ValueError(f"arity {m} above the exact-arithmetic DP cap {DP_MAX_EXACT_ARITY}; "
                              "pass float marginals")
         self.m = m
         self.corner = f.table_array().reshape((2,) * m)
-        if self.exact:
-            fr = [Fraction(p) for p in per_axis]
-            self.weights = [(q.denominator - q.numerator, q.numerator, q.denominator) for q in fr]
-            self.dtype, self.one = object, math.prod(q.denominator for q in fr)
-            rational = any(isinstance(p, Fraction) for p in per_axis)
-            self.value = (lambda v: Fraction(v, self.one)) if rational else int  # ints stay ints
-        else:
-            self.weights = [(float(1 - p), float(p)) for p in per_axis]
-            self.dtype, self.one, self.value = np.float64, 1.0, float
 
     def mix(self, ax: int, a, b):
         """(1-p) a + p b, for the marginal p of the variable on axis ``ax``."""
-        if self.exact:
-            n0, n1, d = self.weights[ax]
-            return (n0 * a + n1 * b) // d
         w0, w1 = self.weights[ax]
+        if self.exact:
+            return (w0 * a + w1 * b) // (w0 + w1)
         return w0 * a + w1 * b
 
     def stack(self, corner: np.ndarray, combine) -> np.ndarray:
@@ -397,34 +387,44 @@ def dist_error_curve_fast(f: BooleanFunction, marginals: Sequence[float], eps=No
 # ---------------------------------------------------------------------------
 
 
-def _leaf_masses(tree: DecisionTree, f: BooleanFunction, support: list) -> dict:
-    """{leaf_id: (Pr[leaf, f=0], Pr[leaf, f=1])} for every leaf that holds a
-    point of ``support`` (``boolfunc._support``), in leaf order.
+def _point_masses(mu: ProductDistribution) -> tuple:
+    """``(points, w, prob)``: mu's positive-mass points by ascending index,
+    its mass vector ``boolfunc._masses`` as a list, and ``prob``, which turns
+    a sum of masses into a probability. A sum of no point stays the int 0;
+    every other sum is positive, as its masses are."""
+    w, ar = _masses(mu.marginals)
+    return np.flatnonzero(w).tolist(), w.tolist(), lambda s: s and ar.value(s)
+
+
+def _leaf_masses(tree: DecisionTree, f: BooleanFunction, points: list, w: list) -> dict:
+    """{leaf_id: (s0, s1)} for every leaf that holds one of ``points``, in
+    leaf order: s_b sums the masses ``w`` of the leaf's points with f = b, by
+    ascending index (the int 0 if there is none).
 
     The points are split down the tree by each queried bit, so a subtree
     that no point reaches is never entered, and a two-point mu follows at
-    most two paths. Each mass sums its leaf's points by ascending index.
+    most two paths.
     """
     masses = {}
-    stack = [(tree.root, "", support)]
+    stack = [(tree.root, "", points)]
     while stack:
         node, path, points = stack.pop()
         if isinstance(node, Query):
             bit = 1 << (node.var - 1)
-            ones = [pt for pt in points if pt[0] & bit]
-            zeros = [pt for pt in points if not pt[0] & bit]
+            ones = [idx for idx in points if idx & bit]
+            zeros = [idx for idx in points if not idx & bit]
             if ones:  # pushed first, so child0's leaves come out first
                 stack.append((node.child1, path + "1", ones))
             if zeros:
                 stack.append((node.child0, path + "0", zeros))
             continue
-        m0 = m1 = 0
-        for idx, w in points:
+        s0 = s1 = 0
+        for idx in points:
             if f.value_at(idx):
-                m1 = m1 + w
+                s1 = s1 + w[idx]
             else:
-                m0 = m0 + w
-        masses[path] = (m0, m1)
+                s0 = s0 + w[idx]
+        masses[path] = (s0, s1)
     return masses
 
 
@@ -456,10 +456,11 @@ def leaf_profile(tree: DecisionTree, f: BooleanFunction, mu: ProductDistribution
     Zero-reach leaves, and leaves where f is constant on mu's mass, get bias 0.
     """
     _check_arities(tree, f, mu)
-    masses = _leaf_masses(tree, f, _support(mu))
+    points, w, prob = _point_masses(mu)
+    masses = _leaf_masses(tree, f, points, w)
     stats = []
     for leaf_id, _, _, _ in tree_leaves(tree):
-        m0, m1 = masses.get(leaf_id, (0, 0))
+        m0, m1 = map(prob, masses.get(leaf_id, (0, 0)))
         reach = m0 + m1
         stats.append(LeafStat(leaf_id, reach, min(m0, m1) / reach if m0 and m1 else 0))
     return LeafProfile(tuple(stats))
@@ -468,14 +469,14 @@ def leaf_profile(tree: DecisionTree, f: BooleanFunction, mu: ProductDistribution
 def avg_leaf_bias(r: RandomizedTree, f: BooleanFunction, mu: ProductDistribution):
     """E_{T~R} sum over leaves of min{Pr[leaf, f=0], Pr[leaf, f=1]}: the
     reach-weighted leaf bias, the unlabelled-tree error proxy."""
-    support = _support(mu)
+    points, mass, prob = _point_masses(mu)
     total = 0
     for w, tree in r.entries:
         _check_arities(tree, f, mu)
         bias = 0
-        for m0, m1 in _leaf_masses(tree, f, support).values():
-            bias = bias + min(m0, m1)
-        total = total + w * bias
+        for s0, s1 in _leaf_masses(tree, f, points, mass).values():
+            bias = bias + min(s0, s1)
+        total = total + w * prob(bias)
     return total
 
 
@@ -485,12 +486,13 @@ def label_leaves(tree: DecisionTree, f: BooleanFunction, mu: ProductDistribution
     Zero-mass leaves are labeled 0.
     """
     _check_arities(tree, f, mu)
-    masses = _leaf_masses(tree, f, _support(mu))
+    points, w, _ = _point_masses(mu)
+    masses = _leaf_masses(tree, f, points, w)
 
     def walk(node, path):
         if isinstance(node, Leaf):
-            m0, m1 = masses.get(path, (0, 0))
-            return Leaf(1 if m1 and m1 >= m0 else 0)
+            s0, s1 = masses.get(path, (0, 0))
+            return Leaf(1 if s1 and s1 >= s0 else 0)
         return Query(node.var, walk(node.child0, path + "0"), walk(node.child1, path + "1"))
 
     return DecisionTree(tree.arity, walk(tree.root, ""))
@@ -499,16 +501,17 @@ def label_leaves(tree: DecisionTree, f: BooleanFunction, mu: ProductDistribution
 def tree_error(tree: DecisionTree, f: BooleanFunction, mu: ProductDistribution):
     """Pr_{x~mu}[f(x) != T(x)], exact by summation over leaves."""
     _check_arities(tree, f, mu)
-    masses = _leaf_masses(tree, f, _support(mu))
+    points, w, prob = _point_masses(mu)
+    masses = _leaf_masses(tree, f, points, w)
     err = 0
     for leaf_id, _, label, _ in tree_leaves(tree):
         if leaf_id not in masses:
             continue
         if label is None:
             raise ValueError(f"reachable leaf {leaf_id!r} has no label")
-        m0, m1 = masses[leaf_id]
-        err = err + (m1 if label == 0 else m0)
-    return err
+        s0, s1 = masses[leaf_id]
+        err = err + (s1 if label == 0 else s0)
+    return prob(err)
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,9 @@ from .dtree import (
 RATIONAL_ENTRY_LIMIT = 10_000
 LP_TOL = 1e-9
 RUN_TABLE_ELEMENTS = 1 << 26  # int8 entries per run-table array, as nandtree._BATCH_ELEMENTS
+MIXTURE_DROP_TOL = 1e-12  # column weights at or below it leave an LP mixture
+AMPLIFY_SUPPORT_LIMIT = 500_000  # tuples that amplify may enumerate
+DPROD_SWEEPS = 40  # coordinate-ascent passes per step size in dprod_search
 
 __all__ = [
     "StrategyCatalog",
@@ -243,24 +246,16 @@ def _min_ratio(rhs: np.ndarray, col: np.ndarray, tol) -> np.ndarray:
     return rhs * col[best] == rhs[best] * col
 
 
-def solve_zero_sum(matrix: Sequence[Sequence], sense: str = "row_max",
-                   exact: Optional[bool] = None) -> GameValue:
+def solve_zero_sum(matrix: Sequence[Sequence], exact: Optional[bool] = None) -> GameValue:
     """Value and optimal mixed strategies of a finite zero-sum game.
 
-    ``sense='row_max'``: the row player maximizes the payoff, the column
-    player minimizes; ``'row_min'`` swaps the objective. Solutions are
-    verified against both best-response conditions before being returned;
-    failures raise LPError.
+    The row player maximizes the payoff, the column player minimizes.
+    Solutions are verified against both best-response conditions before
+    being returned; failures raise LPError.
     """
     rows = [list(r) for r in matrix]
     if not rows or not rows[0]:
         raise ValueError("payoff matrix must be non-empty")
-    if sense not in ("row_max", "row_min"):
-        raise ValueError(f"unknown sense {sense!r}")
-    if sense == "row_min":
-        inner = solve_zero_sum([[-v for v in r] for r in rows], "row_max", exact)
-        return GameValue(-inner.value, inner.row_strategy, inner.col_strategy)
-
     if exact is None:
         exact = len(rows) * len(rows[0]) <= RATIONAL_ENTRY_LIMIT and all(
             isinstance(v, (int, Fraction)) for r in rows for v in r
@@ -517,48 +512,49 @@ def rs_game_value(f: BooleanFunction, depth: int) -> tuple:
     return solve_zero_sum(matrix), catalog
 
 
-def exact_R_eps(f: BooleanFunction, eps) -> int:
-    """Least k such that the depth-k labeled-tree game has value <= eps."""
+def _least_depth(f: BooleanFunction, eps, game_value, name: str) -> int:
+    """Least k such that the depth-k game ``game_value(f, k)`` has value <=
+    eps; full-depth trees are exact, so the search ends by k = m."""
     if f.arity > 3:
-        raise ValueError("exact_R_eps capped at arity 3")
+        raise ValueError(f"{name} capped at arity 3")
     _check_eps(eps)
     for k in range(f.arity + 1):
-        gv, _ = r_game_value(f, k)
+        gv, _ = game_value(f, k)
         if _within_eps(gv.value, eps, LP_TOL):
             return k
     raise AssertionError("unreachable: full-depth trees are exact")
 
 
+def exact_R_eps(f: BooleanFunction, eps) -> int:
+    """Least k such that the depth-k labeled-tree game has value <= eps."""
+    return _least_depth(f, eps, r_game_value, "exact_R_eps")
+
+
 def exact_RS_eps(f: BooleanFunction, eps) -> int:
-    """Least k such that the depth-k sabotage game has value <= eps."""
+    """Least k such that the depth-k sabotage game has value <= eps (0 for a
+    function with no pairs, whose game has value 0)."""
+    return _least_depth(f, eps, rs_game_value, "exact_RS_eps")
+
+
+def _rse_solution(f: BooleanFunction) -> tuple:
+    """The RS_E game solved once: ``(GameValue, zero-error trees, matrix,
+    pairs)``, with value 0 and empty strategies when f has no pairs."""
     if f.arity > 3:
-        raise ValueError("exact_RS_eps capped at arity 3")
-    _check_eps(eps)
-    if not all_sabotage_pairs(f):
-        return 0
-    for k in range(f.arity + 1):
-        gv, _ = rs_game_value(f, k)
-        if _within_eps(gv.value, eps, LP_TOL):
-            return k
-    raise AssertionError("unreachable: full-depth trees separate everything")
+        raise ValueError("exact_RSE capped at arity 3")
+    trees = zero_error_trees(f)
+    matrix, pairs = rse_game(f, trees)
+    gv = solve_zero_sum(matrix) if pairs else GameValue(0, (), ())
+    return gv, trees, matrix, pairs
 
 
 def exact_RSE(f: BooleanFunction):
     """Expected sabotage complexity: LP over zero-error trees vs all pairs."""
-    if f.arity > 3:
-        raise ValueError("exact_RSE capped at arity 3")
-    pairs = all_sabotage_pairs(f)
-    if not pairs:
-        return 0
-    trees = zero_error_trees(f)
-    matrix, _ = rse_game(f, trees)
-    return solve_zero_sum(matrix).value
+    return _rse_solution(f)[0].value
 
 
-def mixture_from_columns(catalog_trees: Sequence[DecisionTree], gv: GameValue,
-                         drop_tol: float = 1e-12) -> RandomizedTree:
+def mixture_from_columns(catalog_trees: Sequence[DecisionTree], gv: GameValue) -> RandomizedTree:
     """The column player's optimal mixture as a RandomizedTree."""
-    entries = [(w, t) for w, t in zip(gv.col_strategy, catalog_trees) if w > drop_tol]
+    entries = [(w, t) for w, t in zip(gv.col_strategy, catalog_trees) if w > MIXTURE_DROP_TOL]
     total = sum(w for w, _ in entries)
     return RandomizedTree(tuple((w / total, t) for w, t in entries))
 
@@ -658,7 +654,7 @@ def compose_trees(first: DecisionTree, second: DecisionTree) -> DecisionTree:
     return DecisionTree(first.arity, _graft(first.root, {}, second.root))
 
 
-def amplify(r: RandomizedTree, reps: int, support_limit: int = 500_000) -> RandomizedTree:
+def amplify(r: RandomizedTree, reps: int) -> RandomizedTree:
     """Independent repetitions of R, each tuple flattened into one tree that
     queries the union of the tuple's queries along every consistent path.
 
@@ -666,9 +662,9 @@ def amplify(r: RandomizedTree, reps: int, support_limit: int = 500_000) -> Rando
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    if len(r.entries) ** reps > support_limit:
+    if len(r.entries) ** reps > AMPLIFY_SUPPORT_LIMIT:
         raise ValueError(
-            f"amplified support {len(r.entries)}^{reps} exceeds limit {support_limit}"
+            f"amplified support {len(r.entries)}^{reps} exceeds limit {AMPLIFY_SUPPORT_LIMIT}"
         )
     merged = {}
     for combo in itertools.product(r.entries, repeat=reps):
@@ -773,14 +769,14 @@ class DprodSearchResult:
 
 
 def dprod_search(f: BooleanFunction, eps: float, restarts: int = 6,
-                 sweeps: int = 40, seed: int = 0) -> DprodSearchResult:
+                 seed: int = 0) -> DprodSearchResult:
     """Multi-start coordinate ascent maximizing the distributional depth over
     product distributions. Heuristic: the returned depth is a certified lower
     bound on the product-distribution complexity, not a certified maximum.
 
     Ascent is lexicographic on (depth, residual error at that depth) so the
-    walk can creep along constant-depth plateaus; ``sweeps`` caps the number
-    of passes per step size.
+    walk can creep along constant-depth plateaus; ``DPROD_SWEEPS`` caps the
+    number of passes per step size.
     """
     m = f.arity
     if m > DP_MAX_ARITY:
@@ -807,7 +803,7 @@ def dprod_search(f: BooleanFunction, eps: float, restarts: int = 6,
         p = [float(v) for v in starts[r]]
         cur = score(p)
         for step in steps:
-            for _ in range(sweeps):
+            for _ in range(DPROD_SWEEPS):
                 improved = False
                 for j in range(m):
                     for cand in (p[j] + step, p[j] - step):

@@ -43,7 +43,7 @@ from qclab.boolfunc import (
     variance,
     xor,
 )
-from qclab.boolfunc import _support
+from qclab.boolfunc import _masses
 
 # -- strategies --------------------------------------------------------------
 
@@ -192,7 +192,7 @@ def test_influence_fast_path_matches_definition(fm):
     total = 0.0
     for i in range(1, f.arity + 1):
         total += influence_i(f, mu, i)
-    assert influence(f, mu) == pytest.approx(total, abs=1e-10)
+    assert influence(f, mu) == total  # the same terms, summed in the same order
 
 
 def _loop_measures(f, mu):
@@ -220,8 +220,8 @@ def test_rational_mu_stays_exact_above_arity_6():
 
 
 def test_exact_measures_sum_over_the_positive_mass_support():
-    # 0 and 1 marginals (Fraction or int) drop their zero branches, so the
-    # support holds exactly the positive-mass points, by ascending index
+    # 0 and 1 marginals (Fraction or int) give zero masses; every mass of the
+    # vector, read by value, equals point_prob
     rng = random.Random(11)
     for _ in range(200):
         m = rng.randint(1, 7)
@@ -230,7 +230,8 @@ def test_exact_measures_sum_over_the_positive_mass_support():
             rng.choice((0, 1, Fraction(0), Fraction(1), Fraction(rng.randint(1, 7), 8)))
             for _ in range(m)))
         masses = [mu.point_prob(point_from_index(idx, m)) for idx in range(f.size)]
-        assert _support(mu) == [(idx, w) for idx, w in enumerate(masses) if w]
+        w, ar = _masses(mu.marginals)
+        assert [ar.value(v) for v in w] == masses
         assert (prob_one(f, mu), influence(f, mu), avg_sensitivity(f, mu)) == _loop_measures(f, mu)
         for i in range(1, m + 1):
             p, bit = mu.marginals[i - 1], 1 << (i - 1)

@@ -55,6 +55,16 @@ def test_game_command(capsys):
     assert status == 2
 
 
+def test_game_command_on_a_function_with_no_pairs(tmp_path, capsys):
+    path = tmp_path / "game.json"
+    status, out, _ = run_cli(capsys, "game", "--fn", "const1:3", "--strategies",
+                             "--dump-game", str(path))
+    assert status == 0
+    assert "RS_E,0,lp" in out and "RS_E_strategy" not in out
+    dump = json.loads(path.read_text())
+    assert dump["rows"] == [] and dump["payoff"] == [] and dump["cols"]
+
+
 _BUILTIN_BASES = ("xor", "and", "or", "dictator", "const0", "const1", "nandtree")
 
 

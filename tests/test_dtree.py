@@ -2,6 +2,7 @@ import functools
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,10 +11,14 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from qclab.boolfunc import (
+    MASS_MAX_EXACT_ARITY,
     BooleanFunction,
     ProductDistribution,
     and_f,
+    avg_sensitivity,
     constant,
+    influence,
+    influence_i,
     nand2,
     nand_tree,
     point_from_index,
@@ -383,6 +388,27 @@ def test_exact_mode_is_capped_below_the_float_cap_before_allocating():
         with pytest.raises(ValueError, match="exact-arithmetic DP cap 13"):
             call()
     assert time.perf_counter() - start < 0.5
+
+
+def test_exact_mass_vector_is_refused_above_its_cap_before_allocating():
+    # an exact mass vector holds 2^m Python ints: at m = 24 that took 1.5 GiB
+    m = MASS_MAX_EXACT_ARITY + 1
+    f = BooleanFunction(m, 0)
+    mu = ProductDistribution((Fraction(1, 3),) * m)
+    tree = DecisionTree(m, Leaf(None))
+    calls = (lambda: prob_one(f, mu), lambda: influence(f, mu), lambda: influence_i(f, mu, 1),
+             lambda: avg_sensitivity(f, mu), lambda: leaf_profile(tree, f, mu),
+             lambda: avg_leaf_bias(singleton(tree), f, mu), lambda: label_leaves(tree, f, mu),
+             lambda: tree_error(DecisionTree(m, Leaf(0)), f, mu))
+    tracemalloc.start()
+    try:
+        for call in calls:
+            with pytest.raises(ValueError, match=f"exact point masses capped at arity {m - 1}"):
+                call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_dist_error_curve_large_arity_and_cap():

@@ -15,6 +15,7 @@ from qclab.boolfunc import (
     ProductDistribution,
     Subcube,
     and_f,
+    constant,
     dictator,
     nand2,
     nand_tree,
@@ -37,6 +38,7 @@ from qclab.dtree import (
 )
 import qclab.games as games
 from qclab.games import (
+    GameValue,
     LPError,
     all_sabotage_pairs,
     amplify,
@@ -176,12 +178,8 @@ def test_solve_zero_sum_basics():
     assert gv.value == Fraction(1, 2)
     assert gv.row_strategy == (Fraction(1, 2), Fraction(1, 2))
     assert solve_zero_sum([[7, 7, 7]]).value == 7
-    gv = solve_zero_sum([[0, 1], [1, 0]], sense="row_min")
-    assert gv.value == Fraction(1, 2)
     with pytest.raises(ValueError):
         solve_zero_sum([])
-    with pytest.raises(ValueError):
-        solve_zero_sum([[1]], sense="diagonal")
 
 
 def _scipy_game_value(matrix):
@@ -421,6 +419,17 @@ def test_exact_RSE_values():
     assert exact_RSE(nand2()) == Fraction(3, 2)
     assert exact_RSE(xor(2)) == Fraction(3, 2)  # both query orders, hand check
     assert exact_RSE(dictator(1)) == 1
+
+
+def test_functions_with_no_pairs_have_value_0():
+    # a constant has no sabotage pair: each game is empty and worth 0
+    for m in (1, 2, 3):
+        for value in (0, 1):
+            f = constant(m, value)
+            for k in range(m + 1):
+                assert rs_game_value(f, k)[0] == GameValue(0, (), ())
+            assert exact_RSE(f) == 0
+            assert exact_RS_eps(f, 0) == 0
 
 
 def restriction_value(f, c):

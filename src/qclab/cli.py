@@ -361,7 +361,7 @@ def cmd_verify(args) -> tuple:
     results = vf.run_all(seed=args.seed, indices=indices, echo=print)
     rows = [{"criterion": r.index, "name": r.name, "passed": int(r.passed),
              "seconds": round(r.seconds, 2), "details": r.details,
-             "provenance": "exact"} for r in results]
+             "provenance": r.provenance} for r in results]
     rec = RunRecord("verify", {"criteria": ",".join(map(str, indices)), "seed": args.seed}, rows)
     failed = [r.index for r in results if not r.passed]
     return rec, (1 if failed else 0)

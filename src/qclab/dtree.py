@@ -488,14 +488,16 @@ def label_leaves(tree: DecisionTree, f: BooleanFunction, mu: ProductDistribution
     _check_arities(tree, f, mu)
     points, w, _ = _point_masses(mu)
     masses = _leaf_masses(tree, f, points, w)
+    return DecisionTree(tree.arity, _majority_labels(tree.root, "", masses))
 
-    def walk(node, path):
-        if isinstance(node, Leaf):
-            s0, s1 = masses.get(path, (0, 0))
-            return Leaf(1 if s1 and s1 >= s0 else 0)
-        return Query(node.var, walk(node.child0, path + "0"), walk(node.child1, path + "1"))
 
-    return DecisionTree(tree.arity, walk(tree.root, ""))
+def _majority_labels(node: Node, path: str, masses: dict) -> Node:
+    """The subtree at ``path`` with every leaf labeled by its majority mass."""
+    if isinstance(node, Leaf):
+        s0, s1 = masses.get(path, (0, 0))
+        return Leaf(1 if s1 and s1 >= s0 else 0)
+    return Query(node.var, _majority_labels(node.child0, path + "0", masses),
+                 _majority_labels(node.child1, path + "1", masses))
 
 
 def tree_error(tree: DecisionTree, f: BooleanFunction, mu: ProductDistribution):
@@ -555,15 +557,17 @@ def random_tree(m: int, rng, max_depth: Optional[int] = None, labeled: bool = Fa
     """A random repeat-free tree; rng is ``random.Random``."""
     if max_depth is None:
         max_depth = m
+    return DecisionTree(m, _grow(list(range(1, m + 1)), max_depth, rng, labeled, leaf_prob))
 
-    def grow(available, depth):
-        if not available or depth == 0 or rng.random() < leaf_prob:
-            return Leaf(rng.randint(0, 1) if labeled else None)
-        var = rng.choice(available)
-        rest = [v for v in available if v != var]
-        return Query(var, grow(rest, depth - 1), grow(rest, depth - 1))
 
-    return DecisionTree(m, grow(list(range(1, m + 1)), max_depth))
+def _grow(available: list, depth: int, rng, labeled: bool, leaf_prob: float) -> Node:
+    """A random subtree over the ``available`` variables, child 0 drawn first."""
+    if not available or depth == 0 or rng.random() < leaf_prob:
+        return Leaf(rng.randint(0, 1) if labeled else None)
+    var = rng.choice(available)
+    rest = [v for v in available if v != var]
+    return Query(var, _grow(rest, depth - 1, rng, labeled, leaf_prob),
+                 _grow(rest, depth - 1, rng, labeled, leaf_prob))
 
 
 def random_randomized_tree(m: int, rng, support: int = 3, max_depth: Optional[int] = None,

@@ -141,17 +141,9 @@ def enumerate_trees(m: int, depth_cap: Optional[int] = None, labeled: bool = Tru
 def catalog_size_formula(m: int, depth: int, labeled: bool) -> int:
     """Tree count by the recursion t(S,k) = base + sum_i t(S-i, k-1)^2."""
     base = 2 if labeled else 1
-    memo = {}
-
-    def count(nvars: int, k: int) -> int:
-        if k == 0 or nvars == 0:
-            return base
-        key = (nvars, k)
-        if key not in memo:
-            memo[key] = base + nvars * count(nvars - 1, k - 1) ** 2
-        return memo[key]
-
-    return count(m, depth)
+    if depth == 0 or m == 0:
+        return base
+    return base + m * catalog_size_formula(m - 1, depth - 1, labeled) ** 2
 
 
 # ---------------------------------------------------------------------------

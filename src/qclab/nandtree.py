@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -89,29 +90,42 @@ def eval_formula_batch(xs: np.ndarray) -> np.ndarray:
 class ZeroProbTree:
     """q(node) = Pr[subtree evaluates to 0] under a product distribution.
 
-    levels[k] lists the 2^k nodes at depth k; levels[d] are the leaves with
-    q = 1 - p_i, and q(internal) = (1 - q_left)(1 - q_right).
+    levels[k] is one array over the 2^k nodes at depth k; levels[d] are the
+    leaves with q = 1 - p_i, and q(internal) = (1 - q_left)(1 - q_right).
+    Values are in the marginals' own arithmetic: a float64 array when the
+    marginals are all Python floats or all numpy float64, and otherwise an
+    object array that does one Python operation per entry, in the order a
+    scalar loop would.
     """
 
     depth: int
     levels: tuple
+    _numpy_floats: bool = False
+
+    def _scalars(self, a: np.ndarray) -> list:
+        """The entries of an array computed over this tree, typed as scalar
+        arithmetic on the marginals gives them: numpy floats from numpy-float
+        marginals, and Python numbers or the objects themselves otherwise."""
+        return list(a) if self._numpy_floats and a.dtype == np.float64 else a.tolist()
 
     @property
     def root(self):
-        return self.levels[0][0]
+        return self._scalars(self.levels[0])[0]
 
 
 def zero_probs(d: int, marginals: Sequence) -> ZeroProbTree:
     if len(marginals) != 1 << d:
         raise ValueError(f"need 2^{d} marginals, got {len(marginals)}")
-    level = [1 - p for p in marginals]
-    levels = [tuple(level)]
+    kinds = set(map(type, marginals))
+    if kinds in ({float}, {np.float64}):
+        level = 1 - np.asarray(marginals, dtype=np.float64)
+    else:
+        level = 1 - np.fromiter(marginals, dtype=object, count=len(marginals))
+    levels = [level]
     for _ in range(d):
-        level = [(1 - level[2 * i]) * (1 - level[2 * i + 1]) for i in range(len(level) // 2)]
-        levels.append(tuple(level))
-    levels.reverse()
-    tree = ZeroProbTree(d, tuple(levels))
-    return tree
+        level = (1 - level[0::2]) * (1 - level[1::2])
+        levels.append(level)
+    return ZeroProbTree(d, tuple(levels[::-1]), kinds == {np.float64})
 
 
 def root_zero_prob_exhaustive(d: int, marginals: Sequence):
@@ -149,30 +163,41 @@ class Transcript:
         return len(self.order)
 
 
+def _greedy_order(zp: ZeroProbTree) -> list:
+    """The child order of the distribution-aware evaluator, and the one place
+    its rule lives: node (k, j) descends into its left child first iff
+    q_left >= q_right (ties go left), compared in the marginals' own
+    arithmetic. order[k] is the bool array over the 2^k nodes at depth k."""
+    return [zp.levels[k + 1][0::2] >= zp.levels[k + 1][1::2] for k in range(zp.depth)]
+
+
+def _eval(access, d: int, order, rng, k: int = 0, j: int = 0) -> int:
+    """Value of node (k, j): its first child runs, the other only when the
+    first reads 1. ``order`` (see ``_greedy_order``) names the first child;
+    without one, an ``rng.integers(0, 2)`` coin per visited node does."""
+    if k == d:
+        return access.query(j)
+    left_first = order[k][j] if order is not None else not rng.integers(0, 2)
+    first, other = (2 * j, 2 * j + 1) if left_first else (2 * j + 1, 2 * j)
+    if _eval(access, d, order, rng, k + 1, first) == 0:
+        return 1
+    return 1 - _eval(access, d, order, rng, k + 1, other)
+
+
 class GreedyZeroEvaluator:
     """Deterministic zero-error evaluator that always descends first into the
     child whose subtree is more likely to evaluate to 0 (ties go left).
 
-    Needs the product distribution; the zero-probability tree is computed
-    once and shared by all runs.
+    Needs the product distribution; the child order is computed once and
+    shared by all runs.
     """
 
     def __init__(self, d: int, marginals: Sequence):
         self.depth = d
-        self.zp = zero_probs(d, marginals)
+        self.order = _greedy_order(zero_probs(d, marginals))
 
     def run(self, access: Transcript, rng=None) -> int:
-        return self._eval(access, 0, 0)
-
-    def _eval(self, access, k, j) -> int:
-        if k == self.depth:
-            return access.query(j)
-        ql = self.zp.levels[k + 1][2 * j]
-        qr = self.zp.levels[k + 1][2 * j + 1]
-        first, other = (2 * j, 2 * j + 1) if ql >= qr else (2 * j + 1, 2 * j)
-        if self._eval(access, k + 1, first) == 0:
-            return 1
-        return 1 - self._eval(access, k + 1, other)
+        return _eval(access, self.depth, self.order, rng)
 
 
 class SaksWigderson:
@@ -183,18 +208,7 @@ class SaksWigderson:
         self.depth = d
 
     def run(self, access: Transcript, rng) -> int:
-        return self._eval(access, 0, 0, rng)
-
-    def _eval(self, access, k, j, rng) -> int:
-        if k == self.depth:
-            return access.query(j)
-        if int(rng.integers(0, 2)):
-            first, other = 2 * j + 1, 2 * j
-        else:
-            first, other = 2 * j, 2 * j + 1
-        if self._eval(access, k + 1, first, rng) == 0:
-            return 1
-        return 1 - self._eval(access, k + 1, other, rng)
+        return _eval(access, self.depth, None, rng)
 
 
 def greedy_zero(d: int, marginals: Sequence, x: Sequence[int]) -> tuple:
@@ -214,19 +228,19 @@ def saks_wigderson(d: int, x: Sequence[int], rng) -> tuple:
 def sw_expected_queries_at(d: int, x: Sequence[int]):
     """Exact expected query count of the randomized evaluator on one input,
     by recursion over the two child orders (Fraction-safe)."""
-    from fractions import Fraction
+    return _sw_walk(x, d, 0, 0)[0]
 
-    def walk(k, j):
-        if k == d:
-            return 1, x[j]
-        cl, vl = walk(k + 1, 2 * j)
-        cr, vr = walk(k + 1, 2 * j + 1)
-        cost_lr = cl + (0 if vl == 0 else cr)
-        cost_rl = cr + (0 if vr == 0 else cl)
-        return Fraction(cost_lr + cost_rl, 2), 1 - (vl & vr)
 
-    cost, _ = walk(0, 0)
-    return cost
+def _sw_walk(x: Sequence[int], d: int, k: int, j: int) -> tuple:
+    """(expected queries, value) of node (k, j) under the randomized
+    evaluator on x."""
+    if k == d:
+        return 1, x[j]
+    cl, vl = _sw_walk(x, d, k + 1, 2 * j)
+    cr, vr = _sw_walk(x, d, k + 1, 2 * j + 1)
+    cost_lr = cl + (0 if vl == 0 else cr)
+    cost_rl = cr + (0 if vr == 0 else cl)
+    return Fraction(cost_lr + cost_rl, 2), 1 - (vl & vr)
 
 
 # ---------------------------------------------------------------------------
@@ -234,41 +248,36 @@ def sw_expected_queries_at(d: int, x: Sequence[int]):
 # ---------------------------------------------------------------------------
 
 
+def _expected_costs(zp: ZeroProbTree, order, depths=(0,)) -> list:
+    """Exact E[queries] of the zero-error evaluator at each node of the given
+    depths, under the node's own subtree marginals, as lists of scalars:
+    cost(leaf) = 1 and cost(node) = cost(first) + (1 - q_first) cost(other),
+    with the first child from ``order`` (see ``_greedy_order``) or, for order
+    None, the mean over both orders (the randomized evaluator)."""
+    costs = np.ones(1 << zp.depth, dtype=np.int64 if zp.levels[0].dtype == np.float64 else object)
+    kept = {}
+    for k in range(zp.depth, -1, -1):
+        if k < zp.depth:
+            q = zp.levels[k + 1]
+            lr = costs[0::2] + (1 - q[0::2]) * costs[1::2]  # left child first
+            rl = costs[1::2] + (1 - q[1::2]) * costs[0::2]  # right child first
+            costs = (lr + rl) / 2 if order is None else np.where(order[k], lr, rl)
+        if k in depths:
+            kept[k] = zp._scalars(costs)
+    return [kept[k] for k in depths]
+
+
 def expected_cost_greedy_zero(d: int, marginals: Sequence):
     """Exact E[queries] of the distribution-aware evaluator under its own
-    distribution: cost(node) = cost(first) + (1 - q_first) cost(other)."""
+    distribution."""
     zp = zero_probs(d, marginals)
-    costs = [1] * (1 << d)
-    for k in range(d - 1, -1, -1):
-        nxt = []
-        for j in range(1 << k):
-            ql = zp.levels[k + 1][2 * j]
-            qr = zp.levels[k + 1][2 * j + 1]
-            if ql >= qr:
-                qf, cf, co = ql, costs[2 * j], costs[2 * j + 1]
-            else:
-                qf, cf, co = qr, costs[2 * j + 1], costs[2 * j]
-            nxt.append(cf + (1 - qf) * co)
-        costs = nxt
-    return costs[0]
+    return _expected_costs(zp, _greedy_order(zp))[0][0]
 
 
 def expected_cost_sw(d: int, marginals: Sequence):
     """Exact E[queries] of the randomized evaluator under a product
     distribution (expectation over inputs and coin flips)."""
-    zp = zero_probs(d, marginals)
-    costs = [1] * (1 << d)
-    for k in range(d - 1, -1, -1):
-        nxt = []
-        for j in range(1 << k):
-            ql = zp.levels[k + 1][2 * j]
-            qr = zp.levels[k + 1][2 * j + 1]
-            cl, cr = costs[2 * j], costs[2 * j + 1]
-            lr = cl + (1 - ql) * cr
-            rl = cr + (1 - qr) * cl
-            nxt.append((lr + rl) / 2)
-        costs = nxt
-    return costs[0]
+    return _expected_costs(zero_probs(d, marginals), None)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -339,16 +348,6 @@ def _summary(batches) -> list:
 def _stream_seed(master: int, index: int) -> int:
     """Seed of the index-th independent stream spawned from ``master``."""
     return int(np.random.SeedSequence(master, spawn_key=(index,)).generate_state(1)[0])
-
-
-def _greedy_order(d: int, marginals: Sequence) -> list:
-    """Static child orders of the distribution-aware evaluator: order[k][j]
-    is True when node (k, j) descends into its left child first."""
-    zp = zero_probs(d, [float(q) for q in marginals])
-    return [
-        np.asarray([zp.levels[k + 1][2 * j] >= zp.levels[k + 1][2 * j + 1] for j in range(1 << k)])
-        for k in range(d)
-    ]
 
 
 def _fold(val, counts, rng, order=None, at=None) -> list:
@@ -454,7 +453,7 @@ def mc_cost(algorithm: str, d: int, marginals: Sequence, samples: int, seed: int
     n_leaves = 1 << d
     if len(p) != n_leaves:
         raise ValueError("marginal count does not match depth")
-    order = _greedy_order(d, marginals) if algorithm == "greedy_zero" else None
+    order = _greedy_order(zero_probs(d, marginals)) if algorithm == "greedy_zero" else None
     rng = np.random.default_rng(np.random.SeedSequence(seed))
 
     def root_costs(n):
@@ -481,17 +480,10 @@ def two_level_traced_bound(d: int, marginals: Sequence) -> dict:
     if d < 2:
         raise ValueError("need depth >= 2")
     zp = zero_probs(d, marginals)
-    n = 1 << d
-    lhs = expected_cost_greedy_zero(d, marginals)
-    quarter = n // 4
-    grandchild_costs = [
-        expected_cost_greedy_zero(d - 2, marginals[i * quarter:(i + 1) * quarter])
-        for i in range(4)
-    ]
+    (lhs,), grandchild_costs = _expected_costs(zp, _greedy_order(zp), depths=(0, 2))
     t_star = max(grandchild_costs)
-    a1 = max(zp.levels[2][0], zp.levels[2][1])
-    b1 = max(zp.levels[2][2], zp.levels[2][3])
-    g = min(a1, b1)
+    q = zp._scalars(zp.levels[2])
+    g = min(max(q[0], q[1]), max(q[2], q[3]))
     rhs = (2 - g) * (1 + 2 * g - g * g) * t_star
     return {
         "lhs": lhs,

@@ -26,6 +26,7 @@ from .nandtree import (
     _fold,
     _greedy_order,
     _summary,
+    zero_probs,
 )
 
 __all__ = [
@@ -340,7 +341,8 @@ def mc_sep_cost(algorithm: str, d: int, samples: int, seed: int,
     _check_mc_depth(d)
     order = None
     if algorithm == "greedy_zero":
-        order = _greedy_order(d, [0.5] * (1 << d) if marginals is None else marginals)
+        margs = [0.5] * (1 << d) if marginals is None else marginals
+        order = _greedy_order(zero_probs(d, margs))
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     return _pair_fold(d, samples, rng, lambda x: [None], order, batch)[0]
 

@@ -17,8 +17,8 @@ import pytest
 from qclab import dtree, verify
 
 
-def _run(index, **kwargs):
-    res = verify.run_criterion(index, **kwargs)
+def _run(index):
+    res = verify.run_criterion(index)
     print(res.line())
     return res
 

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from qclab import games, nandtree, sabotage
+from qclab import games, nandtree, sabotage, verify
 from qclab.boolfunc import and_f, nand2, save_function, save_distribution, uniform_distribution
 from qclab.cli import main, normalize_for_compare
 
@@ -274,6 +275,15 @@ def test_verify_subset(capsys):
     status, out, _ = run_cli(capsys, "verify", "--criteria", "2,3,12", "--format", "text")
     assert status == 0
     assert out.count("PASS") >= 3
+
+
+def test_verify_rows_say_how_each_criterion_was_measured(capsys, monkeypatch):
+    # few Monte-Carlo runs keep this fast; only the provenance column is checked
+    monkeypatch.setattr(verify, "MC_SAMPLES", 1000)
+    _, out, _ = run_cli(capsys, "verify", "--criteria", "9,10,11,12,13", "--format", "csv")
+    rows = csv.DictReader(io.StringIO(out[out.index("criterion,name,"):]))
+    assert {int(r["criterion"]): r["provenance"] for r in rows} == {
+        9: "mc(fit;n=11)", 10: "mc(fit;n=9)", 11: "mc(derived)", 12: "exact", 13: "mc(derived)"}
 
 
 def test_verify_unknown_criterion(capsys):

@@ -19,6 +19,7 @@ from qclab.nandtree import (
     greedy_zero,
     mc_cost,
     tile_marginals,
+    zero_probs,
 )
 from qclab.sabotage import (
     SepCountEstimate,
@@ -49,14 +50,14 @@ def _pairs(support):
 def test_fold_cost_matches_greedy_on_every_input(d):
     n = 1 << d
     xs = np.array([[(idx >> j) & 1 for j in range(n)] for idx in range(1 << n)], dtype=bool)
-    (cost,) = _fold(xs, [None], None, _greedy_order(d, _margs(d)))
+    (cost,) = _fold(xs, [None], None, _greedy_order(zero_probs(d, _margs(d))))
     assert cost.tolist() == [greedy_zero(d, _margs(d), x)[1] for x in xs.astype(int).tolist()]
 
 
 def _check_sep_counts(d, margs, support):
     # the fold's per-row counts up to separation, on both runs of each pair,
     # against the scalar evaluator
-    order = _greedy_order(d, margs)
+    order = _greedy_order(zero_probs(d, margs))
     algo = GreedyZeroEvaluator(d, margs)
     rng = np.random.default_rng(0)  # unused by the deterministic evaluator
     x, at = _pairs(support)

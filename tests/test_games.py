@@ -30,6 +30,7 @@ from qclab.dtree import (
     Query,
     RandomizedTree,
     exact_Dmu_eps,
+    label_leaves,
     random_randomized_tree,
     random_tree,
     run,
@@ -66,6 +67,7 @@ from qclab.games import (
     check_two_point_bound,
     zero_error_trees,
 )
+from qclab.nandtree import sw_expected_queries_at
 
 
 # -- catalogs -------------------------------------------------------------------
@@ -157,7 +159,9 @@ def test_run_arrays_refuses_an_oversized_table_before_allocating():
 
 def test_catalogs_and_games_leave_no_cyclic_garbage():
     # the catalog memo, the run table's node index and the leaf lists are freed
-    # by refcounting when a call returns, not at some later cycle collection
+    # by refcounting when a call returns, not at some later cycle collection;
+    # so are the recursive helpers of the tree builders and the exact counts,
+    # which are module functions rather than closures that refer to themselves
     f = BooleanFunction(3, 0xE8)
     gc.collect()
     gc.disable()
@@ -165,6 +169,9 @@ def test_catalogs_and_games_leave_no_cyclic_garbage():
         r_game_value(f, 2)
         rs_game_value(f, 1)
         exact_RSE(f)
+        label_leaves(random_tree(3, random.Random(0)), f, uniform_distribution(3))
+        catalog_size_formula(3, 3, labeled=True)
+        sw_expected_queries_at(2, [0, 1, 1, 0])
         assert gc.collect() == 0
     finally:
         gc.enable()

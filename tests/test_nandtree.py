@@ -9,6 +9,8 @@ import hypothesis.strategies as st
 
 from qclab.nandtree import (
     GreedyZeroEvaluator,
+    _fold,
+    _greedy_order,
     NandInstance,
     Transcript,
     greedy_zero,
@@ -36,7 +38,7 @@ def all_inputs(d):
 
 
 def mu_weight(x, marginals):
-    w = 1.0
+    w = 1
     for b, p in zip(x, marginals):
         w *= p if b else 1 - p
     return w
@@ -115,6 +117,30 @@ def test_greedy_zero_zero_error_exhaustive():
             assert t.count <= 1 << d
 
 
+@given(st.integers(0, 3), st.data())
+@settings(max_examples=60, deadline=None)
+def test_greedy_order_is_its_rule_node_by_node(d, data):
+    # small denominators make exact ties between sibling subtrees common
+    margs = data.draw(st.lists(st.fractions(0, 1, max_denominator=4), min_size=1 << d,
+                               max_size=1 << d))
+    order = _greedy_order(zero_probs(d, margs))
+    for k in range(d):
+        width = 1 << (d - k - 1)  # leaves under each child of a depth-k node
+        q = [root_zero_prob_exhaustive(d - k - 1, margs[i * width:(i + 1) * width])
+             for i in range(1 << (k + 1))]
+        assert order[k].tolist() == [q[2 * j] >= q[2 * j + 1] for j in range(1 << k)]
+
+
+def test_fold_and_evaluator_share_the_order_below_one_ulp():
+    # q_left = 2/3 - 10^-30 < q_right = 2/3, yet both round to the same
+    # float, where a tie would send the run left first
+    margs = [Fraction(1, 3) + Fraction(1, 10**30), Fraction(1, 3)]
+    xs = np.array([[0, 0], [1, 0], [0, 1], [1, 1]], dtype=bool)
+    (cost,) = _fold(xs, [None], None, _greedy_order(zero_probs(1, margs)))
+    assert cost.tolist() == [greedy_zero(1, margs, x)[1] for x in xs.astype(int).tolist()]
+    assert greedy_zero(1, margs, [1, 0]) == (1, 1)
+
+
 def test_saks_wigderson_zero_error_and_examples():
     rng = np.random.default_rng(7)
     for d in range(5):
@@ -140,6 +166,22 @@ def test_expected_cost_recursions_match_exhaustive():
             for x in all_inputs(d)
         )
         assert expected_cost_sw(d, margs) == pytest.approx(direct_sw, abs=1e-10)
+
+
+def test_expected_costs_keep_the_marginals_arithmetic():
+    # Fraction marginals give the exhaustive sums exactly, not just closely
+    rng = random.Random(6)
+    for d in range(4):
+        margs = [Fraction(rng.randint(0, 8), 8) for _ in range(1 << d)]
+        assert expected_cost_greedy_zero(d, margs) == sum(
+            mu_weight(x, margs) * greedy_zero(d, margs, x)[1] for x in all_inputs(d))
+        assert expected_cost_sw(d, margs) == sum(
+            mu_weight(x, margs) * sw_expected_queries_at(d, x) for x in all_inputs(d))
+    # floats come back as the marginals' scalar type, and depth 0 costs the int 1
+    assert type(expected_cost_greedy_zero(3, [0.5] * 8)) is float
+    assert type(expected_cost_sw(3, golden_marginals(3))) is np.float64
+    assert type(zero_probs(2, [1, 0, 1, 1]).root) is int
+    assert repr(expected_cost_greedy_zero(0, golden_marginals(0))) == "1"
 
 
 # -- Monte Carlo --------------------------------------------------------------------

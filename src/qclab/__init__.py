@@ -62,11 +62,11 @@ from .sabotage import (
     HardPair,
     sample_hard_pair,
     check_embedding,
-    lift,
     lift_chain,
     sep_cost,
     sep_value_counts,
     estimate_sep_counts,
+    q_counts_sw,
     block_case_bounds,
     check_recursions,
     spectral_alpha,

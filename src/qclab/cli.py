@@ -191,8 +191,10 @@ def _parse_criteria(spec: str) -> list:
     for part in spec.split(","):
         part = part.strip()
         if "-" in part:
-            lo, hi = part.split("-")
-            out.update(range(int(lo), int(hi) + 1))
+            lo, hi = map(int, part.split("-"))
+            if hi < lo:
+                raise ValueError(f"empty criteria range {part}")
+            out.update(range(lo, hi + 1))
         else:
             out.add(int(part))
     bad = out - set(vf.ALL_CRITERIA)
@@ -308,17 +310,8 @@ def cmd_sabotage(args) -> RunRecord:
                          f"got {d} and {args.t_max}")
     nt._check_mc_depth(d)
     nt._check_samples(args.samples)
-    rows = []
-    table = sb.block_case_bounds()
-    for (b, bp), bound in sorted(table.bounds.items()):
-        rows.append({"item": f"F_min[b={b},b'={bp}]", "value": bound,
-                     "detail": table.witnesses[(b, bp)], "provenance": "exact"})
-    rows.append({"item": "spectral_alpha", "value": sb.spectral_alpha(),
-                 "detail": "(1+sqrt(33))/4", "provenance": "exact"})
-    for (t, b), v in sorted(sb.exact_base_cases().items()):
-        rows.append({"item": f"base_Q({t},{b})", "value": v,
-                     "detail": "exhaustive zero-error trees", "provenance": "exact"})
-
+    if args.dump_pairs < 0:
+        raise ValueError(f"--dump-pairs must be >= 0, got {args.dump_pairs}")
     levels = list(range(min(args.t_max, d) + 1))
 
     def run_cell(t):
@@ -326,11 +319,21 @@ def cmd_sabotage(args) -> RunRecord:
         return sb.estimate_sep_counts("saks_wigderson", d, t, args.samples, stream)
 
     estimates = dict(zip(levels, _pool_map(run_cell, levels)))
+    rep = sb.check_recursions(estimates)
+    rows = []
+    table = sb.block_case_bounds()
+    for (b, bp), bound in sorted(table.bounds.items()):
+        rows.append({"item": f"F_min[b={b},b'={bp}]", "value": bound,
+                     "detail": table.witnesses[(b, bp)], "provenance": "exact"})
+    rows.append({"item": "spectral_alpha", "value": sb.spectral_alpha(),
+                 "detail": "(1+sqrt(33))/4", "provenance": "exact"})
+    for (t, b), v in sorted(rep.base_cases.items()):
+        rows.append({"item": f"base_Q({t},{b})", "value": v,
+                     "detail": "exhaustive zero-error trees", "provenance": "exact"})
     for t in levels:
         for est in estimates[t]:
             rows.append({"item": f"Q({t},{est.b})", "value": est.mean,
                          "detail": f"d={d}", "provenance": _mc_provenance(est)})
-    rep = sb.check_recursions(estimates)
     for r in rep.rows:
         rows.append({"item": r["name"], "value": r["lhs"],
                      "detail": f"rhs={r['rhs']:.4f};slack={r['slack']:.4f};"

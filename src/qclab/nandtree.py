@@ -113,18 +113,23 @@ class ZeroProbTree:
         return self._scalars(self.levels[0])[0]
 
 
+def _check_marginals(p: np.ndarray) -> None:
+    if not np.all((p >= 0) & (p <= 1)):  # NaN fails both
+        raise ValueError("marginals must lie in [0, 1]")
+
+
 def zero_probs(d: int, marginals: Sequence) -> ZeroProbTree:
     if len(marginals) != 1 << d:
         raise ValueError(f"need 2^{d} marginals, got {len(marginals)}")
     kinds = set(map(type, marginals))
     if kinds in ({float}, {np.float64}):
-        level = 1 - np.asarray(marginals, dtype=np.float64)
+        p = np.asarray(marginals, dtype=np.float64)
     else:
-        level = 1 - np.fromiter(marginals, dtype=object, count=len(marginals))
-    levels = [level]
+        p = np.fromiter(marginals, dtype=object, count=len(marginals))
+    _check_marginals(p)
+    levels = [1 - p]
     for _ in range(d):
-        level = (1 - level[0::2]) * (1 - level[1::2])
-        levels.append(level)
+        levels.append((1 - levels[-1][0::2]) * (1 - levels[-1][1::2]))
     return ZeroProbTree(d, tuple(levels[::-1]), kinds == {np.float64})
 
 
@@ -453,6 +458,7 @@ def mc_cost(algorithm: str, d: int, marginals: Sequence, samples: int, seed: int
     n_leaves = 1 << d
     if len(p) != n_leaves:
         raise ValueError("marginal count does not match depth")
+    _check_marginals(p)
     order = _greedy_order(zero_probs(d, marginals)) if algorithm == "greedy_zero" else None
     rng = np.random.default_rng(np.random.SeedSequence(seed))
 

@@ -27,6 +27,7 @@ from . import sabotage as sb
 DEFAULT_SEED = 20240809
 MC_SAMPLES = 100_000  # Monte-Carlo runs per depth (criteria 9, 10) or level (criterion 11)
 CHAIN_DEPTH = 8  # criterion 11 lifts hard pairs from this depth down to every level
+FLOAT_PROVENANCE = "float(tol=1e-9)"  # criteria 4 and 8: float mu, a 1e-9 slack
 
 __all__ = ["CriterionResult", "ALL_CRITERIA", "run_criterion", "run_all"]
 
@@ -194,7 +195,7 @@ def criterion_4(seed: int = DEFAULT_SEED) -> CriterionResult:
     return CriterionResult(
         4, "poincare-and-influence", ok,
         f"1000 random (f, mu) pairs, m <= 10, full-table summation; {violations} violations",
-        time.time() - t0,
+        time.time() - t0, provenance=FLOAT_PROVENANCE,
     )
 
 
@@ -318,7 +319,8 @@ def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
     )
     if problems:
         details += "; " + "; ".join(problems)
-    return CriterionResult(8, "amplified-bias-construction", ok, details, time.time() - t0)
+    return CriterionResult(8, "amplified-bias-construction", ok, details, time.time() - t0,
+                           provenance=FLOAT_PROVENANCE)
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +502,7 @@ def run_criterion(index: int, seed: int = DEFAULT_SEED) -> CriterionResult:
 
 def run_all(seed: int = DEFAULT_SEED, indices=None, echo=print) -> list:
     """Run the selected criteria, chaining the exponent gap from 9 into 10."""
-    indices = sorted(indices or ALL_CRITERIA)
+    indices = sorted(ALL_CRITERIA if indices is None else indices)
     results = []
     upper_base = None
     for idx in indices:

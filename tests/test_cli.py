@@ -182,6 +182,7 @@ def test_huge_depths_exit_2_before_allocating(capsys, monkeypatch):
     monkeypatch.setattr(games, "dprod_search", no_search)
     monkeypatch.setattr(nandtree, "mc_cost", no_mc)
     monkeypatch.setattr(sabotage, "estimate_sep_counts", no_mc)
+    monkeypatch.setattr(verify, "run_all", no_mc)
     cap, few = "Monte-Carlo cap 22", "need at least 100 samples"
     negative, levels = "depth must be >= 0", "sabotage needs --depth >= 1 and --t-max >= 1"
     for argv, message in ((("nand", "--depth", "40", "--samples", "500"), cap),
@@ -195,12 +196,25 @@ def test_huge_depths_exit_2_before_allocating(capsys, monkeypatch):
                           (("sabotage", "--depth", "-1", "--samples", "500"), levels),
                           (("sabotage", "--depth", "6", "--t-max", "0"), levels),
                           (("sabotage", "--depth", "6", "--t-max", "-2"), levels),
+                          (("sabotage", "--depth", "3", "--dump-pairs", "-1"),
+                           "--dump-pairs must be >= 0"),
+                          (("verify", "--criteria", "3-1"), "empty criteria range 3-1"),
+                          (("verify", "--criteria", "2,5-4"), "empty criteria range 5-4"),
                           (("sabotage", "--depth", "3", "--eps", "0.1"), "unrecognized arguments"),
                           (("verify", "--criteria", "12", "--eps", "0.1"),
                            "unrecognized arguments")):
         status, out, err = run_cli(capsys, *argv)
         assert status == 2 and out == ""
         assert message in err
+
+
+@pytest.mark.parametrize("mu", ["const:2", "const:nan", "const:-0.5"])
+def test_nand_refuses_marginals_outside_the_unit_interval(mu, capsys):
+    for algo in ("greedy_zero", "saks_wigderson"):
+        status, out, err = run_cli(capsys, "nand", "--algo", algo, "--depth", "4",
+                                   "--samples", "500", "--mu", mu)
+        assert status == 2 and out == ""
+        assert "marginals must lie in [0, 1]" in err
 
 
 def test_sabotage_command(tmp_path, capsys):
@@ -280,10 +294,11 @@ def test_verify_subset(capsys):
 def test_verify_rows_say_how_each_criterion_was_measured(capsys, monkeypatch):
     # few Monte-Carlo runs keep this fast; only the provenance column is checked
     monkeypatch.setattr(verify, "MC_SAMPLES", 1000)
-    _, out, _ = run_cli(capsys, "verify", "--criteria", "9,10,11,12,13", "--format", "csv")
+    _, out, _ = run_cli(capsys, "verify", "--criteria", "4,8-13", "--format", "csv")
     rows = csv.DictReader(io.StringIO(out[out.index("criterion,name,"):]))
     assert {int(r["criterion"]): r["provenance"] for r in rows} == {
-        9: "mc(fit;n=11)", 10: "mc(fit;n=9)", 11: "mc(derived)", 12: "exact", 13: "mc(derived)"}
+        4: "float(tol=1e-9)", 8: "float(tol=1e-9)", 9: "mc(fit;n=11)", 10: "mc(fit;n=9)",
+        11: "mc(derived)", 12: "exact", 13: "mc(derived)"}
 
 
 def test_verify_unknown_criterion(capsys):

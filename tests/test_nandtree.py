@@ -84,6 +84,21 @@ def test_zero_probs_examples():
         zero_probs(2, [0.5] * 3)
 
 
+@pytest.mark.parametrize("bad", [2.0, float("nan"), -0.5, -1e-300, np.float64(1 + 2**-52),
+                                 Fraction(-1, 10**30), Fraction(1 + 10**30, 10**30)])
+def test_marginals_outside_the_unit_interval_are_refused(bad):
+    margs = [0.5, bad, 0.25, 1.0]
+    for entry in (zero_probs, expected_cost_greedy_zero, expected_cost_sw,
+                  lambda d, m: GreedyZeroEvaluator(d, m)):
+        with pytest.raises(ValueError, match=r"marginals must lie in \[0, 1\]"):
+            entry(2, margs)
+    if 0 <= float(bad) <= 1:
+        return  # a sub-ulp Fraction rounds into [0, 1] for the Bernoulli draw
+    for algo in ("greedy_zero", "saks_wigderson"):
+        with pytest.raises(ValueError, match=r"marginals must lie in \[0, 1\]"):
+            mc_cost(algo, 2, margs, 1000, seed=0)
+
+
 @given(st.integers(0, 3), st.data())
 @settings(max_examples=25, deadline=None)
 def test_zero_probs_against_exhaustive(d, data):

@@ -10,6 +10,7 @@ from qclab.sabotage import (
     BOUND_MATRIX,
     HardPair,
     LevelLift,
+    LiftedAlgorithm,
     SepCountEstimate,
     SeparationError,
     check_embedding,
@@ -19,9 +20,9 @@ from qclab.sabotage import (
     estimate_sep_counts,
     exact_base_cases,
     expected_sep_cost_sw,
-    lift,
     lift_chain,
     mc_sep_cost,
+    q_counts_sw,
     sample_hard_pair,
     sample_pairs_batch,
     sep_cost,
@@ -120,7 +121,7 @@ def test_lift_chain_zero_error():
     with pytest.raises(ValueError):
         lift_chain(base, 4)
     with pytest.raises(ValueError):
-        lift(lift_chain(base, 0))
+        LiftedAlgorithm(lift_chain(base, 0))
 
 
 def test_lift_separation_coupling():
@@ -234,8 +235,6 @@ def test_estimate_q_level_zero_exact():
     e0, e1 = estimate_sep_counts("saks_wigderson", 3, 0, 2000, seed=1)
     assert (e0.mean, e1.mean) == (1.0, 0.0)
     assert e0.half_width_95 == 0
-    e0, e1 = estimate_sep_counts(SaksWigderson(3), 3, 0, 500, seed=2)
-    assert (e0.mean, e1.mean) == (1.0, 0.0)
 
 
 def test_estimate_q_level_one_anchors():
@@ -250,13 +249,13 @@ def test_estimate_q_level_one_anchors():
 
 
 def test_estimate_q_engines_agree():
-    for (d, t) in ((3, 1), (4, 2)):
-        fast = estimate_sep_counts("saks_wigderson", d, t, 20_000, seed=5)
-        slow = estimate_sep_counts(SaksWigderson(d), d, t, 4_000, seed=6)
-        for a, b in zip(fast, slow):
-            assert a.mean == pytest.approx(
-                b.mean, abs=3 * math.hypot(a.sigma, b.sigma) + 1e-9
-            )
+    # the fold against the exact recursion, within 4 sigma per cell; a cell
+    # with no spread (Q(0, .), and Q(1, 0) on either run) must be exact
+    for run_on in ("x", "y"):
+        for t in range(9):
+            est = estimate_sep_counts("saks_wigderson", 8, t, 20_000, seed=5 + t, run_on=run_on)
+            for e, q in zip(est, q_counts_sw(t, run_on)):
+                assert abs(e.mean - float(q)) <= 4 * e.sigma, (run_on, t, e.b, e.mean, q)
 
 
 class _Bits:
@@ -291,17 +290,39 @@ def _enumerated_q(d, t, run_on):
 
 def test_lift_chain_lemma_is_exact():
     # the chain lifted from depth d has the Q distribution of plain
-    # Saks-Wigderson at level t (docs/decisions.md, entry 3); d = 4 would
-    # need 2^30 strings per level
-    ledger = {0: (1, 0), 1: (0, Fraction(3, 2)), 2: (Fraction(3, 2), Fraction(3, 4)),
-              3: (Fraction(3, 4), Fraction(23, 8))}
+    # Saks-Wigderson at level t (docs/decisions.md, entry 3), and brute force
+    # pins the leaf-type recursion there (entry 12); d = 4 would need 2^30
+    # strings per level
     for run_on in ("x", "y"):
         for t in range(4):
             plain = _enumerated_q(t, t, run_on)
-            if run_on == "x":
-                assert plain == ledger[t]
+            assert plain == q_counts_sw(t, run_on), (t, run_on)
             for d in range(t + 1, 4):
                 assert _enumerated_q(d, t, run_on) == plain, (d, t, run_on)
+
+
+def _two_state_sep_cost(d):
+    """E[separation cost] from the two-state block recursion: the full
+    evaluation costs w0, w1 of the two no-difference block types, and the
+    cost s of the block holding the differing index."""
+    w0 = w1 = Fraction(1)
+    s = Fraction(1)
+    for _ in range(d):
+        s = s + w1 / 2
+        w0, w1 = 2 * w1, w0 + w1 / 2
+    return s
+
+
+def test_q_counts_sum_to_the_two_state_sep_cost():
+    assert q_counts_sw(1, "x") == (0, Fraction(3, 2))
+    assert q_counts_sw(1, "y") == (1, Fraction(1, 2))
+    for d in range(61):
+        cost = expected_sep_cost_sw(d)
+        assert isinstance(cost, Fraction) and cost == _two_state_sep_cost(d), d
+        assert sum(q_counts_sw(d, "y")) == cost, d
+    for t, run_on in ((-1, "x"), (2, "z")):
+        with pytest.raises(ValueError):
+            q_counts_sw(t, run_on)
 
 
 def test_estimate_q_does_not_depend_on_d():
@@ -322,8 +343,8 @@ def test_estimate_q_ci_shrinks():
 def test_estimate_q_validation():
     with pytest.raises(ValueError):
         estimate_sep_counts("saks_wigderson", 2, 3, 1000, seed=0)
-    with pytest.raises(ValueError):
-        estimate_sep_counts(SaksWigderson(3), 4, 1, 100, seed=0)
+    with pytest.raises(ValueError, match="unknown base algorithm"):
+        estimate_sep_counts(SaksWigderson(3), 3, 1, 100, seed=0)
     with pytest.raises(ValueError):
         estimate_sep_counts("saks_wigderson", 3, 1, 100, seed=0, run_on="z")
 
@@ -339,6 +360,7 @@ def test_case_table_exact_values():
         (1, 0): Fraction(1),
         (1, 1): Fraction(1, 2),
     }
+    assert BOUND_MATRIX == ((0, 1), (2, Fraction(1, 2)))  # row b' holds F(., b')
     # the pruned one-query tree realizes the (1,0) bound with value 1
     assert rep.per_tree[("stop0", 1, 0)] == 1
     assert rep.per_tree[("both0", 1, 1)] == Fraction(1, 2)
@@ -368,6 +390,8 @@ def synthetic_estimates(levels, start=(1.0, 0.0)):
 def test_check_recursions_synthetic_equality():
     rep = check_recursions(synthetic_estimates(6))
     assert rep.ok and rep.corrected_ok and rep.base_ok
+    assert [(r["name"], r["allowance"]) for r in rep.rows[:2]] == [
+        ("Q(1,0) >= Q(0,1)", 0.0), ("Q(1,1) >= 2 Q(0,0) + Q(0,1)/2", 1.0)]
     for row in rep.rows:
         assert row["lhs"] == pytest.approx(row["rhs"])
 

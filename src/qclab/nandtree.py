@@ -4,7 +4,10 @@ cost estimation with exponent fitting.
 
 Trees are complete binary formulas of depth d over 2^d leaves. Leaves are
 0-indexed here (this module never goes through truth tables); node (k, j) is
-the j-th node at depth k, with children (k+1, 2j) and (k+1, 2j+1).
+the j-th node at depth k, with children (k+1, 2j) and (k+1, 2j+1). The
+Monte-Carlo fold alone keeps each depth in bit-reversed order (``_bitrev``),
+so that every node's children are the two contiguous halves of the depth
+below it.
 """
 
 from __future__ import annotations
@@ -23,9 +26,7 @@ __all__ = [
     "SeparationError",
     "MC_MAX_DEPTH",
     "eval_formula",
-    "eval_formula_batch",
     "zero_probs",
-    "root_zero_prob_exhaustive",
     "greedy_zero",
     "Transcript",
     "GreedyZeroEvaluator",
@@ -71,14 +72,6 @@ def eval_formula(x: Sequence[int]) -> int:
     while len(vals) > 1:
         vals = [1 - (vals[2 * i] & vals[2 * i + 1]) for i in range(len(vals) // 2)]
     return int(vals[0])
-
-
-def eval_formula_batch(xs: np.ndarray) -> np.ndarray:
-    """Vectorized eval_formula over rows of a (n, 2^d) bit matrix."""
-    vals = np.asarray(xs, dtype=np.int8)
-    while vals.shape[1] > 1:
-        vals = 1 - (vals[:, 0::2] & vals[:, 1::2])
-    return vals[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -131,20 +124,6 @@ def zero_probs(d: int, marginals: Sequence) -> ZeroProbTree:
     for _ in range(d):
         levels.append((1 - levels[-1][0::2]) * (1 - levels[-1][1::2]))
     return ZeroProbTree(d, tuple(levels[::-1]), kinds == {np.float64})
-
-
-def root_zero_prob_exhaustive(d: int, marginals: Sequence):
-    """Pr[g_d(x) = 0] by brute-force summation; oracle for small d."""
-    n = 1 << d
-    total = 0
-    for idx in range(1 << n):
-        x = [(idx >> j) & 1 for j in range(n)]
-        if eval_formula(x) == 0:
-            w = 1
-            for b, p in zip(x, marginals):
-                w = w * (p if b else (1 - p))
-            total = total + w
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -355,13 +334,38 @@ def _stream_seed(master: int, index: int) -> int:
     return int(np.random.SeedSequence(master, spawn_key=(index,)).generate_state(1)[0])
 
 
+def _bitrev(width: int) -> np.ndarray:
+    """The fold layout of ``width`` = 2^L nodes of one depth: position c holds
+    natural node rev_L(c), the L-bit reversal of c. The node at position c
+    of the depth above then has its left child at c and its right child at
+    c + width/2, so each depth is [left children | right children] of the
+    one above. The permutation is its own inverse."""
+    rev = np.zeros(1, dtype=np.intp)
+    while len(rev) < width:
+        rev = np.concatenate((2 * rev, 2 * rev + 1))
+    return rev
+
+
+def _fold_order(order: list) -> list:
+    """A child order (see ``_greedy_order``) in the fold layout."""
+    return [o[_bitrev(len(o))] for o in order]
+
+
+def _coins(rng, n: int, w: int) -> np.ndarray:
+    """(n, w) fair bools, one bit each of ceil(n w / 64) raw 64-bit words
+    from ``rng``'s bit generator."""
+    raw = rng.bit_generator.random_raw(-(-n * w // 64))
+    return np.unpackbits(raw.view(np.uint8), count=n * w).view(np.bool_).reshape(n, w)
+
+
 def _fold(val, counts, rng, order=None, at=None) -> list:
     """Run the zero-error evaluator bottom-up on a batch of inputs.
 
-    ``val`` holds the (n, 2^d) C-contiguous bool leaf values and ``counts``
-    the per-leaf query counters: each is a bool leaf mask, or None for the
+    Every array argument is in the fold layout (see ``_bitrev``). ``val``
+    holds the (n, 2^d) C-contiguous bool leaf values and ``counts`` the
+    per-leaf query counters: each is a bool leaf mask, or None for the
     all-ones counter, which is never built. Each node takes its first child
-    from ``order`` (see ``_greedy_order``) or, without one, from a coin per
+    from ``order`` (see ``_fold_order``) or, without one, from a coin per
     node drawn from ``rng`` at every level. A node's value is the NAND of its
     children whatever their order; the order only decides which children
     run: the first always, the other when the first reads 1. A node's count
@@ -369,13 +373,13 @@ def _fold(val, counts, rng, order=None, at=None) -> list:
     uint32 above, wide enough for the 2^d queries of a full evaluation.
 
     Returns each counter's root column, summed over the whole run. Given
-    ``at``, the (n,) index of the one differing leaf per row, returns the
+    ``at``, the (n,) position of the one differing leaf per row, returns the
     sums up to and including the separating query instead: the leaf's own
     count plus the full count of every sibling on its root path that runs
     first, gathered one level at a time; a first-run sibling that reads 0
     stops the run short of the leaf and raises ``SeparationError``.
 
-    The draws, one (n, 2^k) int8 coin array per level from k = d-1 down to
+    The draws, one (n, 2^k) ``_coins`` array per level from k = d-1 down to
     0, are part of every fixed-seed output.
     """
     n, width = val.shape
@@ -385,18 +389,17 @@ def _fold(val, counts, rng, order=None, at=None) -> list:
     if at is not None:
         until = [np.ones(n, ctype) if c is None else c[rows, at].astype(ctype) for c in counts]
     for k in range(d - 1, -1, -1):
-        if order is None:
-            first = rng.integers(0, 2, size=(n, 1 << k), dtype=np.int8).view(np.bool_)
-        else:
-            first = order[k]
-        left, right = val[:, 0::2], val[:, 1::2]
+        h = 1 << k
+        first = _coins(rng, n, h) if order is None else order[k]
+        left, right = val[:, :h], val[:, h:]
         if at is not None:
-            child = at >> (d - 1 - k)
-            sib = child ^ 1
-            node_first = first[rows, child >> 1] if order is None else first[child >> 1]
+            # the ancestor of leaf position c at width 2^L sits at c mod 2^L
+            child = at & (2 * h - 1)
+            sib = child ^ h
+            node_first = first[rows, child & (h - 1)] if order is None else first[child & (h - 1)]
             # the sibling runs first when it is the left child and left goes
             # first, or the right child and right goes first
-            behind = node_first == (sib & 1 == 0)
+            behind = node_first == (sib < h)
             if (behind & ~val[rows, sib]).any():
                 raise SeparationError("a run ended without querying a differing index")
             for u, c in zip(until, counts):
@@ -405,8 +408,7 @@ def _fold(val, counts, rng, order=None, at=None) -> list:
         # and reads 1
         runs = (first | right, ~first | left)
         counts = [_combine(c, runs, ctype) for c in counts]
-        # NAND of each (left, right) byte pair, read as one 16-bit word
-        val = val.view(np.uint16) != 0x0101
+        val = ~(left & right)
     if at is not None:
         return until
     return [np.ones(n, ctype) if c is None else c[:, 0] for c in counts]
@@ -417,7 +419,8 @@ def _combine(c, runs, ctype) -> np.ndarray:
     that run. None is the all-ones leaf counter, which is never built."""
     if c is None:
         return np.add(*runs, dtype=ctype)
-    return np.add(c[:, 0::2] * runs[0], c[:, 1::2] * runs[1], dtype=ctype)
+    h = c.shape[1] // 2
+    return np.add(c[:, :h] * runs[0], c[:, h:] * runs[1], dtype=ctype)
 
 
 _UNIFORM_CHUNK = 1 << 16
@@ -459,7 +462,10 @@ def mc_cost(algorithm: str, d: int, marginals: Sequence, samples: int, seed: int
     if len(p) != n_leaves:
         raise ValueError("marginal count does not match depth")
     _check_marginals(p)
-    order = _greedy_order(zero_probs(d, marginals)) if algorithm == "greedy_zero" else None
+    p = p[_bitrev(n_leaves)]
+    order = None
+    if algorithm == "greedy_zero":
+        order = _fold_order(_greedy_order(zero_probs(d, marginals)))
     rng = np.random.default_rng(np.random.SeedSequence(seed))
 
     def root_costs(n):
@@ -482,6 +488,8 @@ def two_level_traced_bound(d: int, marginals: Sequence) -> dict:
     """Instrumented two-level check: the exact expected cost at depth d is at
     most (2 - g)(1 + 2g - g^2) times the worst grandchild cost, where g is
     the smaller of the two root children's larger child-zero-probabilities.
+    ``ok`` is decided with zero slack on exact (int or Fraction) marginals
+    and within 1e-9 on floats.
     """
     if d < 2:
         raise ValueError("need depth >= 2")
@@ -491,12 +499,13 @@ def two_level_traced_bound(d: int, marginals: Sequence) -> dict:
     q = zp._scalars(zp.levels[2])
     g = min(max(q[0], q[1]), max(q[2], q[3]))
     rhs = (2 - g) * (1 + 2 * g - g * g) * t_star
+    slack = 0 if all(isinstance(v, (int, Fraction)) for v in (lhs, rhs)) else 1e-9
     return {
         "lhs": lhs,
         "rhs": rhs,
         "gamma": g,
         "t_star": t_star,
-        "ok": bool(lhs <= rhs + 1e-9),
+        "ok": bool(lhs <= rhs + slack),
     }
 
 

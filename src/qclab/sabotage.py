@@ -5,7 +5,9 @@ A level-d pair (x, y) has g_d(x) = 0 and g_d(y) = 1 and is built by lifting
 the point pair (0, 1) d times: each level-t coordinate i becomes a fresh
 two-bit block via a uniform bit b_i, with the old value embedded (as its
 complement) in slot b_i and slot 1-b_i padded with 1. Pairs always differ at
-exactly one index. Leaf positions are 0-indexed, as in ``nandtree``.
+exactly one index. Leaf positions are 0-indexed, as in ``nandtree``. The
+pairs behind the folds are drawn in the fold layout (``nandtree._bitrev``);
+``sample_hard_pair`` and ``enumerate_hard_pairs`` give natural order.
 """
 
 from __future__ import annotations
@@ -21,9 +23,12 @@ from .nandtree import (
     SeparationError,
     Transcript,
     _batches,
+    _bitrev,
     _check_mc_depth,
     _check_samples,
+    _coins,
     _fold,
+    _fold_order,
     _greedy_order,
     _summary,
     zero_probs,
@@ -35,7 +40,6 @@ __all__ = [
     "SepCountEstimate",
     "SeparationError",
     "sample_hard_pair",
-    "sample_pairs_batch",
     "enumerate_hard_pairs",
     "check_embedding",
     "LiftedAlgorithm",
@@ -87,25 +91,29 @@ class HardPair:
 
 
 def _lift_step(x: np.ndarray, at: np.ndarray, b: np.ndarray) -> tuple:
-    """Lift (n, w) bool x arrays one level with uniform uint8 bits b:
-    coordinate i becomes the block (b_i, 1 - b_i) where its bit is 1 and
-    (1, 1) where it is 0, so slot b_i holds the complement and slot 1 - b_i
-    the padding. The pair's y differs from x only at index ``at``, where the
-    blocks differ only in slot b_at, so the lifted pair differs at
-    2 at + b_at."""
-    bits, free = b.view(np.bool_), ~x
-    out = np.empty(x.shape + (2,), dtype=np.bool_)
-    np.bitwise_or(free, bits, out=out[..., 0])
-    np.bitwise_or(free, ~bits, out=out[..., 1])
-    return out.reshape(len(x), -1), 2 * at + b[np.arange(len(x)), at]
+    """Lift (n, w) bool x arrays in the fold layout one level with uniform
+    bool bits b: coordinate c becomes the block with slot 0 at position c
+    and slot 1 at w + c (the left and right children of c), holding
+    (b_c, 1 - b_c) where its bit is 1 and (1, 1) where it is 0, so slot b_c
+    holds the complement and slot 1 - b_c the padding. The pair's y differs
+    from x only at position ``at``, where the blocks differ only in slot
+    b_at, so the lifted pair differs at at + w b_at."""
+    n, w = x.shape
+    free = ~x
+    out = np.empty((n, 2 * w), dtype=np.bool_)
+    np.bitwise_or(free, b, out=out[:, :w])
+    np.bitwise_or(free, ~b, out=out[:, w:])
+    return out, at + w * b[np.arange(n), at]
 
 
 def _lift_one(x: tuple, at: int, b: tuple) -> tuple:
-    """One lift of a single pair, given by x and its differing index: the
-    lifted x and differing index."""
-    x2, at2 = _lift_step(np.array([x], dtype=np.bool_), np.array([at]),
-                         np.array([b], dtype=np.uint8))
-    return tuple(x2[0].view(np.uint8).tolist()), int(at2[0])
+    """One lift of a single pair in natural order, given by x, its differing
+    index and the bits b: the lifted x and differing index, by ``_lift_step``
+    in the fold layout."""
+    rev, rev2 = _bitrev(len(x)), _bitrev(2 * len(x))
+    x2, at2 = _lift_step(np.array([x], dtype=np.bool_)[:, rev], rev[[at]],
+                         np.array([b], dtype=np.bool_)[:, rev])
+    return tuple(x2[0, rev2].view(np.uint8).tolist()), int(rev2[at2[0]])
 
 
 def _y_of(x: tuple, at: int) -> tuple:
@@ -136,22 +144,14 @@ def sample_hard_pair(d: int, rng, keep_meta: bool = False) -> HardPair:
 
 
 def _sample_pairs(d: int, n: int, rng) -> tuple:
-    """(x, at): the (n, 2^d) bool x of n level-d hard pairs and the (n,)
-    index where each y differs from it."""
+    """(x, at): the (n, 2^d) bool x of n level-d hard pairs in the fold
+    layout and the (n,) position where each y differs from it. Each lift
+    draws its bits with ``nandtree._coins``."""
     x = np.zeros((n, 1), dtype=np.bool_)
     at = np.zeros(n, dtype=np.intp)
     for _ in range(d):
-        x, at = _lift_step(x, at, rng.integers(0, 2, size=x.shape, dtype=np.uint8))
+        x, at = _lift_step(x, at, _coins(rng, *x.shape))
     return x, at
-
-
-def sample_pairs_batch(d: int, n: int, rng) -> tuple:
-    """Vectorized sampler: returns uint8 arrays x, y of shape (n, 2^d)."""
-    x, at = _sample_pairs(d, n, rng)
-    x = x.view(np.uint8)
-    y = x.copy()
-    y[np.arange(n), at] ^= 1
-    return x, y
 
 
 def enumerate_hard_pairs(d: int):
@@ -295,8 +295,8 @@ def estimate_sep_counts(base, d: int, t: int, samples: int, seed: int,
     """
     if base != "saks_wigderson":
         raise ValueError(f"unknown base algorithm {base!r}")
-    if t > d:
-        raise ValueError("t must be at most d")
+    if not 0 <= t <= d:
+        raise ValueError(f"need 0 <= t <= d, got t = {t} and d = {d}")
     if run_on not in ("x", "y"):
         raise ValueError("run_on must be 'x' or 'y'")
     _check_samples(samples)
@@ -327,7 +327,7 @@ def mc_sep_cost(algorithm: str, d: int, samples: int, seed: int,
     order = None
     if algorithm == "greedy_zero":
         margs = [0.5] * (1 << d) if marginals is None else marginals
-        order = _greedy_order(zero_probs(d, margs))
+        order = _fold_order(_greedy_order(zero_probs(d, margs)))
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     return _pair_fold(d, samples, rng, lambda x: [None], order, batch)[0]
 

@@ -1,6 +1,7 @@
 """The one NAND fold behind mc_cost, mc_sep_cost and the lift-chain counts:
-per-sample oracles, counter widths, the leaf stream, the memory budget,
-pinned fixed-seed outputs, and the depth guard."""
+per-sample oracles, counter widths, the fold layout, the leaf and coin
+streams, the memory budget, pinned fixed-seed outputs, and the depth
+guard."""
 
 import tracemalloc
 
@@ -13,8 +14,13 @@ from qclab.nandtree import (
     GreedyZeroEvaluator,
     SeparationError,
     _bernoulli_leaves,
+    _bitrev,
+    _coins,
     _fold,
+    _fold_order,
     _greedy_order,
+    expected_cost_greedy_zero,
+    expected_cost_sw,
     golden_marginals,
     greedy_zero,
     mc_cost,
@@ -26,7 +32,7 @@ from qclab.sabotage import (
     enumerate_hard_pairs,
     estimate_sep_counts,
     mc_sep_cost,
-    sample_pairs_batch,
+    sample_hard_pair,
     sep_cost,
     sep_value_counts,
 )
@@ -37,6 +43,15 @@ def _margs(d):
 
 
 # -- per-sample oracles -------------------------------------------------------------
+
+
+def _fold_natural(x, counts, order=None, at=None):
+    """``_fold`` on natural-layout leaves, leaf counters, child order and
+    differing indices, each permuted into the fold layout."""
+    rev = _bitrev(x.shape[1])
+    counts = [None if c is None else c[:, rev] for c in counts]
+    order = None if order is None else _fold_order(order)
+    return _fold(x[:, rev], counts, None, order, None if at is None else rev[at])
 
 
 def _pairs(support):
@@ -50,7 +65,7 @@ def _pairs(support):
 def test_fold_cost_matches_greedy_on_every_input(d):
     n = 1 << d
     xs = np.array([[(idx >> j) & 1 for j in range(n)] for idx in range(1 << n)], dtype=bool)
-    (cost,) = _fold(xs, [None], None, _greedy_order(zero_probs(d, _margs(d))))
+    (cost,) = _fold_natural(xs, [None], _greedy_order(zero_probs(d, _margs(d))))
     assert cost.tolist() == [greedy_zero(d, _margs(d), x)[1] for x in xs.astype(int).tolist()]
 
 
@@ -62,9 +77,9 @@ def _check_sep_counts(d, margs, support):
     rng = np.random.default_rng(0)  # unused by the deterministic evaluator
     x, at = _pairs(support)
     for run, a, b in ((x, 1, 2), (x ^ (np.arange(1 << d) == at[:, None]), 2, 1)):
-        (sep,) = _fold(run, [None], None, order, at=at)
+        (sep,) = _fold_natural(run, [None], order, at)
         assert sep.tolist() == [sep_cost(algo, p[a], p[b], rng) for p in support]
-        q0, q1 = _fold(run, [~run, run], None, order, at=at)
+        q0, q1 = _fold_natural(run, [~run, run], order, at)
         assert list(zip(q0.tolist(), q1.tolist())) == [
             sep_value_counts(algo, d, p[a], p[b], rng) for p in support
         ]
@@ -77,8 +92,8 @@ def test_fold_separation_counts_match_scalar_runs_on_every_pair(d):
 
 @pytest.mark.parametrize("d", [4, 5, 6, 7, 8])
 def test_fold_separation_path_gather_matches_scalar_runs_beyond_enumeration(d):
-    x, y = sample_pairs_batch(d, 150, np.random.default_rng(d))
-    support = [(None, tuple(a), tuple(b)) for a, b in zip(x.tolist(), y.tolist())]
+    rng = np.random.default_rng(d)
+    support = [(None, p.x, p.y) for p in (sample_hard_pair(d, rng) for _ in range(150))]
     _check_sep_counts(d, list(tile_marginals([0.2, 0.9, 0.7], d)), support)
 
 
@@ -87,9 +102,9 @@ def test_fold_raises_when_the_run_never_reads_the_marked_leaf():
     # never queried
     x = np.array([[False, True]])
     order = [np.array([True])]
-    assert _fold(x, [None], None, order, at=np.array([0]))[0].tolist() == [1]
+    assert _fold_natural(x, [None], order, np.array([0]))[0].tolist() == [1]
     with pytest.raises(SeparationError):
-        _fold(x, [None], None, order, at=np.array([1]))
+        _fold_natural(x, [None], order, np.array([1]))
 
 
 def _full_evaluation(d, value=0):
@@ -106,7 +121,7 @@ def test_fold_counts_a_full_evaluation_without_wrapping(d):
     x = np.array([_full_evaluation(d)] * 2, dtype=bool)
     order = [np.ones(1 << k, dtype=bool) for k in range(d)]
     ones = np.ones(x.shape, dtype=bool)
-    cost, count = _fold(x, [None, ones], None, order)
+    cost, count = _fold_natural(x, [None, ones], order)
     assert cost.tolist() == count.tolist() == [1 << d] * 2
 
 
@@ -117,6 +132,29 @@ def test_chunked_leaf_draw_is_one_uniform_stream(n, w):
     chunked, whole = np.random.default_rng(n), np.random.default_rng(n)
     assert np.array_equal(_bernoulli_leaves(chunked, n, p), whole.random((n, w)) < p)
     assert chunked.bit_generator.state == whole.bit_generator.state
+
+
+@pytest.mark.parametrize("n, w", [(1, 1), (3, 8), (65, 1), (7, 64), (2000, 1024)])
+def test_coins_take_one_raw_word_per_64_coins(n, w):
+    rng, raw = np.random.default_rng(n * w), np.random.default_rng(n * w)
+    coins = _coins(rng, n, w)
+    raw.bit_generator.random_raw(-(-n * w // 64))
+    assert coins.shape == (n, w) and coins.dtype == np.bool_
+    assert rng.bit_generator.state == raw.bit_generator.state
+    if n * w >= 1 << 20:  # fair within 4 sigma
+        assert abs(coins.mean() - 0.5) <= 4 * 0.5 / np.sqrt(n * w)
+
+
+@pytest.mark.parametrize("d", [6, 7, 8, 9, 10])
+def test_mc_cost_matches_exact_on_asymmetric_marginals(d):
+    # a period-5 block is not invariant under reversing the leaf index bits,
+    # so p or the greedy order read in the wrong layout moves the mean; the
+    # golden marginals are constant and cannot show that
+    margs = tile_marginals([0.05, 0.9, 0.35, 0.97, 0.6], d)
+    for algo, exact in (("greedy_zero", expected_cost_greedy_zero),
+                        ("saks_wigderson", expected_cost_sw)):
+        est = mc_cost(algo, d, margs, 20_000, seed=30 + d)
+        assert abs(est.mean - exact(d, margs)) <= 4 * est.half_width_95 / 1.96, (algo, est)
 
 
 def test_folds_stay_within_their_memory_budget():
@@ -135,31 +173,31 @@ def test_folds_stay_within_their_memory_budget():
 
 
 # -- pinned fixed-seed outputs ------------------------------------------------------
-# The mc_cost and mc_sep_cost outputs were recorded before the three folds were
-# merged into one, the chain outputs when the chain began to fold at level t
-# (docs/decisions.md, entry 2); the fold's draw order (leaves or pair lifts
-# first, then one coin array per level from the bottom up) is part of every
-# fixed-seed output.
+# Recorded when the fold moved to the bit-reversed layout with packed coins
+# (docs/decisions.md, entry 2). The fold's draws are part of every fixed-seed
+# output: in each batch the leaf uniforms (in the fold layout) or the pair
+# lifts (one _coins array per level, bottom up), then for the random order
+# one _coins array per node level from the bottom up.
 
 
 def test_fixed_seed_outputs_are_pinned():
     assert mc_cost("greedy_zero", 7, tile_marginals([0.3, 0.8, 0.55, 0.61], 7), 2001,
                    seed=101, batch=333) == CostEstimate(
-        21.794602698650674, 0.42724128255203164, 2001)
+        21.57471264367816, 0.42232681669947436, 2001)
     assert mc_cost("saks_wigderson", 7, golden_marginals(7), 2001, seed=102) == CostEstimate(
-        28.94102948525737, 0.4680205485016356, 2001)
+        29.290354822588707, 0.46568193821738585, 2001)
     assert mc_sep_cost("saks_wigderson", 7, 2001, seed=103, batch=333) == CostEstimate(
-        26.667666166916543, 0.6690529358463929, 2001)
+        26.666666666666668, 0.6610847417304321, 2001)
     assert mc_sep_cost("greedy_zero", 7, 2001, seed=104,
                        marginals=tile_marginals([0.2, 0.9, 0.7], 7)) == CostEstimate(
-        26.52623688155922, 0.6672073710415741, 2001)
+        26.668665667166415, 0.6617658747755617, 2001)
     assert estimate_sep_counts("saks_wigderson", 6, 3, 1501, seed=105, run_on="x") == (
-        SepCountEstimate(3, 0, 0.7501665556295802, 0.03338724359184695, 1501),
-        SepCountEstimate(3, 1, 2.872751499000666, 0.06790764316427604, 1501),
+        SepCountEstimate(3, 0, 0.754163890739507, 0.03361576809366934, 1501),
+        SepCountEstimate(3, 1, 2.816788807461692, 0.06589178932463345, 1501),
     )
     assert estimate_sep_counts("saks_wigderson", 6, 3, 1501, seed=106, run_on="y") == (
-        SepCountEstimate(3, 0, 1.7728181212524983, 0.034250446035566866, 1501),
-        SepCountEstimate(3, 1, 1.8680879413724183, 0.06837321142014693, 1501),
+        SepCountEstimate(3, 0, 1.736842105263158, 0.032761485633539, 1501),
+        SepCountEstimate(3, 1, 1.8620919387075283, 0.06614811463001055, 1501),
     )
 
 

@@ -15,14 +15,12 @@ from qclab.nandtree import (
     Transcript,
     greedy_zero,
     eval_formula,
-    eval_formula_batch,
     expected_cost_greedy_zero,
     expected_cost_sw,
     fit_exponent,
     golden_marginals,
     max_two_level_factor,
     mc_cost,
-    root_zero_prob_exhaustive,
     saks_wigderson,
     sw_expected_queries_at,
     tile_marginals,
@@ -42,6 +40,19 @@ def mu_weight(x, marginals):
     for b, p in zip(x, marginals):
         w *= p if b else 1 - p
     return w
+
+
+def eval_formula_batch(xs):
+    """eval_formula over the rows of a (n, 2^d) bit matrix."""
+    vals = np.asarray(xs, dtype=np.int8)
+    while vals.shape[1] > 1:
+        vals = 1 - (vals[:, 0::2] & vals[:, 1::2])
+    return vals[:, 0]
+
+
+def root_zero_prob_exhaustive(d, marginals):
+    """Pr[g_d(x) = 0] by brute-force summation."""
+    return sum(mu_weight(x, marginals) for x in all_inputs(d) if eval_formula(x) == 0)
 
 
 # -- evaluation --------------------------------------------------------------
@@ -150,7 +161,7 @@ def test_fold_and_evaluator_share_the_order_below_one_ulp():
     # q_left = 2/3 - 10^-30 < q_right = 2/3, yet both round to the same
     # float, where a tie would send the run left first
     margs = [Fraction(1, 3) + Fraction(1, 10**30), Fraction(1, 3)]
-    xs = np.array([[0, 0], [1, 0], [0, 1], [1, 1]], dtype=bool)
+    xs = np.array([[0, 0], [1, 0], [0, 1], [1, 1]], dtype=bool)  # d = 1: fold layout = natural
     (cost,) = _fold(xs, [None], None, _greedy_order(zero_probs(1, margs)))
     assert cost.tolist() == [greedy_zero(1, margs, x)[1] for x in xs.astype(int).tolist()]
     assert greedy_zero(1, margs, [1, 0]) == (1, 1)
@@ -249,6 +260,18 @@ def test_two_level_bound_random_and_golden():
     rep = two_level_traced_bound(6, list(golden_marginals(6)))
     assert rep["ok"]
     assert rep["rhs"] / rep["t_star"] <= max_two_level_factor() + 1e-9
+
+
+def test_two_level_bound_is_decided_exactly_on_exact_marginals():
+    # all-ones leaves meet the bound with equality: lhs = rhs = 2 at d = 2
+    rep = two_level_traced_bound(2, [1, 1, 1, 1])
+    assert rep["lhs"] == rep["rhs"] == 2 and rep["ok"]
+    rng = random.Random(12)
+    for d in (2, 3, 4):
+        for _ in range(10):
+            rep = two_level_traced_bound(d, [Fraction(rng.randint(0, 6), 6) for _ in range(1 << d)])
+            assert all(isinstance(rep[k], (int, Fraction)) for k in ("lhs", "rhs", "gamma", "t_star"))
+            assert rep["ok"] and rep["lhs"] <= rep["rhs"], rep
 
 
 def test_fit_exponent():

@@ -5,9 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qclab.nandtree import SaksWigderson, Transcript, eval_formula, eval_formula_batch, fit_exponent
+from qclab.nandtree import SaksWigderson, Transcript, _bitrev, eval_formula, fit_exponent
 from qclab.sabotage import (
     BOUND_MATRIX,
+    _lift_step,
+    _sample_pairs,
     HardPair,
     LevelLift,
     LiftedAlgorithm,
@@ -24,7 +26,6 @@ from qclab.sabotage import (
     mc_sep_cost,
     q_counts_sw,
     sample_hard_pair,
-    sample_pairs_batch,
     sep_cost,
     spectral_alpha,
     block_case_bounds,
@@ -89,12 +90,22 @@ def test_corrupted_block_detected():
         check_embedding(sample_hard_pair(2, rng))  # no metadata retained
 
 
+def sample_pairs_batch(d, n, rng):
+    """The batch sampler's pairs in natural order, as uint8 (x, y) rows."""
+    x, at = _sample_pairs(d, n, rng)
+    rev = _bitrev(1 << d)
+    x = x[:, rev].view(np.uint8)
+    y = x.copy()
+    y[np.arange(n), rev[at]] ^= 1
+    return x, y
+
+
 def test_batch_sampler_matches_support():
     rng = np.random.default_rng(4)
     n = 30_000
     x, y = sample_pairs_batch(3, n, rng)
-    assert (eval_formula_batch(x) == 0).all()
-    assert (eval_formula_batch(y) == 1).all()
+    assert all(eval_formula(row) == 0 for row in np.unique(x, axis=0).tolist())
+    assert all(eval_formula(row) == 1 for row in np.unique(y, axis=0).tolist())
     assert ((x != y).sum(axis=1) == 1).all()
     support = {(xx, yy): p for p, xx, yy in enumerate_hard_pairs(2)}
     x2, y2 = sample_pairs_batch(2, n, rng)
@@ -107,6 +118,28 @@ def test_batch_sampler_matches_support():
 
 
 # -- the lift ---------------------------------------------------------------------
+
+
+def _natural_lift(x, at, b):
+    """The lift in natural order: coordinate i becomes the block at 2i
+    (slot 0) and 2i + 1 (slot 1), and the differing index moves to
+    2 at + b_at."""
+    out = np.stack([~x | b, ~x | ~b], axis=-1).reshape(len(x), -1)
+    return out, 2 * at + b[np.arange(len(x)), at]
+
+
+@pytest.mark.parametrize("w", [1, 2, 4, 8])
+def test_halves_lift_is_the_natural_lift_permuted(w):
+    # every (x, at, b) at width w, one per row
+    strings = (np.arange(1 << w)[:, None] >> np.arange(w)) & 1 == 1
+    xi, at, bi = (a.ravel() for a in np.meshgrid(np.arange(1 << w), np.arange(w),
+                                                 np.arange(1 << w), indexing="ij"))
+    x, b = strings[xi], strings[bi]
+    rev, rev2 = _bitrev(w), _bitrev(2 * w)
+    got, got_at = _lift_step(x[:, rev], rev[at], b[:, rev])
+    want, want_at = _natural_lift(x, at, b)
+    assert np.array_equal(got[:, rev2], want)
+    assert np.array_equal(rev2[got_at], want_at)
 
 
 def test_lift_chain_zero_error():
@@ -341,8 +374,10 @@ def test_estimate_q_ci_shrinks():
 
 
 def test_estimate_q_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="t = 3"):
         estimate_sep_counts("saks_wigderson", 2, 3, 1000, seed=0)
+    with pytest.raises(ValueError, match="t = -1"):
+        estimate_sep_counts("saks_wigderson", 3, -1, 1000, seed=0)
     with pytest.raises(ValueError, match="unknown base algorithm"):
         estimate_sep_counts(SaksWigderson(3), 3, 1, 100, seed=0)
     with pytest.raises(ValueError):

@@ -3,15 +3,17 @@ product-distribution primitives.
 
 Variables are 1-indexed. A point ``x = (x_1, ..., x_m)`` is a tuple of bits;
 its truth-table index is ``sum(x_j << (j-1))``, so ``x_1`` is the least
-significant bit. Probability arithmetic is type-preserving: marginals may be
-floats (default, compared with ``TOL``) or ``fractions.Fraction`` for exact
-work.
+significant bit. Probability arithmetic is type-preserving: rational
+marginals (ints, ``fractions.Fraction``) give exact values, and any other
+marginal makes every value a float (``_exact``); every verdict is
+``_at_most``: exact on rationals, within ``TOL`` otherwise.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -148,6 +150,18 @@ class ProductDistribution:
         return (rng.random((n, self.arity)) < p).astype(np.uint8)
 
 
+def _exact(values: Iterable) -> bool:
+    """True when every value is a ``numbers.Rational``: the one test of exact
+    arithmetic (one subclass check per type present)."""
+    return all(issubclass(t, numbers.Rational) for t in set(map(type, values)))
+
+
+def _at_most(a, b, tol: float = TOL) -> bool:
+    """a <= b: exactly when both are rational, and ``a <= b + tol`` otherwise
+    (so a NaN on either side is never at most)."""
+    return bool(a <= b if _exact((a, b)) else a <= b + tol)
+
+
 class _Arithmetic(NamedTuple):
     exact: bool
     weights: list  # (w0, w1) per variable, in variable order
@@ -159,15 +173,15 @@ class _Arithmetic(NamedTuple):
 def _arithmetic(marginals: Sequence) -> _Arithmetic:
     """The one arithmetic rule for values over a product distribution.
 
-    Any float marginal makes every value a float: variable j's weights are
-    ``(1 - p, p)`` for ``p = float(p_j)``, ``one`` is 1.0 and ``value`` is
-    float, in float64 arrays. Otherwise p_j = n_j / d_j (an int, or a
-    Fraction in lowest terms), the weights are ``(d_j - n_j, n_j)``, and a
+    Any marginal that is not ``_exact`` makes every value a float: variable
+    j's weights are ``(1 - p, p)`` for ``p = float(p_j)``, ``one`` is 1.0 and
+    ``value`` is float, in float64 arrays. Otherwise p_j = n_j / d_j (an int,
+    or a Fraction in lowest terms), the weights are ``(d_j - n_j, n_j)``, and a
     value is a Python int scaled by ``one``, the product of the
     denominators, in object arrays: ``value(v)`` is ``Fraction(v, one)``, or
     an int when every marginal is an int.
     """
-    if any(isinstance(p, float) for p in marginals):
+    if not _exact(marginals):
         return _Arithmetic(False, [(1 - p, p) for p in map(float, marginals)], 1.0, float,
                            np.float64)
     one = math.prod(p.denominator for p in marginals)
@@ -178,17 +192,22 @@ def _arithmetic(marginals: Sequence) -> _Arithmetic:
 
 def _masses(marginals: Sequence) -> tuple:
     """``(w, arithmetic)``: the 2^m point masses, indexed like the truth
-    table, each the product of one ``_arithmetic`` weight per variable (exact:
-    Python ints over ``one``, refused above ``MASS_MAX_EXACT_ARITY``)."""
+    table, each the product of one ``_arithmetic`` weight per variable."""
     ar = _arithmetic(marginals)
-    if ar.exact and len(marginals) > MASS_MAX_EXACT_ARITY:
+    return _mass_vector(ar, ar.weights), ar
+
+
+def _mass_vector(ar: _Arithmetic, weights: Sequence) -> np.ndarray:
+    """The products of one ``weights`` pair per variable, the first least
+    significant (exact: ints over ``ar.one``, capped at MASS_MAX_EXACT_ARITY)."""
+    if ar.exact and len(weights) > MASS_MAX_EXACT_ARITY:
         raise ValueError(f"exact point masses capped at arity {MASS_MAX_EXACT_ARITY}; "
                          "pass float marginals")
-    pairs = np.array(ar.weights, dtype=ar.dtype)
+    pairs = np.array(weights, dtype=ar.dtype)
     w = np.ones(1, dtype=ar.dtype)
     for pair in pairs:  # (w0 * w, w1 * w), one variable more significant
         w = np.multiply.outer(pair, w).ravel()
-    return w, ar
+    return w
 
 
 @dataclass(frozen=True)
@@ -389,11 +408,11 @@ class PoincareReport:
     holds: bool
 
 
-def check_poincare(f: BooleanFunction, mu: ProductDistribution, tol: float = TOL) -> PoincareReport:
-    """4 Var(f) <= Inf(f) for product distributions."""
+def check_poincare(f: BooleanFunction, mu: ProductDistribution) -> PoincareReport:
+    """4 Var(f) <= Inf(f) for product distributions, by ``_at_most``."""
     lhs = 4 * variance(f, mu)
     rhs = influence(f, mu)
-    return PoincareReport(lhs, rhs, bool(lhs <= rhs + tol))
+    return PoincareReport(lhs, rhs, _at_most(lhs, rhs))
 
 
 def _check_pair(f: BooleanFunction, mu: ProductDistribution):

@@ -22,7 +22,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -49,8 +49,6 @@ class RunRecord:
     config: dict
     rows: list
     wall_time_s: float = 0.0
-    version: str = __version__
-    extra_lines: list = field(default_factory=list)
 
 
 def _fmt(v) -> str:
@@ -69,15 +67,14 @@ def render_record(rec: RunRecord, fmt: str) -> str:
             "command": rec.command,
             "config": {k: _fmt(v) for k, v in sorted(rec.config.items())},
             "rows": [{k: _fmt(v) for k, v in row.items()} for row in rec.rows],
-            "version": rec.version,
+            "version": __version__,
             "wall_time_s": round(rec.wall_time_s, 3),
         }
         return json.dumps(obj, indent=1, sort_keys=True) + "\n"
-    lines = ["# qclab-v1", f"# version={rec.version}", f"# command={rec.command}"]
+    lines = ["# qclab-v1", f"# version={__version__}", f"# command={rec.command}"]
     for k, v in sorted(rec.config.items()):
         lines.append(f"# config {k}={_fmt(v)}")
     lines.append(f"# wall_time_s={rec.wall_time_s:.3f}")
-    lines.extend(rec.extra_lines)
     if rec.rows:
         header = []
         for row in rec.rows:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
@@ -25,19 +24,20 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .boolfunc import (
-    TOL,
     BooleanFunction,
     Point,
     ProductDistribution,
     Subcube,
     _arithmetic,
-    _masses,
+    _at_most,
+    _mass_vector,
 )
 
 DP_MAX_ARITY = 14
 # Exact-mode lattices hold Python ints in object arrays: with Fraction /64
 # marginals m = 13 took 15.5 s and 339 MiB, m = 14 60 s and 970 MiB.
 DP_MAX_EXACT_ARITY = 13
+CURVE_TOL = 1e-12  # float errors within it of eps stop the error curve
 
 __all__ = [
     "DP_MAX_ARITY",
@@ -191,15 +191,10 @@ class RandomizedTree:
         arities = {t.arity for _, t in self.entries}
         if len(arities) != 1:
             raise ValueError("all support trees must share one arity")
-        total = 0
-        for w, _ in self.entries:
-            if w <= 0:
-                raise ValueError("weights must be positive")
-            total = total + w
-        if isinstance(total, Fraction):
-            if total != 1:
-                raise ValueError(f"weights must sum to 1, got {total}")
-        elif abs(total - 1) > TOL:
+        if any(w <= 0 for w, _ in self.entries):
+            raise ValueError("weights must be positive")
+        total = sum(w for w, _ in self.entries)
+        if not _at_most(abs(total - 1), 0):
             raise ValueError(f"weights must sum to 1, got {total}")
 
     @property
@@ -321,13 +316,6 @@ def optimal_dist_error(f: BooleanFunction, mu: ProductDistribution, k: int):
     return lat.value(_nth(lat.errors(), min(k, f.arity)).flat[-1])
 
 
-def _within_eps(value, eps, tol) -> bool:
-    """value <= eps: exact when both are rational, within ``tol`` otherwise."""
-    if isinstance(value, numbers.Rational) and isinstance(eps, numbers.Rational):
-        return value <= eps
-    return value <= eps + tol
-
-
 def _check_eps(eps) -> None:
     """Refuse an eps that no error meets, so no least depth exists."""
     if not eps >= 0:  # also NaN
@@ -344,15 +332,15 @@ def _root_errors(f: BooleanFunction, marginals: Sequence, eps=None):
     for cur in itertools.islice(lat.errors(), f.arity + 1):
         err = lat.value(cur.flat[-1])
         yield err
-        if eps is not None and _within_eps(err, eps, 1e-12):
+        if eps is not None and _at_most(err, eps, CURVE_TOL):
             return
 
 
 def exact_Dmu_eps(f: BooleanFunction, mu: ProductDistribution, eps) -> int:
     """Least depth k with optimal_dist_error(f, mu, k) <= eps.
 
-    Rational errors and eps are compared exactly, anything else with a 1e-12
-    slack. A negative or NaN eps raises ``ValueError``.
+    Compared by ``boolfunc._at_most`` with ``CURVE_TOL``: exactly when both
+    are rational. A negative or NaN eps raises ``ValueError``.
     """
     if f.arity != mu.arity:
         raise ValueError("arity mismatch")
@@ -388,25 +376,33 @@ def dist_error_curve_fast(f: BooleanFunction, marginals: Sequence[float], eps=No
 
 
 def _point_masses(mu: ProductDistribution) -> tuple:
-    """``(points, w, prob)``: mu's positive-mass points by ascending index,
-    its mass vector ``boolfunc._masses`` as a list, and ``prob``, which turns
-    a sum of masses into a probability. A sum of no point stays the int 0;
-    every other sum is positive, as its masses are."""
-    w, ar = _masses(mu.marginals)
-    return np.flatnonzero(w).tolist(), w.tolist(), lambda s: s and ar.value(s)
+    """``(w, prob)``: ``w`` maps mu's positive-mass points, by ascending
+    index, to their masses in the units of ``boolfunc._arithmetic`` (decided
+    on all marginals), and ``prob`` turns a sum of masses into a probability
+    (a sum of no point stays the int 0; any other is positive). A 0/1 marginal
+    fixes its bit, and its weight, exactly 1, is left out, so a two-point mu
+    builds two masses, not 2^m."""
+    ar = _arithmetic(mu.marginals)
+    interior = [j for j, (w0, w1) in enumerate(ar.weights) if w0 and w1]
+    base = sum(1 << j for j, (w0, _) in enumerate(ar.weights) if not w0)
+    masses = _mass_vector(ar, [ar.weights[j] for j in interior]).tolist()
+    points = [base]
+    for j in interior:  # the vector's index order: interior[0] least significant
+        points += [idx | 1 << j for idx in points]
+    return {idx: x for idx, x in zip(points, masses) if x}, lambda s: s and ar.value(s)
 
 
-def _leaf_masses(tree: DecisionTree, f: BooleanFunction, points: list, w: list) -> dict:
-    """{leaf_id: (s0, s1)} for every leaf that holds one of ``points``, in
-    leaf order: s_b sums the masses ``w`` of the leaf's points with f = b, by
-    ascending index (the int 0 if there is none).
+def _leaf_masses(tree: DecisionTree, f: BooleanFunction, w: dict) -> dict:
+    """{leaf_id: (s0, s1)} for every leaf that holds one of the points of
+    ``w``, in leaf order: s_b sums the masses ``w`` of the leaf's points with
+    f = b, by ascending index (the int 0 if there is none).
 
     The points are split down the tree by each queried bit, so a subtree
     that no point reaches is never entered, and a two-point mu follows at
     most two paths.
     """
     masses = {}
-    stack = [(tree.root, "", points)]
+    stack = [(tree.root, "", list(w))]
     while stack:
         node, path, points = stack.pop()
         if isinstance(node, Query):
@@ -456,8 +452,8 @@ def leaf_profile(tree: DecisionTree, f: BooleanFunction, mu: ProductDistribution
     Zero-reach leaves, and leaves where f is constant on mu's mass, get bias 0.
     """
     _check_arities(tree, f, mu)
-    points, w, prob = _point_masses(mu)
-    masses = _leaf_masses(tree, f, points, w)
+    w, prob = _point_masses(mu)
+    masses = _leaf_masses(tree, f, w)
     stats = []
     for leaf_id, _, _, _ in tree_leaves(tree):
         m0, m1 = map(prob, masses.get(leaf_id, (0, 0)))
@@ -469,12 +465,12 @@ def leaf_profile(tree: DecisionTree, f: BooleanFunction, mu: ProductDistribution
 def avg_leaf_bias(r: RandomizedTree, f: BooleanFunction, mu: ProductDistribution):
     """E_{T~R} sum over leaves of min{Pr[leaf, f=0], Pr[leaf, f=1]}: the
     reach-weighted leaf bias, the unlabelled-tree error proxy."""
-    points, mass, prob = _point_masses(mu)
+    mass, prob = _point_masses(mu)
     total = 0
     for w, tree in r.entries:
         _check_arities(tree, f, mu)
         bias = 0
-        for s0, s1 in _leaf_masses(tree, f, points, mass).values():
+        for s0, s1 in _leaf_masses(tree, f, mass).values():
             bias = bias + min(s0, s1)
         total = total + w * prob(bias)
     return total
@@ -486,8 +482,8 @@ def label_leaves(tree: DecisionTree, f: BooleanFunction, mu: ProductDistribution
     Zero-mass leaves are labeled 0.
     """
     _check_arities(tree, f, mu)
-    points, w, _ = _point_masses(mu)
-    masses = _leaf_masses(tree, f, points, w)
+    w, _ = _point_masses(mu)
+    masses = _leaf_masses(tree, f, w)
     return DecisionTree(tree.arity, _majority_labels(tree.root, "", masses))
 
 
@@ -503,8 +499,8 @@ def _majority_labels(node: Node, path: str, masses: dict) -> Node:
 def tree_error(tree: DecisionTree, f: BooleanFunction, mu: ProductDistribution):
     """Pr_{x~mu}[f(x) != T(x)], exact by summation over leaves."""
     _check_arities(tree, f, mu)
-    points, w, prob = _point_masses(mu)
-    masses = _leaf_masses(tree, f, points, w)
+    w, prob = _point_masses(mu)
+    masses = _leaf_masses(tree, f, w)
     err = 0
     for leaf_id, _, label, _ in tree_leaves(tree):
         if leaf_id not in masses:

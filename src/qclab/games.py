@@ -27,6 +27,8 @@ from .boolfunc import (
     BooleanFunction,
     Point,
     ProductDistribution,
+    _at_most,
+    _exact,
     point_from_index,
     sensitivity,
 )
@@ -37,7 +39,6 @@ from .dtree import (
     Query,
     RandomizedTree,
     _check_eps,
-    _within_eps,
     avg_leaf_bias,
     dist_error_curve_fast,
     run,
@@ -46,7 +47,7 @@ from .dtree import (
 RATIONAL_ENTRY_LIMIT = 10_000
 LP_TOL = 1e-9
 RUN_TABLE_ELEMENTS = 1 << 26  # int8 entries per run-table array, as nandtree._BATCH_ELEMENTS
-MIXTURE_DROP_TOL = 1e-12  # column weights at or below it leave an LP mixture
+MIXTURE_DROP_TOL = 1e-12  # float column weights at or below it leave an LP mixture (exact: 0)
 AMPLIFY_SUPPORT_LIMIT = 500_000  # tuples that amplify may enumerate
 DPROD_SWEEPS = 40  # coordinate-ascent passes per step size in dprod_search
 
@@ -249,9 +250,8 @@ def solve_zero_sum(matrix: Sequence[Sequence], exact: Optional[bool] = None) -> 
     if not rows or not rows[0]:
         raise ValueError("payoff matrix must be non-empty")
     if exact is None:
-        exact = len(rows) * len(rows[0]) <= RATIONAL_ENTRY_LIMIT and all(
-            isinstance(v, (int, Fraction)) for r in rows for v in r
-        )
+        exact = len(rows) * len(rows[0]) <= RATIONAL_ENTRY_LIMIT and _exact(
+            v for r in rows for v in r)
     if exact:
         return _solve_exact(rows)
 
@@ -286,8 +286,9 @@ def _solve_exact(rows: list) -> GameValue:
     sum(t)``. Both best responses are checked with zero slack before any
     Fraction is built.
     """
-    a = np.array([[v if isinstance(v, (int, Fraction)) else Fraction(v) for v in r]
-                  for r in rows], dtype=object)
+    a = np.array(rows, dtype=object)
+    if not _exact(a.flat):  # floats, taken exactly
+        a = np.frompyfunc(Fraction, 1, 1)(a)
     s = math.lcm(*[v.denominator for v in a.flat])
     a = a * s // 1  # an int // 1 is that int, a whole Fraction // 1 an int
     shift = max(0, s - a.min())
@@ -512,7 +513,7 @@ def _least_depth(f: BooleanFunction, eps, game_value, name: str) -> int:
     _check_eps(eps)
     for k in range(f.arity + 1):
         gv, _ = game_value(f, k)
-        if _within_eps(gv.value, eps, LP_TOL):
+        if _at_most(gv.value, eps, LP_TOL):
             return k
     raise AssertionError("unreachable: full-depth trees are exact")
 
@@ -546,7 +547,8 @@ def exact_RSE(f: BooleanFunction):
 
 def mixture_from_columns(catalog_trees: Sequence[DecisionTree], gv: GameValue) -> RandomizedTree:
     """The column player's optimal mixture as a RandomizedTree."""
-    entries = [(w, t) for w, t in zip(gv.col_strategy, catalog_trees) if w > MIXTURE_DROP_TOL]
+    entries = [(w, t) for w, t in zip(gv.col_strategy, catalog_trees)
+               if not _at_most(w, 0, MIXTURE_DROP_TOL)]
     total = sum(w for w, _ in entries)
     return RandomizedTree(tuple((w / total, t) for w, t in entries))
 
@@ -688,12 +690,11 @@ class AmplifiedBiasReport:
 
 
 def check_amplified_bias(r: RandomizedTree, f: BooleanFunction,
-                        mus: Sequence[ProductDistribution], eps,
-                        tol: float = LP_TOL) -> AmplifiedBiasReport:
+                         mus: Sequence[ProductDistribution], eps) -> AmplifiedBiasReport:
     """Amplify an R with miss <= 1-eps and check the average leaf bias stays
-    below 1/8 on every supplied product distribution."""
+    below 1/8 on every supplied product distribution, both by ``_at_most``."""
     miss = sens_miss_profile(r, f)
-    if miss > 1 - eps + tol:
+    if not _at_most(miss, 1 - eps):
         raise ValueError(f"precondition failed: miss {miss} > 1 - eps = {1 - eps}")
     s = sensitivity(f)
     reps = max(1, math.ceil((2 / eps) * math.log(s))) if s >= 2 else 1
@@ -710,7 +711,7 @@ def check_amplified_bias(r: RandomizedTree, f: BooleanFunction,
         miss_after=miss_after,
         max_bias=max_bias,
         threshold=0.125,
-        ok=bool(max_bias <= 0.125 + tol),
+        ok=_at_most(max_bias, Fraction(1, 8)),
     )
 
 
@@ -721,14 +722,12 @@ class TwoPointBoundReport:
     ok: bool
 
 
-def check_two_point_bound(r: RandomizedTree, f: BooleanFunction, tol=0) -> TwoPointBoundReport:
+def check_two_point_bound(r: RandomizedTree, f: BooleanFunction) -> TwoPointBoundReport:
     """For every (x, sensitive i): on the two-point product distribution
     mu(x) = mu(x^{+i}) = 1/2, the miss probability satisfies
-    miss(x, i) * 1/2 <= avg leaf bias of R under mu."""
-    exact = all(isinstance(w, (int, Fraction)) for w, _ in r.entries)
-    half = Fraction(1, 2) if exact else 0.5
-    checked = 0
-    worst = None
+    miss(x, i) * 1/2 <= avg leaf bias of R under mu, with zero slack."""
+    half = Fraction(1, 2) if _exact(w for w, _ in r.entries) else 0.5
+    violations = []
     for idx in range(f.size):
         x = point_from_index(idx, f.arity)
         v = f.value_at(idx)
@@ -738,14 +737,9 @@ def check_two_point_bound(r: RandomizedTree, f: BooleanFunction, tol=0) -> TwoPo
             mu = ProductDistribution(tuple(half if j == i else x[j - 1]
                                            for j in range(1, f.arity + 1)))
             bias = avg_leaf_bias(r, f, mu)
-            miss = miss_probability(r, x, i)
-            violation = miss * half - bias
-            checked += 1
-            if worst is None or violation > worst:
-                worst = violation
-    if worst is None:
-        worst = 0
-    return TwoPointBoundReport(checked, worst, bool(worst <= tol))
+            violations.append(miss_probability(r, x, i) * half - bias)
+    worst = max(violations, default=0)
+    return TwoPointBoundReport(len(violations), worst, bool(worst <= 0))
 
 
 # ---------------------------------------------------------------------------

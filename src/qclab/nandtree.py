@@ -19,6 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .boolfunc import _at_most
+
 __all__ = [
     "NandInstance",
     "ZeroProbTree",
@@ -488,8 +490,8 @@ def two_level_traced_bound(d: int, marginals: Sequence) -> dict:
     """Instrumented two-level check: the exact expected cost at depth d is at
     most (2 - g)(1 + 2g - g^2) times the worst grandchild cost, where g is
     the smaller of the two root children's larger child-zero-probabilities.
-    ``ok`` is decided with zero slack on exact (int or Fraction) marginals
-    and within 1e-9 on floats.
+    ``ok`` is ``boolfunc._at_most``: zero slack on exact (int or Fraction)
+    marginals, and ``TOL`` on floats.
     """
     if d < 2:
         raise ValueError("need depth >= 2")
@@ -499,13 +501,12 @@ def two_level_traced_bound(d: int, marginals: Sequence) -> dict:
     q = zp._scalars(zp.levels[2])
     g = min(max(q[0], q[1]), max(q[2], q[3]))
     rhs = (2 - g) * (1 + 2 * g - g * g) * t_star
-    slack = 0 if all(isinstance(v, (int, Fraction)) for v in (lhs, rhs)) else 1e-9
     return {
         "lhs": lhs,
         "rhs": rhs,
         "gamma": g,
         "t_star": t_star,
-        "ok": bool(lhs <= rhs + slack),
+        "ok": _at_most(lhs, rhs),
     }
 
 

@@ -466,6 +466,7 @@ def exact_base_cases() -> dict:
 # Row b' of M in Q(t+1, .) >= M Q(t, .) holds the case-table bounds F(., b').
 _CASE_BOUNDS = block_case_bounds().bounds
 BOUND_MATRIX = tuple(tuple(_CASE_BOUNDS[(b, bp)] for b in (0, 1)) for bp in (0, 1))
+RECURSION_Z = 3.0  # sigmas of slack per MC cell, the Bonferroni budget spread over all cells
 
 
 @dataclass(frozen=True)
@@ -482,11 +483,11 @@ def _term(c: Fraction, q: str) -> str:
     return q if c == 1 else f"{c} {q}" if c.denominator == 1 else f"{q}/{c.denominator}"
 
 
-def check_recursions(estimates: dict, z: float = 3.0) -> RecursionReport:
+def check_recursions(estimates: dict) -> RecursionReport:
     """Check the rows of Q(t+1, .) >= BOUND_MATRIX Q(t, .), Q(t+1,0) >= Q(t,1)
     and Q(t+1,1) >= 2 Q(t,0) + Q(t,1)/2, across consecutive levels, within a
-    z-sigma slack per cell (z = 3 with the Bonferroni budget spread over all
-    tested cells), and verify the enumerated base cases.
+    ``RECURSION_Z``-sigma slack per cell, and verify the enumerated base
+    cases.
 
     Each level has exactly one differing index, and the case analysis behind
     the factor-2 step does not cover the block holding it: that block's run
@@ -512,8 +513,8 @@ def check_recursions(estimates: dict, z: float = 3.0) -> RecursionReport:
             terms = [(c, b) for b, c in enumerate(BOUND_MATRIX[bp]) if c]
             lhs = estimates[hi][bp].mean
             rhs = sum(c * estimates[lo][b].mean for c, b in terms)
-            slack = z * math.hypot(estimates[hi][bp].sigma,
-                                   *(c * estimates[lo][b].sigma for c, b in terms))
+            slack = RECURSION_Z * math.hypot(estimates[hi][bp].sigma,
+                                             *(c * estimates[lo][b].sigma for c, b in terms))
             rows.append({
                 "t": lo,
                 "name": f"Q({hi},{bp}) >= " + " + ".join(_term(c, f"Q({lo},{b})") for c, b in terms),

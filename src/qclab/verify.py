@@ -27,7 +27,8 @@ from . import sabotage as sb
 DEFAULT_SEED = 20240809
 MC_SAMPLES = 100_000  # Monte-Carlo runs per depth (criteria 9, 10) or level (criterion 11)
 CHAIN_DEPTH = 8  # criterion 11 lifts hard pairs from this depth down to every level
-FLOAT_PROVENANCE = "float(tol=1e-9)"  # criteria 4 and 8: float mu, a 1e-9 slack
+FLOAT_PROVENANCE = "float(tol=1e-9)"  # criteria 4 and 8: float mu, boolfunc.TOL slack
+BUDGETS = {1: (120, "2 min"), 9: (600, "10 min")}  # criterion: (wall-clock s, as printed)
 
 __all__ = ["CriterionResult", "ALL_CRITERIA", "run_criterion", "run_all"]
 
@@ -38,9 +39,9 @@ class CriterionResult:
     name: str
     passed: bool
     details: str
-    seconds: float
     values: dict = field(default_factory=dict)
     provenance: str = "exact"
+    seconds: float = 0.0  # set by run_criterion
 
     def line(self) -> str:
         tag = "PASS" if self.passed else "FAIL"
@@ -113,7 +114,6 @@ def _check_one_function(f: bf.BooleanFunction, mu, eps_grid, catalog: _CatalogIn
 
 
 def criterion_1(seed: int = DEFAULT_SEED) -> CriterionResult:
-    t0 = time.time()
     rng = random.Random(seed)
     eps_grid = (Fraction(0), Fraction(1, 8), Fraction(1, 3))
     problems = []
@@ -134,14 +134,10 @@ def criterion_1(seed: int = DEFAULT_SEED) -> CriterionResult:
             if msg:
                 problems.append(f"m={m} table={table}: {msg}")
 
-    secs = time.time() - t0
-    ok = not problems and secs < 120
     details = f"{checked} functions, exact rational comparison; {len(problems)} mismatches"
     if problems:
         details += "; first: " + problems[0]
-    if secs >= 120:
-        details += f"; exceeded 2 min budget"
-    return CriterionResult(1, "dp-oracle-equivalence", ok, details, secs)
+    return CriterionResult(1, "dp-oracle-equivalence", not problems, details)
 
 
 # ---------------------------------------------------------------------------
@@ -150,25 +146,23 @@ def criterion_1(seed: int = DEFAULT_SEED) -> CriterionResult:
 
 
 def criterion_2(seed: int = DEFAULT_SEED) -> CriterionResult:
-    t0 = time.time()
     value = gm.exact_RSE(bf.nand2())
     ok = value == Fraction(3, 2)
     return CriterionResult(
         2, "rse-nand2-exact", ok,
         f"RS_E(NAND_2) = {value} (rational LP over zero-error trees vs 3 pairs)",
-        time.time() - t0, {"value": value},
+        {"value": value},
     )
 
 
 def criterion_3(seed: int = DEFAULT_SEED) -> CriterionResult:
-    t0 = time.time()
     rep = sb.block_case_bounds()
     want = {(0, 0): Fraction(0), (0, 1): Fraction(2), (1, 0): Fraction(1), (1, 1): Fraction(1, 2)}
     ok = rep.bounds == want
     return CriterionResult(
         3, "case-table-reproduction", ok,
         f"minima {dict(rep.bounds)} vs expected {want}",
-        time.time() - t0, {"bounds": rep.bounds},
+        {"bounds": rep.bounds},
     )
 
 
@@ -178,7 +172,6 @@ def criterion_3(seed: int = DEFAULT_SEED) -> CriterionResult:
 
 
 def criterion_4(seed: int = DEFAULT_SEED) -> CriterionResult:
-    t0 = time.time()
     rng = random.Random(seed + 4)
     violations = 0
     for _ in range(1000):
@@ -189,13 +182,13 @@ def criterion_4(seed: int = DEFAULT_SEED) -> CriterionResult:
         if not rep.holds:
             violations += 1
             continue
-        if rep.rhs > bf.avg_sensitivity(f, mu) + 1e-9:
+        if not bf._at_most(rep.rhs, bf.avg_sensitivity(f, mu)):
             violations += 1
     ok = violations == 0
     return CriterionResult(
         4, "poincare-and-influence", ok,
         f"1000 random (f, mu) pairs, m <= 10, full-table summation; {violations} violations",
-        time.time() - t0, provenance=FLOAT_PROVENANCE,
+        provenance=FLOAT_PROVENANCE,
     )
 
 
@@ -205,7 +198,6 @@ def criterion_4(seed: int = DEFAULT_SEED) -> CriterionResult:
 
 
 def criterion_5(seed: int = DEFAULT_SEED) -> CriterionResult:
-    t0 = time.time()
     rng = random.Random(seed + 5)
     failures = 0
     for _ in range(500):
@@ -221,7 +213,6 @@ def criterion_5(seed: int = DEFAULT_SEED) -> CriterionResult:
     return CriterionResult(
         5, "majority-labeling-bias", ok,
         f"500 random (R, f, mu), m <= 8, exact rationals; {failures} failures",
-        time.time() - t0,
     )
 
 
@@ -231,7 +222,6 @@ def criterion_5(seed: int = DEFAULT_SEED) -> CriterionResult:
 
 
 def criterion_6(seed: int = DEFAULT_SEED) -> CriterionResult:
-    t0 = time.time()
     rng = random.Random(seed + 6)
     failures = 0
     for _ in range(200):
@@ -244,12 +234,10 @@ def criterion_6(seed: int = DEFAULT_SEED) -> CriterionResult:
     return CriterionResult(
         6, "pair-vs-sensitive-miss", ok,
         f"200 random (R, f), m <= 6, exact equality of profiles; {failures} failures",
-        time.time() - t0,
     )
 
 
 def criterion_7(seed: int = DEFAULT_SEED) -> CriterionResult:
-    t0 = time.time()
     rng = random.Random(seed + 7)
     failures = 0
     for _ in range(200):
@@ -262,7 +250,6 @@ def criterion_7(seed: int = DEFAULT_SEED) -> CriterionResult:
     return CriterionResult(
         7, "two-point-distribution-bound", ok,
         f"200 random (R, f), m <= 6, miss/2 <= bias exactly on every (x, i); {failures} failures",
-        time.time() - t0,
     )
 
 
@@ -282,7 +269,6 @@ def _g2_pair_cover_mixture() -> dt.RandomizedTree:
 
 
 def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
-    t0 = time.time()
     nprng = np.random.default_rng(np.random.SeedSequence(seed + 8))
     problems = []
 
@@ -319,7 +305,7 @@ def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
     )
     if problems:
         details += "; " + "; ".join(problems)
-    return CriterionResult(8, "amplified-bias-construction", ok, details, time.time() - t0,
+    return CriterionResult(8, "amplified-bias-construction", ok, details,
                            provenance=FLOAT_PROVENANCE)
 
 
@@ -329,7 +315,6 @@ def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
 
 
 def criterion_9(seed: int = DEFAULT_SEED) -> CriterionResult:
-    t0 = time.time()
     search = gm.dprod_search(bf.nand_tree(3), 1 / 3, restarts=4, seed=seed + 9)
     block = [float(p) for p in search.mu.marginals]
     points = []
@@ -338,22 +323,17 @@ def criterion_9(seed: int = DEFAULT_SEED) -> CriterionResult:
         est = nt.mc_cost("greedy_zero", d, margs, MC_SAMPLES, nt._stream_seed(seed + 9, i))
         points.append((d, est.mean))
     base, resid = nt.fit_exponent(points)
-    secs = time.time() - t0
-    ok = base <= 1.64 and secs < 600
     details = (
         f"adversarial mu depth {search.depth} on the 8-leaf tree, tiled; "
         f"fitted base {base:.4f} (residual {resid:.3f}) <= 1.64"
     )
-    if secs >= 600:
-        details += "; exceeded 10 min budget"
     return CriterionResult(
-        9, "nand-upper-exponent", ok, details, secs,
+        9, "nand-upper-exponent", base <= 1.64, details,
         {"base": base, "points": points, "mu_block": block}, f"mc(fit;n={len(points)})",
     )
 
 
 def criterion_10(seed: int = DEFAULT_SEED, upper_base: float | None = None) -> CriterionResult:
-    t0 = time.time()
     alpha = sb.spectral_alpha()
     points = []
     for i, d in enumerate(range(4, 13)):
@@ -367,7 +347,7 @@ def criterion_10(seed: int = DEFAULT_SEED, upper_base: float | None = None) -> C
         ok = ok and gap >= 0.03
         details += f"; gap over upper-bound base {upper_base:.4f} is {gap:.4f} >= 0.03"
     return CriterionResult(
-        10, "sabotage-lower-exponent", ok, details, time.time() - t0,
+        10, "sabotage-lower-exponent", ok, details,
         {"base": base, "points": points}, f"mc(fit;n={len(points)})",
     )
 
@@ -378,7 +358,6 @@ def criterion_10(seed: int = DEFAULT_SEED, upper_base: float | None = None) -> C
 
 
 def criterion_11(seed: int = DEFAULT_SEED) -> CriterionResult:
-    t0 = time.time()
     estimates = {
         t: sb.estimate_sep_counts("saks_wigderson", CHAIN_DEPTH, t, MC_SAMPLES, seed + 11 + t)
         for t in range(CHAIN_DEPTH + 1)
@@ -398,7 +377,7 @@ def criterion_11(seed: int = DEFAULT_SEED) -> CriterionResult:
             f"(differing-block allowance 1) ok={rep.corrected_ok}"
         )
     return CriterionResult(
-        11, "q-recursion-checks", rep.ok, details, time.time() - t0,
+        11, "q-recursion-checks", rep.ok, details,
         {"rows": rep.rows, "base_cases": rep.base_cases, "corrected_ok": rep.corrected_ok},
         "mc(derived)",
     )
@@ -410,17 +389,13 @@ def criterion_11(seed: int = DEFAULT_SEED) -> CriterionResult:
 
 
 def criterion_12(seed: int = DEFAULT_SEED) -> CriterionResult:
-    t0 = time.time()
     got = sb.spectral_alpha()
     want = (1 + math.sqrt(33)) / 4
     ok = abs(got - want) <= 1e-12
-    return CriterionResult(
-        12, "spectral-alpha", ok, f"{got!r} vs (1+sqrt(33))/4 = {want!r}", time.time() - t0,
-    )
+    return CriterionResult(12, "spectral-alpha", ok, f"{got!r} vs (1+sqrt(33))/4 = {want!r}")
 
 
 def criterion_13(seed: int = DEFAULT_SEED) -> CriterionResult:
-    t0 = time.time()
     rng = np.random.default_rng(seed + 13)
     problems = []
 
@@ -470,8 +445,7 @@ def criterion_13(seed: int = DEFAULT_SEED) -> CriterionResult:
     ok = not problems
     details = "corrupted block, mislabeled leaf, swapped Q columns all detected" if ok \
         else "; ".join(problems)
-    return CriterionResult(13, "negative-controls", ok, details, time.time() - t0,
-                           provenance="mc(derived)")
+    return CriterionResult(13, "negative-controls", ok, details, provenance="mc(derived)")
 
 
 # ---------------------------------------------------------------------------
@@ -496,8 +470,19 @@ ALL_CRITERIA = {
 }
 
 
-def run_criterion(index: int, seed: int = DEFAULT_SEED) -> CriterionResult:
-    return ALL_CRITERIA[index](seed=seed)
+def run_criterion(index: int, seed: int = DEFAULT_SEED, upper_base=None) -> CriterionResult:
+    """Run one criterion and time it here: a criterion with a budget in
+    ``BUDGETS`` fails once it takes that long. ``upper_base`` (criterion 9's
+    fitted base) is passed on to criterion 10 for its gap."""
+    run = ALL_CRITERIA[index]
+    t0 = time.time()
+    res = run(seed=seed) if upper_base is None else run(seed=seed, upper_base=upper_base)
+    res.seconds = time.time() - t0
+    limit, label = BUDGETS.get(index, (math.inf, ""))
+    if res.seconds >= limit:
+        res.passed = False
+        res.details += f"; exceeded {label} budget"
+    return res
 
 
 def run_all(seed: int = DEFAULT_SEED, indices=None, echo=print) -> list:
@@ -506,10 +491,7 @@ def run_all(seed: int = DEFAULT_SEED, indices=None, echo=print) -> list:
     results = []
     upper_base = None
     for idx in indices:
-        if idx == 10 and upper_base is not None:
-            res = criterion_10(seed=seed, upper_base=upper_base)
-        else:
-            res = run_criterion(idx, seed=seed)
+        res = run_criterion(idx, seed, upper_base if idx == 10 else None)
         if idx == 9 and res.values.get("base"):
             upper_base = res.values["base"]
         results.append(res)

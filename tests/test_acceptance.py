@@ -11,6 +11,7 @@ pass.
 """
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -46,6 +47,16 @@ def test_criterion_01_catches_a_dp_off_by_one_weight_unit(monkeypatch, name, mes
     res = verify.criterion_1()
     assert not res.passed
     assert "1 mismatches; first: m=2 table=6: " + message in res.details
+
+
+def test_the_runner_times_every_criterion_against_its_budget(monkeypatch):
+    clock = iter([10.0, 12.5, 20.0, 20.0])
+    monkeypatch.setattr(verify, "time", SimpleNamespace(time=lambda: next(clock)))
+    res = _run(12)
+    assert res.passed and res.seconds == 2.5
+    monkeypatch.setitem(verify.BUDGETS, 12, (0, "2 min"))
+    res = _run(12)
+    assert not res.passed and res.details.endswith(" = 1.6861406616345072; exceeded 2 min budget")
 
 
 def test_criterion_02_rse_nand2():
@@ -95,7 +106,7 @@ def test_criterion_09_nand_upper_exponent(upper_exponent):
 
 
 def test_criterion_10_sabotage_lower_exponent(upper_exponent):
-    res = verify.criterion_10(upper_base=upper_exponent.values.get("base"))
+    res = verify.run_criterion(10, upper_base=upper_exponent.values.get("base"))
     print(res.line())
     assert res.passed, res.details
 

@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import qclab.boolfunc as boolfunc
 from qclab.boolfunc import (
     MAX_ARITY,
+    TOL,
+    _at_most,
     BooleanFunction,
     ProductDistribution,
     Subcube,
@@ -277,6 +280,51 @@ def test_poincare_equality_cases():
     assert rep.lhs == pytest.approx(rep.rhs)  # dictator is tight
     rep = check_poincare(constant(2, 0), u)
     assert rep.lhs == 0 and rep.rhs == 0 and rep.holds
+
+
+@pytest.mark.parametrize("a, b, want", [
+    (Fraction(1, 3) + Fraction(1, 10**12), Fraction(1, 3), False),  # exact: no slack at all
+    (Fraction(1, 3), Fraction(1, 3), True),
+    (Fraction(1, 3) - Fraction(1, 10**12), Fraction(1, 3), True),
+    (2, 1, False),
+    (np.int64(1), Fraction(1), True),  # numpy ints are rational too
+    (0.5 + TOL / 2, 0.5, True),  # floats: within TOL
+    (0.5 + 2 * TOL, 0.5, False),
+    (Fraction(1, 2) + Fraction(1, 10**10), 0.5, True),  # mixed pairs take the float rule
+    (0.5 + 2 * TOL, Fraction(1, 2), False),
+    (np.float32(0.5), Fraction(1, 2), True),
+    (float("nan"), 1, False),
+    (0, float("nan"), False),
+    (float("nan"), float("nan"), False),
+])
+def test_at_most_is_exact_on_rationals_and_within_tol_otherwise(a, b, want):
+    assert _at_most(a, b) is want
+
+
+def test_at_most_reads_its_tolerance_only_for_floats():
+    assert _at_most(1.0, 0.5, tol=1) and not _at_most(1, Fraction(1, 2), tol=1)
+
+
+def test_exact_poincare_is_decided_with_zero_slack(monkeypatch):
+    f, mu = dictator(2, 1), ProductDistribution((Fraction(1, 3), Fraction(1, 2)))
+    rep = check_poincare(f, mu)
+    assert rep.lhs == rep.rhs == Fraction(8, 9) and rep.holds  # a dictator is tight
+    variance = boolfunc.variance
+    monkeypatch.setattr(boolfunc, "variance",
+                        lambda f, mu: variance(f, mu) + Fraction(1, 4 * 10**10))
+    rep = check_poincare(f, mu)
+    assert rep.lhs - rep.rhs == Fraction(1, 10**10) and not rep.holds
+    # the same 1e-10 on a float mu is within TOL
+    rep = check_poincare(f, ProductDistribution((1 / 3, 0.5)))
+    assert rep.lhs > rep.rhs and rep.holds
+
+
+def test_numpy_float32_marginals_take_the_float_path():
+    f = random_function(3, random.Random(8))
+    mu32 = ProductDistribution(tuple(np.float32(p) for p in (0.3, 0.6, 0.1)))
+    mu64 = ProductDistribution(tuple(float(p) for p in mu32.marginals))
+    got = prob_one(f, mu32)
+    assert type(got) is float and got == prob_one(f, mu64)
 
 
 # -- distributions ---------------------------------------------------------------

@@ -286,6 +286,15 @@ def test_exact_Dmu_eps_decides_rational_eps_exactly():
     assert exact_Dmu_eps(f, ProductDistribution((1 / 64,) * 7), 0) == 0
 
 
+def test_numpy_float32_marginals_give_the_float64_values():
+    f = random_function(3, random.Random(8))
+    mu32 = ProductDistribution(tuple(np.float32(p) for p in (0.3, 0.6, 0.1)))
+    mu64 = ProductDistribution(tuple(float(p) for p in mu32.marginals))
+    for k in range(4):
+        got = optimal_dist_error(f, mu32, k)
+        assert type(got) is float and got == optimal_dist_error(f, mu64, k)
+
+
 @given(st.data())
 @settings(max_examples=40, deadline=None)
 def test_dist_error_monotone_in_depth(data):
@@ -706,6 +715,21 @@ def test_leaf_statistics_match_a_brute_force_over_every_point(seed, two_point):
         guess = random_tree(m, rng, labeled=True)
         assert tree_error(guess, f, mu) == _brute_error(guess, f, mu)
     assert avg_leaf_bias(r, f, mu) == want_bias
+
+
+def test_leaf_statistics_build_masses_over_the_interior_variables_only(monkeypatch):
+    # criterion 7's two-point mu at m = 6: two masses, not a 2^6 vector
+    sizes, build = [], dtree._mass_vector
+    monkeypatch.setattr(dtree, "_mass_vector",
+                        lambda ar, weights: sizes.append(len(weights)) or build(ar, weights))
+    rng = random.Random(6)
+    f, r = random_function(6, rng), random_randomized_tree(6, rng, support=3)
+    for marg in ((1, 0, Fraction(1, 2), 1, 0, 0), (1.0, 0.0, 0.5, 1.0, 0.0, 0.0)):
+        mu = ProductDistribution(marg)
+        want = sum(w * min(m0, m1) for w, t in r.entries
+                   for m0, m1 in _brute_leaf_masses(t, f, mu).values())
+        assert avg_leaf_bias(r, f, mu) == want
+    assert sizes == [1, 1]
 
 
 def test_leaf_statistics_refuse_mismatched_arities():

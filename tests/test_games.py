@@ -638,6 +638,31 @@ def test_check_amplified_bias_dictator_and_nand():
         check_amplified_bias(bad, f, mus, eps=Fraction(1, 2))
 
 
+def test_amplified_bias_precondition_is_exact_on_exact_miss():
+    # a dictator's one sensitive bit is missed exactly by the leaf's weight
+    f = dictator(2, 1)
+    mus = [ProductDistribution((Fraction(1, 2), Fraction(1, 3)))]
+
+    def mixture(miss):
+        return RandomizedTree(((miss, DecisionTree(2, Leaf(None))),
+                               (1 - miss, DecisionTree(2, Query(1, Leaf(None), Leaf(None))))))
+
+    rep = check_amplified_bias(mixture(Fraction(2, 3)), f, mus, eps=Fraction(1, 3))
+    assert rep.miss_before == Fraction(2, 3)
+    with pytest.raises(ValueError, match="precondition failed"):
+        check_amplified_bias(mixture(Fraction(2, 3) + Fraction(1, 10**10)), f, mus,
+                             eps=Fraction(1, 3))
+
+
+def test_mixture_from_columns_drops_exact_weights_only_at_zero():
+    trees = [DecisionTree(1, Leaf(0)), DecisionTree(1, Leaf(1)), DecisionTree(1, Leaf(None))]
+    tiny = Fraction(1, 10**13)
+    r = mixture_from_columns(trees, GameValue(0, (), (tiny, 1 - tiny, Fraction(0))))
+    assert r.entries == ((tiny, trees[0]), (1 - tiny, trees[1]))
+    r = mixture_from_columns(trees, GameValue(0.0, (), (1e-13, 1 - 1e-13, 0.0)))
+    assert r.entries == ((1.0, trees[1]),)  # a float weight within MIXTURE_DROP_TOL goes
+
+
 def test_check_two_point_bound_cases():
     f = nand2()
     assert check_two_point_bound(singleton(complete_tree(2)), f).ok

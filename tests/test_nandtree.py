@@ -42,14 +42,6 @@ def mu_weight(x, marginals):
     return w
 
 
-def eval_formula_batch(xs):
-    """eval_formula over the rows of a (n, 2^d) bit matrix."""
-    vals = np.asarray(xs, dtype=np.int8)
-    while vals.shape[1] > 1:
-        vals = 1 - (vals[:, 0::2] & vals[:, 1::2])
-    return vals[:, 0]
-
-
 def root_zero_prob_exhaustive(d, marginals):
     """Pr[g_d(x) = 0] by brute-force summation."""
     return sum(mu_weight(x, marginals) for x in all_inputs(d) if eval_formula(x) == 0)
@@ -73,14 +65,6 @@ def test_instance_validation():
         NandInstance(1, (1, 1, 1))
     with pytest.raises(ValueError):
         NandInstance(1, (2, 0))
-
-
-def test_eval_batch_matches_scalar():
-    rng = np.random.default_rng(0)
-    xs = rng.integers(0, 2, size=(100, 8))
-    got = eval_formula_batch(xs)
-    for row, v in zip(xs, got):
-        assert eval_formula(list(row)) == v
 
 
 # -- zero probabilities ---------------------------------------------------------

@@ -162,6 +162,15 @@ def _at_most(a, b, tol: float = TOL) -> bool:
     return bool(a <= b if _exact((a, b)) else a <= b + tol)
 
 
+def _provenance(values: Iterable, tol: float = None) -> str:
+    """How a value or verdict over ``values`` was computed: ``exact`` when
+    they are all ``_exact``, and otherwise ``float``, or ``float(tol=...)``
+    for a verdict that ``_at_most`` took within ``tol``."""
+    if _exact(values):
+        return "exact"
+    return "float" if tol is None else f"float(tol={tol:g})".replace("e-0", "e-")  # 1e-9, not 1e-09
+
+
 class _Arithmetic(NamedTuple):
     exact: bool
     weights: list  # (w0, w1) per variable, in variable order

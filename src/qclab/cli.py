@@ -113,10 +113,11 @@ def _mc_provenance(est) -> str:
 
 
 def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("QCLAB_THREADS", "1")))
-    except ValueError:
-        return 1
+    """The worker count in QCLAB_THREADS (default 1): a positive int."""
+    text = os.environ.get("QCLAB_THREADS", "1")
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise ValueError(f"QCLAB_THREADS must be a positive int, got {text!r}")
+    return int(text)
 
 
 def _pool_map(fn, items):
@@ -209,40 +210,43 @@ def cmd_measure(args) -> RunRecord:
     f = _load_fn(args.fn, dt.DP_MAX_ARITY)
     mu = _load_mu(args.mu, f.arity)
     eps = args.eps
+    over_mu = bf._provenance(mu.marginals)
     rows = [
         {"measure": "D", "value": dt.exact_D(f), "provenance": "exact"},
         {"measure": "s", "value": bf.sensitivity(f), "provenance": "exact"},
-        {"measure": "Inf", "value": bf.influence(f, mu), "provenance": "exact"},
-        {"measure": "Var", "value": bf.variance(f, mu), "provenance": "exact"},
+        {"measure": "Inf", "value": bf.influence(f, mu), "provenance": over_mu},
+        {"measure": "Var", "value": bf.variance(f, mu), "provenance": over_mu},
         {"measure": f"Dmu_eps(eps={eps})", "value": dt.exact_Dmu_eps(f, mu, eps),
-         "provenance": "exact"},
+         "provenance": bf._provenance((eps, *mu.marginals), dt.CURVE_TOL)},
         {"measure": "zero_error_expected_cost", "value": dt.zero_error_expected_cost(f, mu),
-         "provenance": "exact"},
+         "provenance": over_mu},
     ]
     rep = bf.check_poincare(f, mu)
-    rows.append({"measure": "poincare_slack", "value": rep.rhs - rep.lhs, "provenance": "exact"})
+    rows.append({"measure": "poincare_slack", "value": rep.rhs - rep.lhs, "provenance": over_mu})
     return RunRecord("measure", {"fn": args.fn, "mu": args.mu, "eps": eps}, rows)
 
 
 def cmd_game(args) -> RunRecord:
     f = _load_fn(args.fn, 3)
     eps = args.eps
-    rows = [
-        {"game": f"R_eps(eps={eps})", "value": gm.exact_R_eps(f, eps), "provenance": "lp"},
-        {"game": f"RS_eps(eps={eps})", "value": gm.exact_RS_eps(f, eps), "provenance": "lp"},
-    ]
+    rows = []
+    for name, game_value in (("R_eps", gm.r_game_value), ("RS_eps", gm.rs_game_value)):
+        k, gv = gm._least_depth(f, eps, game_value, f"exact_{name}")  # gv: the deciding game
+        rows.append({"game": f"{name}(eps={eps})", "value": k,
+                     "provenance": f"lp({bf._provenance((gv.value,))})"})
     gv, trees, matrix, pairs = gm._rse_solution(f)  # one game for the value, strategies, dump
-    rows.append({"game": "RS_E", "value": gv.value, "provenance": "lp"})
+    lp = f"lp({bf._provenance((gv.value,))})"  # the simplex mode: an exact game's value is rational
+    rows.append({"game": "RS_E", "value": gv.value, "provenance": lp})
     record = RunRecord("game", {"fn": args.fn, "eps": eps}, rows)
     pair_labels = [f"x={''.join(map(str, p.x))},y={''.join(map(str, p.y))}" for p in pairs]
     if args.strategies:
         for w, tree in zip(gv.col_strategy, trees):
             if w > 0:
                 rows.append({"game": "RS_E_strategy", "value": w,
-                             "provenance": "lp", "tree": dt.tree_to_json(tree)})
+                             "provenance": lp, "tree": dt.tree_to_json(tree)})
         for w, label in zip(gv.row_strategy, pair_labels):
             if w > 0:
-                rows.append({"game": "RS_E_adversary", "value": w, "provenance": "lp",
+                rows.append({"game": "RS_E_adversary", "value": w, "provenance": lp,
                              "tree": label})
     if args.dump_game:
         with open(args.dump_game, "w") as fh:
@@ -254,25 +258,18 @@ def cmd_nand(args) -> RunRecord:
     depths = _parse_depths(args)
     nt._check_samples(args.samples)
     algos = ["greedy_zero", "saks_wigderson"] if args.algo == "both" else [args.algo]
-    mu_spec = args.mu
-    block = None
-    if mu_spec == "search":
+    mu_id, block = args.mu, None  # block: the leaf marginals tiled across each depth
+    if mu_id == "search":
         res = gm.dprod_search(bf.nand_tree(3), args.eps, restarts=4, seed=args.seed)
-        block = [float(p) for p in res.mu.marginals]
-        mu_id = "search(d3)"
-    elif mu_spec == "golden":
-        mu_id = "golden"
-    elif mu_spec.startswith("const:"):
-        mu_id = mu_spec
-    else:
-        raise ValueError(f"unknown nand distribution spec {mu_spec!r}")
+        mu_id, block = "search(d3)", [float(p) for p in res.mu.marginals]
+    elif mu_id.startswith("const:"):
+        block = [float(mu_id.split(":", 1)[1])]
+        nt._check_marginals(np.array(block))  # before any Monte-Carlo run
+    elif mu_id != "golden":
+        raise ValueError(f"unknown nand distribution spec {mu_id!r}")
 
     def marginals_for(d: int):
-        if mu_spec == "golden":
-            return nt.golden_marginals(d)
-        if mu_spec.startswith("const:"):
-            return np.full(1 << d, float(mu_spec.split(":", 1)[1]))
-        return nt.tile_marginals(block, d)
+        return nt.golden_marginals(d) if block is None else nt.tile_marginals(block, d)
 
     cells = [(idx, algo, d) for idx, (algo, d) in
              enumerate((a, d) for a in algos for d in depths)]
@@ -309,6 +306,9 @@ def cmd_sabotage(args) -> RunRecord:
     nt._check_samples(args.samples)
     if args.dump_pairs < 0:
         raise ValueError(f"--dump-pairs must be >= 0, got {args.dump_pairs}")
+    if args.dump_pairs << d > nt._BATCH_ELEMENTS:  # each row keeps two 2^d-bit strings
+        raise ValueError(f"--dump-pairs {args.dump_pairs} at depth {d}: {args.dump_pairs} "
+                         f"rows of 2^{d}-leaf pairs exceed the 2^26-element budget")
     levels = list(range(min(args.t_max, d) + 1))
 
     def run_cell(t):
@@ -440,6 +440,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     t0 = time.time()
     try:
+        _threads()  # a bad QCLAB_THREADS stops every command before it starts
         if args.command == "verify":
             rec, status = cmd_verify(args)
         else:

@@ -46,6 +46,7 @@ from .dtree import (
 
 RATIONAL_ENTRY_LIMIT = 10_000
 LP_TOL = 1e-9
+SIMPLEX_MAX_PIVOTS = 200_000  # a simplex run that needs more stops as cycling
 RUN_TABLE_ELEMENTS = 1 << 26  # int8 entries per run-table array, as nandtree._BATCH_ELEMENTS
 MIXTURE_DROP_TOL = 1e-12  # float column weights at or below it leave an LP mixture (exact: 0)
 AMPLIFY_SUPPORT_LIMIT = 500_000  # tuples that amplify may enumerate
@@ -189,7 +190,7 @@ def _simplex(a: np.ndarray, tol) -> tuple:
     basis = np.arange(n_cols, n_cols + n_rows)
     d = one
 
-    for _ in range(200000):
+    for _ in range(SIMPLEX_MAX_PIVOTS + 1):  # a pass tests for the optimum, then pivots
         pos = np.flatnonzero(tab[-1, :-1] > tol)
         if not len(pos):
             break
@@ -505,28 +506,29 @@ def rs_game_value(f: BooleanFunction, depth: int) -> tuple:
     return solve_zero_sum(matrix), catalog
 
 
-def _least_depth(f: BooleanFunction, eps, game_value, name: str) -> int:
-    """Least k such that the depth-k game ``game_value(f, k)`` has value <=
-    eps; full-depth trees are exact, so the search ends by k = m."""
+def _least_depth(f: BooleanFunction, eps, game_value, name: str) -> tuple:
+    """``(k, GameValue)`` of the least k such that the depth-k game
+    ``game_value(f, k)`` has value <= eps; full-depth trees are exact, so the
+    search ends by k = m."""
     if f.arity > 3:
         raise ValueError(f"{name} capped at arity 3")
     _check_eps(eps)
     for k in range(f.arity + 1):
         gv, _ = game_value(f, k)
         if _at_most(gv.value, eps, LP_TOL):
-            return k
+            return k, gv
     raise AssertionError("unreachable: full-depth trees are exact")
 
 
 def exact_R_eps(f: BooleanFunction, eps) -> int:
     """Least k such that the depth-k labeled-tree game has value <= eps."""
-    return _least_depth(f, eps, r_game_value, "exact_R_eps")
+    return _least_depth(f, eps, r_game_value, "exact_R_eps")[0]
 
 
 def exact_RS_eps(f: BooleanFunction, eps) -> int:
     """Least k such that the depth-k sabotage game has value <= eps (0 for a
     function with no pairs, whose game has value 0)."""
-    return _least_depth(f, eps, rs_game_value, "exact_RS_eps")
+    return _least_depth(f, eps, rs_game_value, "exact_RS_eps")[0]
 
 
 def _rse_solution(f: BooleanFunction) -> tuple:

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .boolfunc import _at_most
+from .boolfunc import _at_most, _exact
 
 __all__ = [
     "NandInstance",
@@ -87,25 +87,18 @@ class ZeroProbTree:
 
     levels[k] is one array over the 2^k nodes at depth k; levels[d] are the
     leaves with q = 1 - p_i, and q(internal) = (1 - q_left)(1 - q_right).
-    Values are in the marginals' own arithmetic: a float64 array when the
-    marginals are all Python floats or all numpy float64, and otherwise an
-    object array that does one Python operation per entry, in the order a
-    scalar loop would.
+    Values are in ``boolfunc._exact``'s arithmetic: an object array of
+    Python ints and Fractions that does one Python operation per entry, in
+    the order a scalar loop would, when the marginals are exact, and a
+    float64 array otherwise. Readers take scalars by ``tolist``.
     """
 
     depth: int
     levels: tuple
-    _numpy_floats: bool = False
-
-    def _scalars(self, a: np.ndarray) -> list:
-        """The entries of an array computed over this tree, typed as scalar
-        arithmetic on the marginals gives them: numpy floats from numpy-float
-        marginals, and Python numbers or the objects themselves otherwise."""
-        return list(a) if self._numpy_floats and a.dtype == np.float64 else a.tolist()
 
     @property
     def root(self):
-        return self._scalars(self.levels[0])[0]
+        return self.levels[0].tolist()[0]
 
 
 def _check_marginals(p: np.ndarray) -> None:
@@ -116,16 +109,13 @@ def _check_marginals(p: np.ndarray) -> None:
 def zero_probs(d: int, marginals: Sequence) -> ZeroProbTree:
     if len(marginals) != 1 << d:
         raise ValueError(f"need 2^{d} marginals, got {len(marginals)}")
-    kinds = set(map(type, marginals))
-    if kinds in ({float}, {np.float64}):
-        p = np.asarray(marginals, dtype=np.float64)
-    else:
-        p = np.fromiter(marginals, dtype=object, count=len(marginals))
-    _check_marginals(p)
-    levels = [1 - p]
+    exact = _exact(marginals)
+    p = np.asarray(marginals, dtype=object if exact else None)
+    _check_marginals(p)  # in the marginals' own arithmetic, before any float conversion
+    levels = [1 - (p if exact else p.astype(np.float64))]
     for _ in range(d):
         levels.append((1 - levels[-1][0::2]) * (1 - levels[-1][1::2]))
-    return ZeroProbTree(d, tuple(levels[::-1]), kinds == {np.float64})
+    return ZeroProbTree(d, tuple(levels[::-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +239,7 @@ def _expected_costs(zp: ZeroProbTree, order, depths=(0,)) -> list:
             rl = costs[1::2] + (1 - q[1::2]) * costs[0::2]  # right child first
             costs = (lr + rl) / 2 if order is None else np.where(order[k], lr, rl)
         if k in depths:
-            kept[k] = zp._scalars(costs)
+            kept[k] = costs.tolist()
     return [kept[k] for k in depths]
 
 
@@ -498,7 +488,7 @@ def two_level_traced_bound(d: int, marginals: Sequence) -> dict:
     zp = zero_probs(d, marginals)
     (lhs,), grandchild_costs = _expected_costs(zp, _greedy_order(zp), depths=(0, 2))
     t_star = max(grandchild_costs)
-    q = zp._scalars(zp.levels[2])
+    q = zp.levels[2].tolist()
     g = min(max(q[0], q[1]), max(q[2], q[3]))
     rhs = (2 - g) * (1 + 2 * g - g * g) * t_star
     return {

@@ -27,7 +27,7 @@ from . import sabotage as sb
 DEFAULT_SEED = 20240809
 MC_SAMPLES = 100_000  # Monte-Carlo runs per depth (criteria 9, 10) or level (criterion 11)
 CHAIN_DEPTH = 8  # criterion 11 lifts hard pairs from this depth down to every level
-FLOAT_PROVENANCE = "float(tol=1e-9)"  # criteria 4 and 8: float mu, boolfunc.TOL slack
+SPECTRAL_TOL = 1e-12  # criterion 12: float alpha against the closed form
 BUDGETS = {1: (120, "2 min"), 9: (600, "10 min")}  # criterion: (wall-clock s, as printed)
 
 __all__ = ["CriterionResult", "ALL_CRITERIA", "run_criterion", "run_all"]
@@ -173,11 +173,12 @@ def criterion_3(seed: int = DEFAULT_SEED) -> CriterionResult:
 
 def criterion_4(seed: int = DEFAULT_SEED) -> CriterionResult:
     rng = random.Random(seed + 4)
-    violations = 0
+    violations, marginals = 0, []
     for _ in range(1000):
         m = rng.randint(1, 10)
         f = bf.random_function(m, rng)
         mu = bf.random_distribution(m, rng)
+        marginals += mu.marginals
         rep = bf.check_poincare(f, mu)
         if not rep.holds:
             violations += 1
@@ -188,7 +189,7 @@ def criterion_4(seed: int = DEFAULT_SEED) -> CriterionResult:
     return CriterionResult(
         4, "poincare-and-influence", ok,
         f"1000 random (f, mu) pairs, m <= 10, full-table summation; {violations} violations",
-        provenance=FLOAT_PROVENANCE,
+        provenance=bf._provenance(marginals, bf.TOL),
     )
 
 
@@ -305,8 +306,9 @@ def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
     )
     if problems:
         details += "; " + "; ".join(problems)
+    marginals = [p for mu in mus2 + mus4 for p in mu.marginals]
     return CriterionResult(8, "amplified-bias-construction", ok, details,
-                           provenance=FLOAT_PROVENANCE)
+                           provenance=bf._provenance(marginals, bf.TOL))
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +393,9 @@ def criterion_11(seed: int = DEFAULT_SEED) -> CriterionResult:
 def criterion_12(seed: int = DEFAULT_SEED) -> CriterionResult:
     got = sb.spectral_alpha()
     want = (1 + math.sqrt(33)) / 4
-    ok = abs(got - want) <= 1e-12
-    return CriterionResult(12, "spectral-alpha", ok, f"{got!r} vs (1+sqrt(33))/4 = {want!r}")
+    ok = bf._at_most(abs(got - want), 0, SPECTRAL_TOL)
+    return CriterionResult(12, "spectral-alpha", ok, f"{got!r} vs (1+sqrt(33))/4 = {want!r}",
+                           provenance=bf._provenance((got, want), SPECTRAL_TOL))
 
 
 def criterion_13(seed: int = DEFAULT_SEED) -> CriterionResult:
@@ -453,21 +456,9 @@ def criterion_13(seed: int = DEFAULT_SEED) -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-ALL_CRITERIA = {
-    1: criterion_1,
-    2: criterion_2,
-    3: criterion_3,
-    4: criterion_4,
-    5: criterion_5,
-    6: criterion_6,
-    7: criterion_7,
-    8: criterion_8,
-    9: criterion_9,
-    10: criterion_10,
-    11: criterion_11,
-    12: criterion_12,
-    13: criterion_13,
-}
+ALL_CRITERIA = dict(enumerate((
+    criterion_1, criterion_2, criterion_3, criterion_4, criterion_5, criterion_6, criterion_7,
+    criterion_8, criterion_9, criterion_10, criterion_11, criterion_12, criterion_13), start=1))
 
 
 def run_criterion(index: int, seed: int = DEFAULT_SEED, upper_base=None) -> CriterionResult:

@@ -11,6 +11,7 @@ from qclab.boolfunc import (
     MAX_ARITY,
     TOL,
     _at_most,
+    _provenance,
     BooleanFunction,
     ProductDistribution,
     Subcube,
@@ -303,6 +304,13 @@ def test_at_most_is_exact_on_rationals_and_within_tol_otherwise(a, b, want):
 
 def test_at_most_reads_its_tolerance_only_for_floats():
     assert _at_most(1.0, 0.5, tol=1) and not _at_most(1, Fraction(1, 2), tol=1)
+
+
+def test_provenance_names_the_arithmetic_and_the_tolerance():
+    assert _provenance([1, Fraction(1, 3)]) == _provenance([0], 1e-12) == "exact"
+    assert _provenance([Fraction(1, 3), 0.5]) == "float"
+    assert _provenance((0.5,), 1e-9) == "float(tol=1e-9)"
+    assert _provenance((np.float64(0.5),), 1e-12) == "float(tol=1e-12)"
 
 
 def test_exact_poincare_is_decided_with_zero_slack(monkeypatch):

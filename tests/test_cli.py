@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from qclab import games, nandtree, sabotage, verify
+from qclab import dtree, games, nandtree, sabotage, verify
 from qclab.boolfunc import and_f, nand2, save_function, save_distribution, uniform_distribution
 from qclab.cli import main, normalize_for_compare
+from qclab.dtree import DP_MAX_ARITY
 
 
 def run_cli(capsys, *argv):
@@ -28,7 +29,10 @@ def test_measure_builtin(capsys):
     status, out, _ = run_cli(capsys, "measure", "--fn", "nand2")
     assert status == 0
     assert out.startswith("# qclab-v1")
-    assert "zero_error_expected_cost,1.5,exact" in out
+    # the uniform mu is float: rows over it say so, and D_mu,eps was taken
+    # within dtree.CURVE_TOL
+    assert "zero_error_expected_cost,1.5,float" in out
+    assert "Inf,1.0,float" in out and ",0,float(tol=1e-12)" in out
     assert "D,2,exact" in out
 
 
@@ -51,9 +55,18 @@ def test_measure_bad_input_exits_2(tmp_path, capsys):
 def test_game_command(capsys):
     status, out, _ = run_cli(capsys, "game", "--fn", "nand2")
     assert status == 0
-    assert "RS_E,3/2,lp" in out
+    assert "RS_E,3/2,lp(exact)" in out
     status, _, err = run_cli(capsys, "game", "--fn", "xor:4")
     assert status == 2
+
+
+def test_game_rows_name_the_simplex_mode_that_decided_them(capsys):
+    # XOR_3's deciding depth-3 game has 8 x 16430 entries, above the
+    # rational entry limit, so the float tableau solves it
+    status, out, _ = run_cli(capsys, "game", "--fn", "xor:3")
+    assert status == 0
+    assert "R_eps(eps=0.3333333333333333),3,lp(float)" in out
+    assert "RS_eps(eps=0.3333333333333333),2,lp(exact)" in out and "RS_E,2,lp(exact)" in out
 
 
 def test_game_command_on_a_function_with_no_pairs(tmp_path, capsys):
@@ -61,7 +74,7 @@ def test_game_command_on_a_function_with_no_pairs(tmp_path, capsys):
     status, out, _ = run_cli(capsys, "game", "--fn", "const1:3", "--strategies",
                              "--dump-game", str(path))
     assert status == 0
-    assert "RS_E,0,lp" in out and "RS_E_strategy" not in out
+    assert "RS_E,0,lp(exact)" in out and "RS_E_strategy" not in out
     dump = json.loads(path.read_text())
     assert dump["rows"] == [] and dump["payoff"] == [] and dump["cols"]
 
@@ -77,23 +90,30 @@ def _not_an_int(text: str) -> bool:
     return False
 
 
-_BAD_GAME_SPECS = st.one_of(
-    # unknown names, with or without an arity, that are not paths either
-    st.tuples(st.text(st.characters(codec="ascii"), max_size=10).filter(
-        lambda b: b.strip().lower() not in _BUILTIN_BASES + ("nand2",)
-        and ":" not in b and not os.path.exists(b)),
-        st.sampled_from(["", ":2", ":3"])).map("".join),
-    # a builtin with no arity, or one that is not an integer
-    st.sampled_from(_BUILTIN_BASES),
-    st.tuples(st.sampled_from(_BUILTIN_BASES),
-              st.text(max_size=8).filter(_not_an_int)).map(":".join),
-    # arity below 1
-    st.builds("{}:{}".format, st.sampled_from(_BUILTIN_BASES[:-1]), st.integers(-10**6, 0)),
-    st.builds("nandtree:{}".format, st.integers(-10**6, -1)),
-    # arity above the game's cap of 3, up to far above what fits in memory
-    st.builds("{}:{}".format, st.sampled_from(_BUILTIN_BASES[:-1]), st.integers(4, 10**12)),
-    st.builds("nandtree:{}".format, st.integers(2, 10**12)),
-)
+def _bad_fn_specs(cap: int):
+    """--fn specs that a command with arity cap ``cap`` must refuse."""
+    return st.one_of(
+        # unknown names, with or without an arity, that are not paths either
+        st.tuples(st.text(st.characters(codec="ascii"), max_size=10).filter(
+            lambda b: b.strip().lower() not in _BUILTIN_BASES + ("nand2",)
+            and ":" not in b and not os.path.exists(b)),
+            st.sampled_from(["", ":2", ":3"])).map("".join),
+        # a builtin with no arity, or one that is not an integer
+        st.sampled_from(_BUILTIN_BASES),
+        st.tuples(st.sampled_from(_BUILTIN_BASES),
+                  st.text(max_size=8).filter(_not_an_int)).map(":".join),
+        # arity below 1
+        st.builds("{}:{}".format, st.sampled_from(_BUILTIN_BASES[:-1]), st.integers(-10**6, 0)),
+        st.builds("nandtree:{}".format, st.integers(-10**6, -1)),
+        # arity above the cap, up to far above what fits in memory; nandtree:k
+        # has 2^k variables
+        st.builds("{}:{}".format, st.sampled_from(_BUILTIN_BASES[:-1]),
+                  st.integers(cap + 1, 10**12)),
+        st.builds("nandtree:{}".format, st.integers(cap.bit_length(), 10**12)),
+    )
+
+
+_BAD_GAME_SPECS = _bad_fn_specs(3)
 
 
 @given(_BAD_GAME_SPECS)
@@ -148,6 +168,99 @@ def test_a_negative_or_nan_eps_exits_2(argv, capsys):
     assert "eps must be >= 0" in out.err
 
 
+def _bad_depth_ranges(cap: int):
+    """A..B depth ranges to refuse: a bound that is not an int, an empty
+    range, or a bound below 0 or above ``cap`` ("A.." is A..A)."""
+    not_int = st.text(max_size=6).filter(_not_an_int)
+    depth = st.integers(0, cap)
+    return st.one_of(
+        st.builds("{}..{}".format, not_int, depth),
+        st.builds("{}..{}".format, depth, not_int.filter(bool)),
+        st.tuples(depth, depth).filter(lambda t: t[0] > t[1]).map("{0[0]}..{0[1]}".format),
+        st.builds("{}..{}".format, st.integers(-10**6, -1), depth),
+        st.builds("{}..{}".format, depth, st.integers(cap + 1, 10**12)),
+    )
+
+
+def _bad_ints(low: int, high: int = None):
+    """--opt values to refuse for an int option valid on [low, high]: text that
+    is no int, and ints outside the range."""
+    outside = [st.integers(-10**12, low - 1)]
+    if high is not None:
+        outside.append(st.integers(high + 1, 10**12))
+    return st.one_of(st.text(max_size=6).filter(_not_an_int), *outside).map(str)
+
+
+@contextlib.contextmanager
+def _no_estimator():
+    """Every estimator a command might start fails the test if it runs."""
+    def ran(*args, **kwargs):
+        raise AssertionError("an estimator ran on malformed input")
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module, name in ((dtree, "exact_D"), (games, "dprod_search"),
+                             (nandtree, "mc_cost"), (sabotage, "estimate_sep_counts")):
+            mp.setattr(module, name, ran)
+        yield
+
+
+def _assert_refused(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), _no_estimator():
+        try:
+            status = main(argv)
+        except SystemExit as exc:  # argparse refusals
+            status = exc.code
+    assert status == 2 and out.getvalue() == "", argv
+    assert "error:" in err.getvalue()
+
+
+def _bad_mu_specs():
+    """--mu specs that neither measure nor nand takes: unknown names that are
+    not paths, and const:p with p not a float or outside [0, 1] (NaN too)."""
+    return st.one_of(
+        st.text(max_size=10).filter(lambda s: s not in ("uniform", "golden", "search")
+                                    and not s.startswith("const:") and not os.path.exists(s)),
+        st.text(max_size=8).filter(_not_a_float).map("const:{}".format),
+        st.floats().filter(lambda p: not 0 <= p <= 1).map("const:{!r}".format),
+    )
+
+
+@given(st.one_of(
+    _bad_fn_specs(DP_MAX_ARITY).map(lambda spec: [f"--fn={spec}"]),
+    _bad_mu_specs().map(lambda spec: ["--fn=xor:2", f"--mu={spec}"]),
+))
+@settings(max_examples=200, deadline=None)
+def test_measure_refuses_malformed_fn_and_mu(args):
+    _assert_refused(["measure", *args])
+
+
+@given(st.one_of(
+    _bad_mu_specs().map(lambda spec: [f"--mu={spec}"]),
+    _bad_depth_ranges(nandtree.MC_MAX_DEPTH).map(lambda spec: [f"--depths={spec}"]),
+    _bad_ints(0, nandtree.MC_MAX_DEPTH).map(lambda v: [f"--depth={v}"]),
+    _bad_ints(100).map(lambda v: [f"--samples={v}"]),
+))
+@settings(max_examples=200, deadline=None)
+def test_nand_refuses_malformed_mu_depths_and_samples(args):
+    _assert_refused(["nand", "--depth", "4", "--samples", "500", *args])
+
+
+@given(st.one_of(
+    _bad_ints(1, nandtree.MC_MAX_DEPTH).map(lambda v: [f"--depth={v}"]),
+    _bad_ints(1).map(lambda v: [f"--t-max={v}"]),
+    _bad_ints(100).map(lambda v: [f"--samples={v}"]),
+    _bad_ints(0).map(lambda v: [f"--dump-pairs={v}"]),
+    # rows of 2^d-leaf pairs above the 2^26-element budget
+    st.integers(1, nandtree.MC_MAX_DEPTH).flatmap(lambda d: st.tuples(
+        st.just(d), st.integers((nandtree._BATCH_ELEMENTS >> d) + 1, 10**12))).map(
+        lambda t: [f"--depth={t[0]}", f"--dump-pairs={t[1]}"]),
+))
+@settings(max_examples=200, deadline=None)
+def test_sabotage_refuses_malformed_depth_t_max_samples_and_dump_pairs(args):
+    _assert_refused(["sabotage", "--depth", "3", "--samples", "500", *args])
+
+
 def test_game_refuses_an_arity_4_truth_table_file(tmp_path, capsys):
     path = tmp_path / "f.tt"
     save_function(and_f(4), str(path))
@@ -198,6 +311,10 @@ def test_huge_depths_exit_2_before_allocating(capsys, monkeypatch):
                           (("sabotage", "--depth", "6", "--t-max", "-2"), levels),
                           (("sabotage", "--depth", "3", "--dump-pairs", "-1"),
                            "--dump-pairs must be >= 0"),
+                          (("sabotage", "--depth", "22", "--dump-pairs", "1000"),
+                           "1000 rows of 2^22-leaf pairs exceed the 2^26-element budget"),
+                          (("sabotage", "--depth", "20", "--dump-pairs", "65"),
+                           "65 rows of 2^20-leaf pairs exceed"),
                           (("verify", "--criteria", "3-1"), "empty criteria range 3-1"),
                           (("verify", "--criteria", "2,5-4"), "empty criteria range 5-4"),
                           (("sabotage", "--depth", "3", "--eps", "0.1"), "unrecognized arguments"),
@@ -264,6 +381,18 @@ def test_threads_do_not_change_output(tmp_path, capsys):
     assert status == 0 and "outputs match" in out
 
 
+@pytest.mark.parametrize("threads", ["abc", "0", "-2", "", "1.5"])
+def test_a_bad_thread_count_exits_2_before_any_command_runs(threads, capsys, monkeypatch):
+    monkeypatch.setenv("QCLAB_THREADS", threads)
+    with _no_estimator():
+        for argv in (("nand", "--depth", "4", "--mu", "search", "--samples", "500"),
+                     ("sabotage", "--depth", "3", "--samples", "500"),
+                     ("measure", "--fn", "xor:2")):
+            status, out, err = run_cli(capsys, *argv)
+            assert status == 2 and out == ""
+            assert f"QCLAB_THREADS must be a positive int, got {threads!r}" in err
+
+
 def test_normalize_for_compare():
     a = "# qclab-v1\n# wall_time_s=1.0\nrow\n"
     b = "# qclab-v1\n# wall_time_s=9.9\nrow\n"
@@ -298,7 +427,7 @@ def test_verify_rows_say_how_each_criterion_was_measured(capsys, monkeypatch):
     rows = csv.DictReader(io.StringIO(out[out.index("criterion,name,"):]))
     assert {int(r["criterion"]): r["provenance"] for r in rows} == {
         4: "float(tol=1e-9)", 8: "float(tol=1e-9)", 9: "mc(fit;n=11)", 10: "mc(fit;n=9)",
-        11: "mc(derived)", 12: "exact", 13: "mc(derived)"}
+        11: "mc(derived)", 12: "float(tol=1e-12)", 13: "mc(derived)"}
 
 
 def test_verify_unknown_criterion(capsys):

@@ -280,6 +280,18 @@ def test_exact_verification_has_zero_slack(monkeypatch):
             solve_zero_sum([[1, 0], [0, 1]])
 
 
+@pytest.mark.parametrize("exact", [True, False])
+def test_the_cycling_guard_stops_a_simplex_past_its_pivot_bound(exact, monkeypatch):
+    # the 3 x 3 identity game's optimum takes all three columns into the
+    # basis: three pivots, one each
+    identity = np.eye(3, dtype=int).tolist()
+    monkeypatch.setattr(games, "SIMPLEX_MAX_PIVOTS", 3)
+    assert solve_zero_sum(identity, exact=exact).value == pytest.approx(1 / 3)
+    monkeypatch.setattr(games, "SIMPLEX_MAX_PIVOTS", 2)
+    with pytest.raises(LPError, match=r"cycling guard hit"):
+        solve_zero_sum(identity, exact=exact)
+
+
 def test_lp_float_path_on_large_matrix():
     rng = np.random.default_rng(2)
     matrix = rng.integers(0, 4, size=(4, 3000)).tolist()

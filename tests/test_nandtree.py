@@ -187,9 +187,14 @@ def test_expected_costs_keep_the_marginals_arithmetic():
             mu_weight(x, margs) * greedy_zero(d, margs, x)[1] for x in all_inputs(d))
         assert expected_cost_sw(d, margs) == sum(
             mu_weight(x, margs) * sw_expected_queries_at(d, x) for x in all_inputs(d))
-    # floats come back as the marginals' scalar type, and depth 0 costs the int 1
+    # any float marginal makes the recursion float64, read back as Python
+    # floats, and depth 0 costs the int 1
     assert type(expected_cost_greedy_zero(3, [0.5] * 8)) is float
-    assert type(expected_cost_sw(3, golden_marginals(3))) is np.float64
+    assert type(expected_cost_sw(3, golden_marginals(3))) is float
+    assert type(expected_cost_sw(2, [Fraction(1, 2), 0.5, 1, 0])) is float
+    p32 = np.float32(0.3)  # float32 marginals run in float64, not float32
+    assert repr(expected_cost_greedy_zero(4, [p32] * 16)) == repr(
+        expected_cost_greedy_zero(4, [float(p32)] * 16))
     assert type(zero_probs(2, [1, 0, 1, 1]).root) is int
     assert repr(expected_cost_greedy_zero(0, golden_marginals(0))) == "1"
 

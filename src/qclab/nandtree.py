@@ -27,6 +27,7 @@ __all__ = [
     "CostEstimate",
     "SeparationError",
     "MC_MAX_DEPTH",
+    "MC_Z",
     "eval_formula",
     "zero_probs",
     "greedy_zero",
@@ -261,11 +262,23 @@ def expected_cost_sw(d: int, marginals: Sequence):
 # ---------------------------------------------------------------------------
 
 
+MC_Z = 4.0  # a Monte-Carlo mean must sit within this many sigma of its exact value
+
+
 @dataclass(frozen=True)
 class CostEstimate:
     mean: float
     half_width_95: float
     samples: int
+
+    @property
+    def sigma(self) -> float:
+        return self.half_width_95 / 1.96
+
+    def z(self, exact) -> float:
+        """|mean - exact| / sigma; a zero spread demands equality (0, else inf)."""
+        gap = abs(self.mean - float(exact))
+        return gap / self.sigma if self.sigma else 0.0 if gap == 0 else math.inf
 
 
 class SeparationError(RuntimeError):
@@ -299,6 +312,8 @@ def _batches(samples: int, n_leaves: int, batch) -> list:
     """Row counts of the batches covering ``samples`` runs."""
     if batch is None:
         batch = max(_MIN_BATCH_ROWS, min(4096, _BATCH_ELEMENTS // max(1, n_leaves)))
+    elif batch < 1:
+        raise ValueError(f"batch must be >= 1, got {batch}")
     return [min(batch, samples - done) for done in range(0, samples, batch)]
 
 

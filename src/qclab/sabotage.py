@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .boolfunc import _at_most
 from .nandtree import (
     SeparationError,
     Transcript,
@@ -37,7 +38,6 @@ from .nandtree import (
 __all__ = [
     "HardPair",
     "LevelLift",
-    "SepCountEstimate",
     "SeparationError",
     "sample_hard_pair",
     "enumerate_hard_pairs",
@@ -269,23 +269,11 @@ def sep_value_counts(algorithm, t: int, x: Sequence[int], y: Sequence[int], rng)
     return _sep_counts(access.order, x, y)
 
 
-@dataclass(frozen=True)
-class SepCountEstimate:
-    t: int
-    b: int
-    mean: float
-    half_width_95: float
-    samples: int
-
-    @property
-    def sigma(self) -> float:
-        return self.half_width_95 / 1.96
-
-
 def estimate_sep_counts(base, d: int, t: int, samples: int, seed: int,
                run_on: str = "x") -> tuple:
     """Monte-Carlo estimates of Q(t, 0) and Q(t, 1) for the chain lifted from
-    ``base='saks_wigderson'`` at depth d; ``q_counts_sw`` is their exact value.
+    ``base='saks_wigderson'`` at depth d, as a pair of ``nandtree.CostEstimate``;
+    ``q_counts_sw`` is their exact value.
 
     The chain from any d is distributed as Saks-Wigderson at level t
     (docs/decisions.md, entry 3), so this folds level-t pairs and its output
@@ -302,9 +290,7 @@ def estimate_sep_counts(base, d: int, t: int, samples: int, seed: int,
     _check_samples(samples)
     _check_mc_depth(d)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    ests = _pair_fold(t, samples, rng, lambda x: [~x, x], swap=run_on == "y")
-    return tuple(SepCountEstimate(t, b, e.mean, e.half_width_95, e.samples)
-                 for b, e in enumerate(ests))
+    return tuple(_pair_fold(t, samples, rng, lambda x: [~x, x], swap=run_on == "y"))
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +452,6 @@ def exact_base_cases() -> dict:
 # Row b' of M in Q(t+1, .) >= M Q(t, .) holds the case-table bounds F(., b').
 _CASE_BOUNDS = block_case_bounds().bounds
 BOUND_MATRIX = tuple(tuple(_CASE_BOUNDS[(b, bp)] for b in (0, 1)) for bp in (0, 1))
-RECURSION_Z = 3.0  # sigmas of slack per MC cell, the Bonferroni budget spread over all cells
 
 
 @dataclass(frozen=True)
@@ -483,47 +468,44 @@ def _term(c: Fraction, q: str) -> str:
     return q if c == 1 else f"{c} {q}" if c.denominator == 1 else f"{q}/{c.denominator}"
 
 
-def check_recursions(estimates: dict) -> RecursionReport:
+def check_recursions(q: dict) -> RecursionReport:
     """Check the rows of Q(t+1, .) >= BOUND_MATRIX Q(t, .), Q(t+1,0) >= Q(t,1)
-    and Q(t+1,1) >= 2 Q(t,0) + Q(t,1)/2, across consecutive levels, within a
-    ``RECURSION_Z``-sigma slack per cell, and verify the enumerated base
-    cases.
+    and Q(t+1,1) >= 2 Q(t,0) + Q(t,1)/2, across consecutive levels of the
+    rows ``q = {t: q_counts_sw(t)}``, by ``boolfunc._at_most`` (zero slack on
+    Fractions), and verify the enumerated base cases.
 
     Each level has exactly one differing index, and the case analysis behind
     the factor-2 step does not cover the block holding it: that block's run
     is cut by the separation itself, so its true per-query factor is only 1
     (value 0 at the differing index) or 0 (value 1). The second inequality
-    therefore admits an additive deficit of at most 1, and empirically fails
-    by about 1/2 at alternating levels; every row also carries an
+    therefore admits an additive deficit of at most 1, and on the exact rows
+    fails by exactly 1/2 at t = 0, 2, 4, 6; every row also carries an
     ``ok_corrected`` verdict with that allowance (0 on the first), and
     ``corrected_ok`` aggregates it. The geometric growth is unaffected: a
     bounded additive perturbation of the supercritical two-term recursion
     still grows at its spectral rate.
 
-    Estimates with no two consecutive levels check no inequality, so they
-    raise ``ValueError`` rather than report a vacuous pass.
+    Rows with no two consecutive levels check no inequality, so they raise
+    ``ValueError`` rather than report a vacuous pass.
     """
-    levels = sorted(estimates)
+    levels = sorted(q)
     pairs = [(lo, hi) for lo, hi in zip(levels, levels[1:]) if hi == lo + 1]
     if not pairs:
         raise ValueError(f"recursion checks need two consecutive levels, got {levels}")
     rows = []
     for lo, hi in pairs:
-        for bp, allowance in enumerate((0.0, 1.0)):
+        for bp, allowance in enumerate((0, 1)):
             terms = [(c, b) for b, c in enumerate(BOUND_MATRIX[bp]) if c]
-            lhs = estimates[hi][bp].mean
-            rhs = sum(c * estimates[lo][b].mean for c, b in terms)
-            slack = RECURSION_Z * math.hypot(estimates[hi][bp].sigma,
-                                             *(c * estimates[lo][b].sigma for c, b in terms))
+            lhs = q[hi][bp]
+            rhs = sum(c * q[lo][b] for c, b in terms)
             rows.append({
                 "t": lo,
                 "name": f"Q({hi},{bp}) >= " + " + ".join(_term(c, f"Q({lo},{b})") for c, b in terms),
                 "lhs": lhs,
                 "rhs": rhs,
-                "slack": slack,
                 "allowance": allowance,
-                "ok": lhs >= rhs - slack,
-                "ok_corrected": lhs >= rhs - allowance - slack,
+                "ok": _at_most(rhs, lhs),
+                "ok_corrected": _at_most(rhs - allowance, lhs),
             })
     base = exact_base_cases()
     base_ok = base[(0, 0)] >= 1 and base[(1, 1)] >= Fraction(3, 2)

@@ -3,8 +3,9 @@ measured values, usable from both the test suite and the command line.
 
 Everything quantitative is pinned here: exact-arithmetic comparisons where
 the check is an identity, stated tolerances and windows where it is an
-estimate. Criterion 11 implements the level-to-level inequalities literally;
-see ``sabotage.check_recursions`` for why their factor-2 step is unattainable
+estimate. Criterion 11 implements the level-to-level inequalities literally
+on the exact Q rows, with Monte-Carlo only as a z-gated cross-check; see
+``sabotage.check_recursions`` for why their factor-2 step is unattainable
 at alternating levels and what corrected form holds instead.
 """
 
@@ -39,8 +40,8 @@ class CriterionResult:
     name: str
     passed: bool
     details: str
+    provenance: str  # bf._provenance over the values the criterion decides, or mc(...)
     values: dict = field(default_factory=dict)
-    provenance: str = "exact"
     seconds: float = 0.0  # set by run_criterion
 
     def line(self) -> str:
@@ -116,7 +117,7 @@ def _check_one_function(f: bf.BooleanFunction, mu, eps_grid, catalog: _CatalogIn
 def criterion_1(seed: int = DEFAULT_SEED) -> CriterionResult:
     rng = random.Random(seed)
     eps_grid = (Fraction(0), Fraction(1, 8), Fraction(1, 3))
-    problems = []
+    problems, marginals = [], []
     checked = 0
 
     for m, funcs in ((2, range(16)), (3, rng.sample(range(256), 200))):
@@ -124,6 +125,7 @@ def criterion_1(seed: int = DEFAULT_SEED) -> CriterionResult:
         for table in funcs:
             f = bf.BooleanFunction(m, table)
             mu = bf.random_dyadic_distribution(m, rng)
+            marginals += mu.marginals
             denom = 64**m
             weights = np.array(
                 [int(mu.point_prob(bf.point_from_index(i, m)) * denom) for i in range(1 << m)],
@@ -137,7 +139,8 @@ def criterion_1(seed: int = DEFAULT_SEED) -> CriterionResult:
     details = f"{checked} functions, exact rational comparison; {len(problems)} mismatches"
     if problems:
         details += "; first: " + problems[0]
-    return CriterionResult(1, "dp-oracle-equivalence", not problems, details)
+    return CriterionResult(1, "dp-oracle-equivalence", not problems, details,
+                           bf._provenance((*eps_grid, *marginals), dt.CURVE_TOL))
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +154,7 @@ def criterion_2(seed: int = DEFAULT_SEED) -> CriterionResult:
     return CriterionResult(
         2, "rse-nand2-exact", ok,
         f"RS_E(NAND_2) = {value} (rational LP over zero-error trees vs 3 pairs)",
-        {"value": value},
+        bf._provenance((value,)), {"value": value},
     )
 
 
@@ -162,7 +165,7 @@ def criterion_3(seed: int = DEFAULT_SEED) -> CriterionResult:
     return CriterionResult(
         3, "case-table-reproduction", ok,
         f"minima {dict(rep.bounds)} vs expected {want}",
-        {"bounds": rep.bounds},
+        bf._provenance(rep.bounds.values()), {"bounds": rep.bounds},
     )
 
 
@@ -189,7 +192,7 @@ def criterion_4(seed: int = DEFAULT_SEED) -> CriterionResult:
     return CriterionResult(
         4, "poincare-and-influence", ok,
         f"1000 random (f, mu) pairs, m <= 10, full-table summation; {violations} violations",
-        provenance=bf._provenance(marginals, bf.TOL),
+        bf._provenance(marginals, bf.TOL),
     )
 
 
@@ -200,7 +203,7 @@ def criterion_4(seed: int = DEFAULT_SEED) -> CriterionResult:
 
 def criterion_5(seed: int = DEFAULT_SEED) -> CriterionResult:
     rng = random.Random(seed + 5)
-    failures = 0
+    failures, decided = 0, []
     for _ in range(500):
         m = rng.randint(1, 8)
         f = bf.random_function(m, rng)
@@ -208,12 +211,12 @@ def criterion_5(seed: int = DEFAULT_SEED) -> CriterionResult:
         r = dt.random_randomized_tree(m, rng, support=3, max_depth=min(m, 4))
         bias = dt.avg_leaf_bias(r, f, mu)
         best = min(dt.tree_error(dt.label_leaves(t, f, mu), f, mu) for _, t in r.entries)
-        if best > bias:
-            failures += 1
-    ok = failures == 0
+        decided += (best, bias)
+        failures += best > bias
     return CriterionResult(
-        5, "majority-labeling-bias", ok,
+        5, "majority-labeling-bias", failures == 0,
         f"500 random (R, f, mu), m <= 8, exact rationals; {failures} failures",
+        bf._provenance(decided),
     )
 
 
@@ -224,33 +227,35 @@ def criterion_5(seed: int = DEFAULT_SEED) -> CriterionResult:
 
 def criterion_6(seed: int = DEFAULT_SEED) -> CriterionResult:
     rng = random.Random(seed + 6)
-    failures = 0
+    failures, decided = 0, []
     for _ in range(200):
         m = rng.randint(1, 6)
         f = bf.random_function(m, rng)
         r = dt.random_randomized_tree(m, rng, support=4)
-        if gm.pair_miss_profile(r, f) != gm.sens_miss_profile(r, f):
-            failures += 1
-    ok = failures == 0
+        pair, sens = gm.pair_miss_profile(r, f), gm.sens_miss_profile(r, f)
+        decided += (pair, sens)
+        failures += pair != sens
     return CriterionResult(
-        6, "pair-vs-sensitive-miss", ok,
+        6, "pair-vs-sensitive-miss", failures == 0,
         f"200 random (R, f), m <= 6, exact equality of profiles; {failures} failures",
+        bf._provenance(decided),
     )
 
 
 def criterion_7(seed: int = DEFAULT_SEED) -> CriterionResult:
     rng = random.Random(seed + 7)
-    failures = 0
+    failures, decided = 0, []
     for _ in range(200):
         m = rng.randint(1, 6)
         f = bf.random_function(m, rng)
         r = dt.random_randomized_tree(m, rng, support=3)
-        if not gm.check_two_point_bound(r, f).ok:
-            failures += 1
-    ok = failures == 0
+        rep = gm.check_two_point_bound(r, f)
+        decided.append(rep.max_violation)
+        failures += not rep.ok
     return CriterionResult(
-        7, "two-point-distribution-bound", ok,
+        7, "two-point-distribution-bound", failures == 0,
         f"200 random (R, f), m <= 6, miss/2 <= bias exactly on every (x, i); {failures} failures",
+        bf._provenance(decided),
     )
 
 
@@ -308,7 +313,7 @@ def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
         details += "; " + "; ".join(problems)
     marginals = [p for mu in mus2 + mus4 for p in mu.marginals]
     return CriterionResult(8, "amplified-bias-construction", ok, details,
-                           provenance=bf._provenance(marginals, bf.TOL))
+                           bf._provenance(marginals, bf.TOL))
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +335,8 @@ def criterion_9(seed: int = DEFAULT_SEED) -> CriterionResult:
         f"fitted base {base:.4f} (residual {resid:.3f}) <= 1.64"
     )
     return CriterionResult(
-        9, "nand-upper-exponent", base <= 1.64, details,
-        {"base": base, "points": points, "mu_block": block}, f"mc(fit;n={len(points)})",
+        9, "nand-upper-exponent", base <= 1.64, details, f"mc(fit;n={len(points)})",
+        {"base": base, "points": points, "mu_block": block},
     )
 
 
@@ -349,8 +354,8 @@ def criterion_10(seed: int = DEFAULT_SEED, upper_base: float | None = None) -> C
         ok = ok and gap >= 0.03
         details += f"; gap over upper-bound base {upper_base:.4f} is {gap:.4f} >= 0.03"
     return CriterionResult(
-        10, "sabotage-lower-exponent", ok, details,
-        {"base": base, "points": points}, f"mc(fit;n={len(points)})",
+        10, "sabotage-lower-exponent", ok, details, f"mc(fit;n={len(points)})",
+        {"base": base, "points": points},
     )
 
 
@@ -360,28 +365,32 @@ def criterion_10(seed: int = DEFAULT_SEED, upper_base: float | None = None) -> C
 
 
 def criterion_11(seed: int = DEFAULT_SEED) -> CriterionResult:
-    estimates = {
-        t: sb.estimate_sep_counts("saks_wigderson", CHAIN_DEPTH, t, MC_SAMPLES, seed + 11 + t)
-        for t in range(CHAIN_DEPTH + 1)
-    }
-    rep = sb.check_recursions(estimates)
+    q = {t: sb.q_counts_sw(t) for t in range(CHAIN_DEPTH + 1)}
+    rep = sb.check_recursions(q)
     bad = [r for r in rep.rows if not r["ok"]]
     details = (
         f"base cases {dict((k, str(v)) for k, v in rep.base_cases.items())} ok={rep.base_ok}; "
-        f"{len(rep.rows) - len(bad)}/{len(rep.rows)} literal rows hold"
+        f"{len(rep.rows) - len(bad)}/{len(rep.rows)} exact literal rows hold, "
+        f"{sum(r['lhs'] == r['rhs'] for r in rep.rows)} with equality"
     )
     if bad:
-        worst = max(bad, key=lambda r: r["rhs"] - r["lhs"])
+        misses = " or ".join(sorted({str(r["rhs"] - r["lhs"]) for r in bad}))
         details += (
-            f"; literal factor-2 rows fail at alternating levels "
-            f"(worst: {worst['name']}, lhs {worst['lhs']:.3f} vs rhs {worst['rhs']:.3f}) "
-            f"- unattainable as stated, see docs/decisions.md; corrected form "
-            f"(differing-block allowance 1) ok={rep.corrected_ok}"
+            f"; the factor-2 rows miss by exactly {misses} at t = "
+            f"{', '.join(str(r['t']) for r in bad)} - unattainable as stated, see "
+            f"docs/decisions.md; corrected form (differing-block allowance 1) ok={rep.corrected_ok}"
         )
+    # the Monte-Carlo cross-check: each cell within MC_Z sigma of its exact value
+    mc_z = {(t, b): est.z(q[t][b]) for t in q for b, est in enumerate(
+        sb.estimate_sep_counts("saks_wigderson", CHAIN_DEPTH, t, MC_SAMPLES, seed + 11 + t))}
+    (t, b), worst = max(mc_z.items(), key=lambda item: item[1])
+    details += (f"; MC cross-check ok={worst <= nt.MC_Z}: max z {worst:.2f} over "
+                f"{len(mc_z)} cells, at Q({t},{b}) (bound {nt.MC_Z:g})")
     return CriterionResult(
         11, "q-recursion-checks", rep.ok, details,
-        {"rows": rep.rows, "base_cases": rep.base_cases, "corrected_ok": rep.corrected_ok},
-        "mc(derived)",
+        bf._provenance([v for row in q.values() for v in row]),
+        {"rows": rep.rows, "base_cases": rep.base_cases, "corrected_ok": rep.corrected_ok,
+         "mc_z": mc_z, "mc_ok": worst <= nt.MC_Z},
     )
 
 
@@ -395,7 +404,7 @@ def criterion_12(seed: int = DEFAULT_SEED) -> CriterionResult:
     want = (1 + math.sqrt(33)) / 4
     ok = bf._at_most(abs(got - want), 0, SPECTRAL_TOL)
     return CriterionResult(12, "spectral-alpha", ok, f"{got!r} vs (1+sqrt(33))/4 = {want!r}",
-                           provenance=bf._provenance((got, want), SPECTRAL_TOL))
+                           bf._provenance((got, want), SPECTRAL_TOL))
 
 
 def criterion_13(seed: int = DEFAULT_SEED) -> CriterionResult:
@@ -433,22 +442,20 @@ def criterion_13(seed: int = DEFAULT_SEED) -> CriterionResult:
     if not dt.tree_error(corrupted_tree, f, mu) > bias:
         problems.append("mislabeled leaf not detected by the bias bound")
 
-    # (c) swapping the Q columns must break the recursion report
-    estimates = {
-        t: sb.estimate_sep_counts("saks_wigderson", 6, t, 30_000, seed + 213 + t) for t in range(7)
-    }
-    honest = sb.check_recursions(estimates)
-    swapped = {t: (e1, e0) for t, (e0, e1) in estimates.items()}
-    broken = sb.check_recursions(swapped)
+    # (c) swapping the exact Q columns must break the recursion report
+    q = {t: sb.q_counts_sw(t) for t in range(7)}
+    honest = sb.check_recursions(q)
+    broken = sb.check_recursions({t: (q1, q0) for t, (q0, q1) in q.items()})
     if not honest.corrected_ok:
-        problems.append("honest chain data failed the corrected recursion")
+        problems.append("exact Q rows failed the corrected recursion")
     if broken.corrected_ok or broken.ok:
         problems.append("swapped Q columns not detected")
 
     ok = not problems
     details = "corrupted block, mislabeled leaf, swapped Q columns all detected" if ok \
         else "; ".join(problems)
-    return CriterionResult(13, "negative-controls", ok, details, provenance="mc(derived)")
+    decided = [bias, *(v for row in q.values() for v in row)]  # the errors share bias's arithmetic
+    return CriterionResult(13, "negative-controls", ok, details, bf._provenance(decided))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from qclab import dtree, verify
+from qclab import dtree, nandtree, sabotage, verify
 
 
 def _run(index):
@@ -115,6 +115,9 @@ def test_criterion_11_q_recursions_literal():
     res = _run(11)
     # the corrected form and the enumerated base cases must hold regardless
     assert res.values["corrected_ok"], res.details
+    # the 18 Monte-Carlo cells (t = 0..8) sit within MC_Z sigma of the exact rows
+    assert len(res.values["mc_z"]) == 18 and res.values["mc_ok"], res.details
+    assert max(res.values["mc_z"].values()) <= nandtree.MC_Z
     # the literal criterion: see the module docstring and docs/decisions.md
     assert res.passed, res.details
 
@@ -127,3 +130,13 @@ def test_criterion_12_spectral_alpha():
 def test_criterion_13_negative_controls():
     res = _run(13)
     assert res.passed, res.details
+
+
+def test_criterion_13_runs_no_monte_carlo(monkeypatch):
+    # its swapped-column control reads the exact Q rows
+    def no_mc(*args, **kwargs):
+        raise AssertionError("criterion 13 ran a Monte-Carlo estimate")
+
+    monkeypatch.setattr(sabotage, "estimate_sep_counts", no_mc)
+    res = verify.criterion_13()
+    assert res.passed and res.provenance == "exact", res.details

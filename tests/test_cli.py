@@ -169,13 +169,13 @@ def test_a_negative_or_nan_eps_exits_2(argv, capsys):
 
 
 def _bad_depth_ranges(cap: int):
-    """A..B depth ranges to refuse: a bound that is not an int, an empty
-    range, or a bound below 0 or above ``cap`` ("A.." is A..A)."""
+    """A..B depth ranges to refuse: a bound that is not an int (an empty one
+    on either side too), an empty range, or a bound below 0 or above ``cap``."""
     not_int = st.text(max_size=6).filter(_not_an_int)
     depth = st.integers(0, cap)
     return st.one_of(
         st.builds("{}..{}".format, not_int, depth),
-        st.builds("{}..{}".format, depth, not_int.filter(bool)),
+        st.builds("{}..{}".format, depth, not_int),
         st.tuples(depth, depth).filter(lambda t: t[0] > t[1]).map("{0[0]}..{0[1]}".format),
         st.builds("{}..{}".format, st.integers(-10**6, -1), depth),
         st.builds("{}..{}".format, depth, st.integers(cap + 1, 10**12)),
@@ -280,6 +280,13 @@ def test_nand_command_text_format(capsys):
     assert 1.0 < float(fit_rows[0]["mean"]) < 2.0
 
 
+def test_depths_without_dots_is_that_one_depth(capsys):
+    # "A.." is refused (see _bad_depth_ranges), while "A" still means A..A
+    status, out, _ = run_cli(capsys, "nand", "--algo", "greedy_zero", "--depths", "5",
+                             "--samples", "200", "--format", "text")
+    assert status == 0 and [r["d"] for r in json.loads(out)["rows"]] == ["5"]
+
+
 def test_nand_needs_depths(capsys):
     status, _, err = run_cli(capsys, "nand", "--algo", "greedy_zero", "--samples", "500")
     assert status == 2
@@ -345,7 +352,21 @@ def test_sabotage_command(tmp_path, capsys):
     assert '"F_min[b=0,b\'=1]",2' in text  # comma in the name forces quoting
     assert "spectral_alpha" in text
     assert "pair[0]" in text and "pair[1]" in text
-    assert "recursion_corrected_ok,1" in text
+    rows = {r["item"]: r for r in csv.DictReader(io.StringIO(
+        "\n".join(ln for ln in text.splitlines() if not ln.startswith("#"))))}
+    assert rows["spectral_alpha"]["provenance"] == "float"  # a float closed form
+    # the recursion rows are decided on the exact Q rows, with no slack
+    assert rows["Q(1,1) >= 2 Q(0,0) + Q(0,1)/2"] == {
+        "item": "Q(1,1) >= 2 Q(0,0) + Q(0,1)/2", "value": "3/2",
+        "detail": "rhs=2;ok=0;ok_corrected=1", "provenance": "exact"}
+    assert rows["recursion_corrected_ok"]["value"] == "1"
+    assert rows["recursion_corrected_ok"]["provenance"] == "exact"
+    # each Monte-Carlo Q(t,b) row carries its z against the exact value
+    assert rows["Q(0,0)"]["detail"] == "d=3;z=0.00"
+    for t in range(4):
+        for b in (0, 1):
+            z = float(rows[f"Q({t},{b})"]["detail"].split(";z=")[1])
+            assert 0 <= z <= nandtree.MC_Z, (t, b, z)
 
 
 def test_compare_mode_ignores_wall_time(tmp_path, capsys):
@@ -423,11 +444,12 @@ def test_verify_subset(capsys):
 def test_verify_rows_say_how_each_criterion_was_measured(capsys, monkeypatch):
     # few Monte-Carlo runs keep this fast; only the provenance column is checked
     monkeypatch.setattr(verify, "MC_SAMPLES", 1000)
-    _, out, _ = run_cli(capsys, "verify", "--criteria", "4,8-13", "--format", "csv")
+    _, out, _ = run_cli(capsys, "verify", "--format", "csv")
     rows = csv.DictReader(io.StringIO(out[out.index("criterion,name,"):]))
     assert {int(r["criterion"]): r["provenance"] for r in rows} == {
-        4: "float(tol=1e-9)", 8: "float(tol=1e-9)", 9: "mc(fit;n=11)", 10: "mc(fit;n=9)",
-        11: "mc(derived)", 12: "float(tol=1e-12)", 13: "mc(derived)"}
+        1: "exact", 2: "exact", 3: "exact", 4: "float(tol=1e-9)", 5: "exact", 6: "exact",
+        7: "exact", 8: "float(tol=1e-9)", 9: "mc(fit;n=11)", 10: "mc(fit;n=9)", 11: "exact",
+        12: "float(tol=1e-12)", 13: "exact"}
 
 
 def test_verify_unknown_criterion(capsys):

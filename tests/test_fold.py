@@ -4,10 +4,12 @@ streams, the memory budget, pinned fixed-seed outputs, and the depth
 guard."""
 
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from qclab import nandtree, sabotage
 from qclab.nandtree import (
     MC_MAX_DEPTH,
     CostEstimate,
@@ -28,7 +30,6 @@ from qclab.nandtree import (
     zero_probs,
 )
 from qclab.sabotage import (
-    SepCountEstimate,
     enumerate_hard_pairs,
     estimate_sep_counts,
     mc_sep_cost,
@@ -192,13 +193,33 @@ def test_fixed_seed_outputs_are_pinned():
                        marginals=tile_marginals([0.2, 0.9, 0.7], 7)) == CostEstimate(
         26.668665667166415, 0.6617658747755617, 2001)
     assert estimate_sep_counts("saks_wigderson", 6, 3, 1501, seed=105, run_on="x") == (
-        SepCountEstimate(3, 0, 0.754163890739507, 0.03361576809366934, 1501),
-        SepCountEstimate(3, 1, 2.816788807461692, 0.06589178932463345, 1501),
+        CostEstimate(0.754163890739507, 0.03361576809366934, 1501),
+        CostEstimate(2.816788807461692, 0.06589178932463345, 1501),
     )
     assert estimate_sep_counts("saks_wigderson", 6, 3, 1501, seed=106, run_on="y") == (
-        SepCountEstimate(3, 0, 1.736842105263158, 0.032761485633539, 1501),
-        SepCountEstimate(3, 1, 1.8620919387075283, 0.06614811463001055, 1501),
+        CostEstimate(1.736842105263158, 0.032761485633539, 1501),
+        CostEstimate(1.8620919387075283, 0.06614811463001055, 1501),
     )
+
+
+def test_a_batch_below_one_row_is_refused_before_any_draw(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew before the batch size was checked")
+
+    monkeypatch.setattr(nandtree, "_bernoulli_leaves", no_draw)
+    monkeypatch.setattr(sabotage, "_sample_pairs", no_draw)
+    for batch in (0, -5):
+        with pytest.raises(ValueError, match=f"batch must be >= 1, got {batch}"):
+            mc_cost("saks_wigderson", 4, golden_marginals(4), 1000, seed=0, batch=batch)
+        with pytest.raises(ValueError, match=f"batch must be >= 1, got {batch}"):
+            mc_sep_cost("saks_wigderson", 4, 1000, seed=0, batch=batch)
+
+
+def test_the_z_rule_demands_equality_at_zero_spread():
+    est = CostEstimate(10.5, 1.96, 1000)  # sigma 1
+    assert est.sigma == 1.0 and est.z(12) == 1.5 and est.z(9) == 1.5
+    assert CostEstimate(1.0, 0.0, 100).z(1) == 0.0
+    assert CostEstimate(1.0, 0.0, 100).z(Fraction(1, 2)) == float("inf")
 
 
 # -- the depth guard ----------------------------------------------------------------

@@ -174,7 +174,6 @@ def _provenance(values: Iterable, tol: float = None) -> str:
 class _Arithmetic(NamedTuple):
     exact: bool
     weights: list  # (w0, w1) per variable, in variable order
-    one: object
     value: object  # a sum of scaled values -> the probability it stands for
     dtype: object  # of a numpy array of values
 
@@ -183,20 +182,19 @@ def _arithmetic(marginals: Sequence) -> _Arithmetic:
     """The one arithmetic rule for values over a product distribution.
 
     Any marginal that is not ``_exact`` makes every value a float: variable
-    j's weights are ``(1 - p, p)`` for ``p = float(p_j)``, ``one`` is 1.0 and
-    ``value`` is float, in float64 arrays. Otherwise p_j = n_j / d_j (an int,
-    or a Fraction in lowest terms), the weights are ``(d_j - n_j, n_j)``, and a
-    value is a Python int scaled by ``one``, the product of the
-    denominators, in object arrays: ``value(v)`` is ``Fraction(v, one)``, or
-    an int when every marginal is an int.
+    j's weights are ``(1 - p, p)`` for ``p = float(p_j)`` and ``value`` is
+    float, in float64 arrays. Otherwise p_j = n_j / d_j (an int, or a
+    Fraction in lowest terms), the weights are ``(d_j - n_j, n_j)``, and a
+    value is a Python int scaled by the product D of the denominators, in
+    object arrays: ``value(v)`` is ``Fraction(v, D)``, or an int when every
+    marginal is an int.
     """
     if not _exact(marginals):
-        return _Arithmetic(False, [(1 - p, p) for p in map(float, marginals)], 1.0, float,
-                           np.float64)
-    one = math.prod(p.denominator for p in marginals)
+        return _Arithmetic(False, [(1 - p, p) for p in map(float, marginals)], float, np.float64)
+    scale = math.prod(p.denominator for p in marginals)
     rational = any(isinstance(p, Fraction) for p in marginals)
     return _Arithmetic(True, [(p.denominator - p.numerator, p.numerator) for p in marginals],
-                       one, (lambda v: Fraction(v, one)) if rational else int, object)
+                       (lambda v: Fraction(v, scale)) if rational else int, object)
 
 
 def _masses(marginals: Sequence) -> tuple:
@@ -208,7 +206,7 @@ def _masses(marginals: Sequence) -> tuple:
 
 def _mass_vector(ar: _Arithmetic, weights: Sequence) -> np.ndarray:
     """The products of one ``weights`` pair per variable, the first least
-    significant (exact: ints over ``ar.one``, capped at MASS_MAX_EXACT_ARITY)."""
+    significant (exact: scaled ints, capped at MASS_MAX_EXACT_ARITY)."""
     if ar.exact and len(weights) > MASS_MAX_EXACT_ARITY:
         raise ValueError(f"exact point masses capped at arity {MASS_MAX_EXACT_ARITY}; "
                          "pass float marginals")
@@ -593,7 +591,7 @@ def parse_truth_table(text: str) -> BooleanFunction:
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
     if len(lines) != 2 or not lines[0].startswith("m="):
         raise ValueError("truth-table text must be 'm=<int>' then a bit string")
-    m = int(lines[0][2:])
+    m = BooleanFunction(int(lines[0][2:]), 0).arity  # checked before 1 << m is built
     bits = lines[1]
     if len(bits) != (1 << m) or set(bits) - {"0", "1"}:
         raise ValueError(f"expected {1 << m} bits over {{0,1}}, got {len(bits)} chars")
@@ -616,6 +614,8 @@ def load_distribution(path: str) -> ProductDistribution:
         data = json.load(fh)
     if not isinstance(data, list):
         raise ValueError("distribution file must hold a JSON array of marginals")
+    if any(type(p) not in (int, float) or not 0 <= p <= 1 for p in data):  # bools too
+        raise ValueError("marginals must be JSON numbers in [0, 1]")
     return ProductDistribution(tuple(float(p) for p in data))
 
 

@@ -8,9 +8,9 @@ root-to-leaf path; this is validated when a ``Query`` is built, and a
 
 The DPs (deterministic depth, distributional error at a depth budget,
 zero-error expected cost) share one engine: the whole lattice of 3^m
-subcubes as a numpy array, relaxed one query at a time. They are exact with
-rational marginals, float with float ones, and limited to arity <= 14
-(13 with rational marginals, whose lattices hold Python ints).
+subcubes as a numpy array of sums of mu's point masses, relaxed one query at
+a time: exact with rational marginals, float with float ones, and limited to
+arity <= 14 (13 with rational marginals, whose lattices hold Python ints).
 """
 
 from __future__ import annotations
@@ -30,12 +30,14 @@ from .boolfunc import (
     Subcube,
     _arithmetic,
     _at_most,
+    _exact,
     _mass_vector,
+    _masses,
 )
 
 DP_MAX_ARITY = 14
-# Exact-mode lattices hold Python ints in object arrays: with Fraction /64
-# marginals m = 13 took 15.5 s and 339 MiB, m = 14 60 s and 970 MiB.
+# Exact-mode lattices hold Python ints in object arrays: with Fraction /64 marginals
+# at m = 13 the error DP took 8.4 s and 295 MiB, and the zero-error cost 25.7 s and 424 MiB.
 DP_MAX_EXACT_ARITY = 13
 CURVE_TOL = 1e-12  # float errors within it of eps stop the error curve
 
@@ -226,43 +228,39 @@ class _Lattice:
     Variable j+1 is axis m-1-j, and entries 0, 1 and 2 along an axis mean
     x_j = 0, x_j = 1 and free, so a C-order reshape of the truth table is the
     fully fixed corner and the whole cube is the last entry. Values over
-    subcubes are stacked on the corner one axis at a time, so a subcube is
-    split on its lowest free variable. Every DP runs ``rounds`` from its base
-    array; round k holds the best tree with at most k queries, where a leaf
-    on a non-constant subcube costs more than any tree (m + 1 queries).
-    Rounds are computed only as they are read, and the non-constant mask
-    only by the two DPs whose base needs it (``depths`` and ``costs``).
+    subcubes are stacked on the corner one axis at a time (entry 2 combines
+    entries 0 and 1), so a subcube is split on its lowest free variable.
+    Every DP runs ``rounds`` from its base array; round k holds the best tree
+    with at most k queries, where a leaf on a non-constant subcube costs more
+    than any tree (m + 1 queries). Rounds are computed only as they are read,
+    and the non-constant mask only by the two DPs whose base needs it
+    (``depths`` and ``costs``).
 
-    Values follow ``boolfunc._arithmetic``: floats with a float marginal,
-    otherwise Python ints scaled by ``one``, the product of the marginals'
-    denominators, where each mix divides exactly, because a value over a
-    subcube is multilinear in the marginals of its free variables.
+    Error and cost values are unnormalised sums of ``boolfunc._masses`` over
+    a subcube, in its units (Python ints or float64), so a subcube's value is
+    the sum of its halves' and the lattice has no arithmetic of its own;
+    ``value`` turns the whole cube's entry into a probability.
     """
 
     def __init__(self, f: BooleanFunction, marginals: Sequence = ()):
         m = f.arity
         if m > DP_MAX_ARITY:
             raise ValueError(f"arity {m} above DP cap {DP_MAX_ARITY}")
-        # axis order is variable order reversed
-        self.exact, self.weights, self.one, self.value, self.dtype = _arithmetic(marginals[::-1])
-        if self.exact and marginals and m > DP_MAX_EXACT_ARITY:
+        if marginals and _exact(marginals) and m > DP_MAX_EXACT_ARITY:
             raise ValueError(f"arity {m} above the exact-arithmetic DP cap {DP_MAX_EXACT_ARITY}; "
                              "pass float marginals")
         self.m = m
         self.corner = f.table_array().reshape((2,) * m)
-
-    def mix(self, ax: int, a, b):
-        """(1-p) a + p b, for the marginal p of the variable on axis ``ax``."""
-        w0, w1 = self.weights[ax]
-        if self.exact:
-            return (w0 * a + w1 * b) // (w0 + w1)
-        return w0 * a + w1 * b
+        w, ar = _masses(marginals)
+        self.mass, self.value = w.reshape((2,) * len(marginals)), ar.value
 
     def stack(self, corner: np.ndarray, combine) -> np.ndarray:
-        arr = corner
+        """``corner`` over every subcube, in place; trailing axes ride along."""
+        arr = np.empty((3,) * self.m + corner.shape[self.m:], corner.dtype)
+        arr[(slice(2),) * self.m] = corner
         for ax in range(self.m):
-            a0, a1 = _fix(arr, ax, 0), _fix(arr, ax, 1)
-            arr = np.stack([a0, a1, combine(ax, a0, a1)], axis=ax)
+            pre, post = (slice(None),) * ax, (slice(2),) * (self.m - 1 - ax)
+            arr[pre + (2,) + post] = combine(arr[pre + (0,) + post], arr[pre + (1,) + post])
         return arr
 
     def rounds(self, base: np.ndarray, step):
@@ -278,21 +276,22 @@ class _Lattice:
 
     def nonconst(self) -> np.ndarray:
         """True on the subcubes where f is not constant."""
-        return self.stack(self.corner, lambda ax, a, b: np.where(a == b, a, 2)) == 2
+        return self.stack(self.corner, lambda a, b: np.where(a == b, a, 2)) == 2
 
     def depths(self):
         base = np.where(self.nonconst(), np.int8(self.m + 1), np.int8(0))
         return self.rounds(base, lambda ax, a, b: 1 + np.maximum(a, b))
 
     def errors(self):
-        p1 = self.stack(self.corner.astype(self.dtype) * self.one, self.mix)
-        return self.rounds(np.minimum(p1, self.one - p1), self.mix)
+        # the masses of f = 0 and f = 1 as two channels on a trailing axis
+        split = self.mass[..., None] * np.stack([1 - self.corner, self.corner], axis=-1)
+        both = self.stack(split, np.add)
+        return self.rounds(np.minimum(both[..., 0], both[..., 1]), lambda ax, a, b: a + b)
 
     def costs(self):
-        nonconst = self.nonconst()
-        base = np.zeros(nonconst.shape, self.dtype)
-        base[nonconst] = (self.m + 1) * self.one  # no tree yet
-        return self.rounds(base, lambda ax, a, b: self.one + self.mix(ax, a, b))
+        mass = self.stack(self.mass, np.add)  # M(C), which each query on C adds
+        base = np.where(self.nonconst(), (self.m + 1) * mass, 0)  # no tree yet
+        return self.rounds(base, lambda ax, a, b: _fix(mass, ax, 2) + a + b)
 
 
 def _nth(rounds, k: int) -> np.ndarray:
@@ -367,7 +366,8 @@ def dist_error_curve_fast(f: BooleanFunction, marginals: Sequence[float], eps=No
     """
     if f.arity != len(marginals):
         raise ValueError("arity mismatch")
-    return np.array(list(_root_errors(f, [float(q) for q in marginals], eps)))
+    mu = ProductDistribution(tuple(float(q) for q in marginals))  # refuses NaN, < 0 and > 1
+    return np.array(list(_root_errors(f, mu.marginals, eps)))
 
 
 # ---------------------------------------------------------------------------

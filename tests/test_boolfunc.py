@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -429,6 +430,19 @@ def test_truth_table_roundtrip(tmp_path):
         parse_truth_table("m=2\n011\n")
     with pytest.raises(ValueError):
         parse_truth_table("nope")
+
+
+def test_truth_table_arity_is_checked_before_its_bit_count_is_built():
+    # m = 10^9 reached 158 MiB building 1 << m for the length check
+    tracemalloc.start()
+    try:
+        for m in (10**9, 10**18, MAX_ARITY + 1, 0, -3):
+            with pytest.raises(ValueError, match=rf"arity must be in \[1, {MAX_ARITY}\], got {m}"):
+                parse_truth_table(f"m={m}\n0101\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_distribution_roundtrip(tmp_path):

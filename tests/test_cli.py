@@ -52,6 +52,16 @@ def test_measure_bad_input_exits_2(tmp_path, capsys):
     assert status == 2 and "error" in err
 
 
+@pytest.mark.parametrize("entries", [[None, 0.5], [[0.5], 0.5], [True, 0.5], [False, 0.5],
+                                     ["0.5", 0.5], [10**400, 0.5], [-0.5, 0.5]])
+def test_measure_refuses_a_distribution_file_entry_that_is_no_marginal(entries, tmp_path, capsys):
+    path = tmp_path / "mu.json"
+    path.write_text(json.dumps(entries))
+    status, out, err = run_cli(capsys, "measure", "--fn", "xor:2", "--mu", str(path))
+    assert status == 2 and out == ""
+    assert "marginals must be JSON numbers in [0, 1]" in err
+
+
 def test_game_command(capsys):
     status, out, _ = run_cli(capsys, "game", "--fn", "nand2")
     assert status == 0

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import random
 import time
@@ -352,8 +353,12 @@ def _random_cases(rng, draw_marginal, n):
 
 
 def test_lattice_engine_matches_brute_force():
+    # interior marginals, then 0.0 and 1.0 too, which make zero-mass subcubes
     rng = random.Random(17)
-    for f, mu in _random_cases(rng, lambda r: r.uniform(0.05, 0.95), 30):
+    cases = itertools.chain(
+        _random_cases(rng, lambda r: r.uniform(0.05, 0.95), 30),
+        _random_cases(rng, lambda r: r.choice([0.0, 1.0, r.uniform(0.05, 0.95)]), 30))
+    for f, mu in cases:
         d, curve, cost = _brute_force(f, mu)
         assert exact_D(f) == d
         fast = dist_error_curve_fast(f, mu.marginals)
@@ -368,7 +373,7 @@ def test_lattice_engine_matches_brute_force():
 
 
 def test_exact_mode_matches_brute_force():
-    """Non-dyadic and 0/1 marginals: the scaled-integer mixes divide exactly."""
+    """Non-dyadic and 0/1 marginals: the lattice sums the exact point masses."""
 
     def draw(r):
         d = r.choice([3, 5, 7])
@@ -486,13 +491,25 @@ def test_a_negative_or_nan_eps_is_refused_before_any_lattice_work(monkeypatch):
             dist_error_curve_fast(xor(2), u.marginals, eps)
 
 
-# Curves recorded before rounds were computed lazily, as float64 bytes in hex.
+def test_marginals_outside_the_unit_interval_are_refused_before_any_lattice_work(monkeypatch):
+    def no_lattice(*args, **kwargs):
+        raise AssertionError("a lattice was built before the marginals were checked")
+
+    monkeypatch.setattr(dtree, "_Lattice", no_lattice)
+    # [1.5, 0.5] gave the curve [0.5, -0.5, -0.5], and -0.5 with eps 0.1 a D_mu,eps of 0
+    for marginals in ([1.5, 0.5], [float("nan"), 0.5], [-0.5, 0.5], [0.5, math.inf]):
+        for eps in (None, 0.1):
+            with pytest.raises(ValueError, match="outside \\[0, 1\\]"):
+                dist_error_curve_fast(xor(2), marginals, eps)
+
+
+# Curves of the point-mass lattice, as float64 bytes in hex (ledger entry 16).
 _CURVE_PINS = [
     (nand_tree(2), [0.3, 0.6, 0.7, 0.2],
-     "5817b7d100ded23f5f29cb10c7bac83f2675029a081bae3f94cb7f48bf7d7d3f0000000000000000"),
+     "5a17b7d100ded23f6029cb10c7bac83f2675029a081bae3f94cb7f48bf7d7d3f0000000000000000"),
     (random_function(6, random.Random(5)), [0.1 * k + 0.15 for k in range(6)],
-     "de9387855a63df3f029a081b9e46da3fe3fc4d284420d63f73d712f241bfca3f"
-     "6991ed7c3f95b43f1ea2d11dc4ce763f0000000000000000"),
+     "dd9387855a63df3f039a081b9e46da3fe2fc4d284420d63f72d712f241bfca3f"
+     "6891ed7c3f95b43f1ea2d11dc4ce763f0000000000000000"),
     (and_f(3), [0.0, 1.0, 0.5], "00" * 32),
 ]
 
@@ -514,8 +531,9 @@ def test_a_stopped_curve_is_the_full_curve_up_to_the_least_depth():
 
 def _count_lattice_work(monkeypatch):
     """Per lattice, in order of construction: its marginals, how many rounds
-    its DPs computed and how many arrays it stacked over the subcubes
-    (Pr[f = 1] for an error base, the non-constant mask for the others)."""
+    its DPs computed and how many arrays it stacked over the subcubes (the
+    [Pr[f = 0], Pr[f = 1]] channels for an error base, the non-constant mask
+    for the others, and the subcube masses for the zero-error cost)."""
     work = {}
     init, rounds, stack = dtree._Lattice.__init__, dtree._Lattice.rounds, dtree._Lattice.stack
 
@@ -555,16 +573,17 @@ def test_the_dps_compute_no_round_past_the_one_they_read(monkeypatch):
         (counts,) = work.values()
         return counts["rounds"], counts["stacks"]
 
-    # the error DPs stack only Pr[f = 1]: no non-constant mask
+    # the error DPs stack only their two mass channels: no non-constant mask
     for eps, k in least.items():
         assert one_lattice(lambda: exact_Dmu_eps(f, mu, eps)) == (k + 1, 1)
         assert one_lattice(lambda: dist_error_curve_fast(f, mu.marginals, eps)) == (k + 1, 1)
     for k in range(6):
         assert one_lattice(lambda: optimal_dist_error(f, mu, k)) == (min(k, 4) + 1, 1)
     assert one_lattice(lambda: dist_error_curve_fast(f, mu.marginals)) == (5, 1)
-    # depth and zero-error cost stack only the mask, and D reads only up to D
+    # depth stacks only the mask, and D reads only up to D; zero-error cost
+    # stacks the mask and the masses M(C) that each query adds
     assert one_lattice(lambda: exact_D(f)) == (d + 1, 1)
-    assert one_lattice(lambda: zero_error_expected_cost(f, mu)) == (5, 1)
+    assert one_lattice(lambda: zero_error_expected_cost(f, mu)) == (5, 2)
 
     work.clear()
     res = dprod_search(f, 1 / 3, restarts=1, seed=3)

@@ -124,6 +124,8 @@ class ProductDistribution:
 
     def __post_init__(self):
         for p in self.marginals:
+            if isinstance(p, bool) or not isinstance(p, numbers.Real):
+                raise ValueError(f"marginal {p!r} is not a real number")
             if not 0 <= p <= 1:
                 raise ValueError(f"marginal {p!r} outside [0, 1]")
         object.__setattr__(self, "marginals", tuple(self.marginals))
@@ -139,15 +141,6 @@ class ProductDistribution:
         for b, p in zip(x, self.marginals):
             prob = prob * (p if b else (1 - p))
         return prob
-
-    def weight_array(self) -> np.ndarray:
-        """Vector of float64 point masses indexed like the truth table."""
-        w, _ = _masses([float(p) for p in self.marginals])
-        return w.astype(np.float64, copy=False)  # no marginal: the exact int 1
-
-    def sample(self, rng: np.random.Generator, n: int = 1) -> np.ndarray:
-        p = np.array([float(q) for q in self.marginals])
-        return (rng.random((n, self.arity)) < p).astype(np.uint8)
 
 
 def _exact(values: Iterable) -> bool:
@@ -261,9 +254,6 @@ class Subcube:
     def free_vars(self, arity: int) -> tuple:
         fixed = set(self.fixed_vars())
         return tuple(i for i in range(1, arity + 1) if i not in fixed)
-
-
-EMPTY_SUBCUBE = Subcube(())
 
 
 # ---------------------------------------------------------------------------

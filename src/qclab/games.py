@@ -240,20 +240,18 @@ def _min_ratio(rhs: np.ndarray, col: np.ndarray, tol) -> np.ndarray:
     return rhs * col[best] == rhs[best] * col
 
 
-def solve_zero_sum(matrix: Sequence[Sequence], exact: Optional[bool] = None) -> GameValue:
+def solve_zero_sum(matrix: Sequence[Sequence]) -> GameValue:
     """Value and optimal mixed strategies of a finite zero-sum game.
 
-    The row player maximizes the payoff, the column player minimizes.
-    Solutions are verified against both best-response conditions before
-    being returned; failures raise LPError.
+    The row player maximizes the payoff, the column player minimizes. At
+    most ``RATIONAL_ENTRY_LIMIT`` rational entries are solved exactly, any
+    other matrix in floats. Solutions are verified against both best-response
+    conditions before being returned; failures raise LPError.
     """
     rows = [list(r) for r in matrix]
     if not rows or not rows[0]:
         raise ValueError("payoff matrix must be non-empty")
-    if exact is None:
-        exact = len(rows) * len(rows[0]) <= RATIONAL_ENTRY_LIMIT and _exact(
-            v for r in rows for v in r)
-    if exact:
+    if len(rows) * len(rows[0]) <= RATIONAL_ENTRY_LIMIT and _exact(v for r in rows for v in r):
         return _solve_exact(rows)
 
     a = np.array([[float(v) for v in r] for r in rows])
@@ -277,8 +275,7 @@ def solve_zero_sum(matrix: Sequence[Sequence], exact: Optional[bool] = None) -> 
 
 
 def _solve_exact(rows: list) -> GameValue:
-    """The game ``rows`` (ints, Fractions, or floats taken exactly), solved and
-    verified in Python ints.
+    """The game ``rows`` of ints and Fractions, solved and verified in ints.
 
     The payoffs are scaled by their least common denominator s to an int
     matrix ``a`` and shifted to ``a + shift >= s``; the LP optimum is then
@@ -288,8 +285,6 @@ def _solve_exact(rows: list) -> GameValue:
     Fraction is built.
     """
     a = np.array(rows, dtype=object)
-    if not _exact(a.flat):  # floats, taken exactly
-        a = np.frompyfunc(Fraction, 1, 1)(a)
     s = math.lcm(*[v.denominator for v in a.flat])
     a = a * s // 1  # an int // 1 is that int, a whole Fraction // 1 an int
     shift = max(0, s - a.min())
@@ -721,13 +716,15 @@ def check_amplified_bias(r: RandomizedTree, f: BooleanFunction,
 class TwoPointBoundReport:
     pairs_checked: int
     max_violation: object
+    tight: int  # cases with miss/2 == bias
     ok: bool
 
 
 def check_two_point_bound(r: RandomizedTree, f: BooleanFunction) -> TwoPointBoundReport:
     """For every (x, sensitive i): on the two-point product distribution
     mu(x) = mu(x^{+i}) = 1/2, the miss probability satisfies
-    miss(x, i) * 1/2 <= avg leaf bias of R under mu, with zero slack."""
+    miss(x, i) * 1/2 <= avg leaf bias of R under mu, with zero slack. It is
+    an equality (docs/decisions.md, entry 17); ``tight`` counts those cases."""
     half = Fraction(1, 2) if _exact(w for w, _ in r.entries) else 0.5
     violations = []
     for idx in range(f.size):
@@ -741,7 +738,7 @@ def check_two_point_bound(r: RandomizedTree, f: BooleanFunction) -> TwoPointBoun
             bias = avg_leaf_bias(r, f, mu)
             violations.append(miss_probability(r, x, i) * half - bias)
     worst = max(violations, default=0)
-    return TwoPointBoundReport(len(violations), worst, bool(worst <= 0))
+    return TwoPointBoundReport(len(violations), worst, violations.count(0), bool(worst <= 0))
 
 
 # ---------------------------------------------------------------------------

@@ -308,26 +308,23 @@ def _check_samples(samples: int) -> None:
         raise ValueError("need at least 100 samples")
 
 
-def _batches(samples: int, n_leaves: int, batch) -> list:
-    """Row counts of the batches covering ``samples`` runs."""
-    if batch is None:
-        batch = max(_MIN_BATCH_ROWS, min(4096, _BATCH_ELEMENTS // max(1, n_leaves)))
-    elif batch < 1:
-        raise ValueError(f"batch must be >= 1, got {batch}")
+def _batches(samples: int, n_leaves: int) -> list:
+    """Row counts of the batches covering ``samples`` runs: up to 4096 rows
+    within the element budget, never fewer than the row floor."""
+    batch = max(_MIN_BATCH_ROWS, min(4096, _BATCH_ELEMENTS // n_leaves))
     return [min(batch, samples - done) for done in range(0, samples, batch)]
 
 
-def _summary(batches) -> list:
-    """Mean and 95% half-width of each counter's per-run counts, accumulated
-    batch by batch; ``batches`` yields one list of root arrays per batch,
-    one array per counter, and one estimate per counter comes back."""
-    sums, n = {}, 0
-    for roots in batches:
-        for i, root in enumerate(roots):
+def _summary(roots, samples: int, n_leaves: int) -> list:
+    """Mean and 95% half-width of each counter's per-run counts over
+    ``samples`` runs on ``n_leaves`` leaves: ``roots(rows)`` runs each of the
+    ``_batches`` and gives one array of root counts per counter."""
+    sums, n = {}, samples
+    for rows in _batches(samples, n_leaves):
+        for i, root in enumerate(roots(rows)):
             root = root.astype(np.float64)
             total, total_sq = sums.get(i, (0.0, 0.0))
             sums[i] = (total + float(root.sum()), total_sq + float((root * root).sum()))
-        n += len(roots[0])
     out = []
     for total, total_sq in sums.values():
         mean = total / n
@@ -384,7 +381,9 @@ def _fold(val, counts, rng, order=None, at=None) -> list:
     sums up to and including the separating query instead: the leaf's own
     count plus the full count of every sibling on its root path that runs
     first, gathered one level at a time; a first-run sibling that reads 0
-    stops the run short of the leaf and raises ``SeparationError``.
+    stops the run short of the leaf and raises ``SeparationError``. The
+    gather reads the first child per row: with ``at``, each ``order[k]``
+    must be (n, 2^k), as the coins are.
 
     The draws, one (n, 2^k) ``_coins`` array per level from k = d-1 down to
     0, are part of every fixed-seed output.
@@ -403,7 +402,7 @@ def _fold(val, counts, rng, order=None, at=None) -> list:
             # the ancestor of leaf position c at width 2^L sits at c mod 2^L
             child = at & (2 * h - 1)
             sib = child ^ h
-            node_first = first[rows, child & (h - 1)] if order is None else first[child & (h - 1)]
+            node_first = first[rows, child & (h - 1)]
             # the sibling runs first when it is the left child and left goes
             # first, or the right child and right goes first
             behind = node_first == (sib < h)
@@ -452,8 +451,7 @@ def _bernoulli_leaves(rng, n: int, p: np.ndarray) -> np.ndarray:
     return x
 
 
-def mc_cost(algorithm: str, d: int, marginals: Sequence, samples: int, seed: int,
-            batch: int = None) -> CostEstimate:
+def mc_cost(algorithm: str, d: int, marginals: Sequence, samples: int, seed: int) -> CostEstimate:
     """Monte-Carlo estimate of the expected query count on x ~ mu.
 
     ``algorithm`` is 'greedy_zero' or 'saks_wigderson'. Inputs are sampled
@@ -478,7 +476,7 @@ def mc_cost(algorithm: str, d: int, marginals: Sequence, samples: int, seed: int
     def root_costs(n):
         return _fold(_bernoulli_leaves(rng, n, p), [None], rng, order)
 
-    return _summary(root_costs(n) for n in _batches(samples, n_leaves, batch))[0]
+    return _summary(root_costs, samples, n_leaves)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -23,16 +23,12 @@ from .boolfunc import _at_most
 from .nandtree import (
     SeparationError,
     Transcript,
-    _batches,
     _bitrev,
     _check_mc_depth,
     _check_samples,
     _coins,
     _fold,
-    _fold_order,
-    _greedy_order,
     _summary,
-    zero_probs,
 )
 
 __all__ = [
@@ -298,39 +294,31 @@ def estimate_sep_counts(base, d: int, t: int, samples: int, seed: int,
 # ---------------------------------------------------------------------------
 
 
-def mc_sep_cost(algorithm: str, d: int, samples: int, seed: int,
-                marginals: Optional[Sequence] = None, batch: int = None):
-    """Monte-Carlo mean separation cost on hard pairs at depth d.
-
-    ``algorithm`` is 'saks_wigderson' (coin per visited node) or
-    'greedy_zero' (static child order from its zero-probability tree; uniform
-    marginals unless given). Returns a ``nandtree.CostEstimate``.
-    """
+def mc_sep_cost(algorithm: str, d: int, samples: int, seed: int):
+    """Monte-Carlo mean separation cost of ``algorithm='saks_wigderson'`` on
+    level-d hard pairs, as a ``nandtree.CostEstimate``, whose exact value is
+    ``expected_sep_cost_sw``; every static child order has that same
+    expectation (docs/decisions.md, entry 17)."""
     _check_samples(samples)
-    if algorithm not in ("saks_wigderson", "greedy_zero"):
+    if algorithm != "saks_wigderson":
         raise ValueError(f"unknown algorithm {algorithm!r}")
     _check_mc_depth(d)
-    order = None
-    if algorithm == "greedy_zero":
-        margs = [0.5] * (1 << d) if marginals is None else marginals
-        order = _fold_order(_greedy_order(zero_probs(d, margs)))
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    return _pair_fold(d, samples, rng, lambda x: [None], order, batch)[0]
+    return _pair_fold(d, samples, rng, lambda x: [None])[0]
 
 
-def _pair_fold(level: int, samples: int, rng, counters, order=None, batch: int = None,
-               swap: bool = False) -> list:
-    """Fold the evaluator over hard pairs at ``level``, batch by batch, on x
-    (on y with ``swap``), and summarize each per-leaf counter of
-    ``counters(x)`` (see ``nandtree._fold``) summed up to and including the
-    separating query."""
+def _pair_fold(level: int, samples: int, rng, counters, swap: bool = False) -> list:
+    """Fold the randomized evaluator over ``samples`` hard pairs at
+    ``level``, on x (on y with ``swap``), and summarize each per-leaf counter
+    of ``counters(x)`` (see ``nandtree._fold``) summed up to and including
+    the separating query."""
     def roots(n):
         x, at = _sample_pairs(level, n, rng)
         if swap:
             x[np.arange(n), at] ^= True
-        return _fold(x, counters(x), rng, order, at=at)
+        return _fold(x, counters(x), rng, at=at)
 
-    return _summary(roots(n) for n in _batches(samples, 1 << level, batch))
+    return _summary(roots, samples, 1 << level)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from . import sabotage as sb
 
 DEFAULT_SEED = 20240809
 MC_SAMPLES = 100_000  # Monte-Carlo runs per depth (criteria 9, 10) or level (criterion 11)
-CHAIN_DEPTH = 8  # criterion 11 lifts hard pairs from this depth down to every level
+CHAIN_DEPTH = 8  # criterion 11 checks the Q recursion at levels 0..CHAIN_DEPTH
 SPECTRAL_TOL = 1e-12  # criterion 12: float alpha against the closed form
 BUDGETS = {1: (120, "2 min"), 9: (600, "10 min")}  # criterion: (wall-clock s, as printed)
 
@@ -244,7 +244,7 @@ def criterion_6(seed: int = DEFAULT_SEED) -> CriterionResult:
 
 def criterion_7(seed: int = DEFAULT_SEED) -> CriterionResult:
     rng = random.Random(seed + 7)
-    failures, decided = 0, []
+    failures, tight, cases, decided = 0, 0, 0, []
     for _ in range(200):
         m = rng.randint(1, 6)
         f = bf.random_function(m, rng)
@@ -252,9 +252,11 @@ def criterion_7(seed: int = DEFAULT_SEED) -> CriterionResult:
         rep = gm.check_two_point_bound(r, f)
         decided.append(rep.max_violation)
         failures += not rep.ok
+        tight, cases = tight + rep.tight, cases + rep.pairs_checked
     return CriterionResult(
         7, "two-point-distribution-bound", failures == 0,
-        f"200 random (R, f), m <= 6, miss/2 <= bias exactly on every (x, i); {failures} failures",
+        f"200 random (R, f), m <= 6, miss/2 <= bias exactly on every (x, i); {failures} failures; "
+        f"{tight}/{cases} cases tight (miss/2 == bias)",
         bf._provenance(decided),
     )
 

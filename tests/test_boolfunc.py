@@ -244,7 +244,7 @@ def test_exact_measures_sum_over_the_positive_mass_support():
                 w for idx, w in enumerate(masses) if f.value_at(idx) != f.value_at(idx ^ bit))
 
 
-def test_weight_array_is_the_kron_product_bit_for_bit():
+def test_float_masses_are_the_kron_product_bit_for_bit():
     rng = random.Random(9)
     for m in range(1, 15):
         for marginals in ([rng.random() for _ in range(m)],
@@ -252,7 +252,7 @@ def test_weight_array_is_the_kron_product_bit_for_bit():
             want = np.array([1.0])
             for p in marginals:
                 want = np.kron(np.array([1.0 - float(p), float(p)]), want)
-            got = ProductDistribution(tuple(marginals)).weight_array()
+            got, _ = _masses([float(p) for p in marginals])
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
@@ -346,6 +346,17 @@ def test_subcube_prob_examples():
     assert subcube_prob(mu, Subcube.of({1: 1})) == pytest.approx(0.3)
     assert condition(mu, Subcube.of({1: 1})).marginals == (1.0, 0.6)
     assert condition(mu, Subcube(())) == mu
+
+
+def test_distribution_refuses_marginals_that_are_not_real_numbers():
+    for bad in (True, False, None, "0.5", 0.5j, (0.5,), np.bool_(True)):
+        with pytest.raises(ValueError, match="is not a real number"):
+            ProductDistribution((bad, 0.5))
+    for bad in (-1, Fraction(3, 2), 1.5, float("nan")):
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            ProductDistribution((0.5, bad))
+    for good in (0, 1, Fraction(1, 3), 0.25, np.float64(0.5), np.float32(0.5), np.int64(1)):
+        assert ProductDistribution((good,)).marginals == (good,)
 
 
 def test_condition_zero_mass_errors():

@@ -19,6 +19,7 @@ from qclab.boolfunc import (
     dictator,
     nand2,
     nand_tree,
+    point_from_index,
     random_distribution,
     random_function,
     uniform_distribution,
@@ -29,6 +30,7 @@ from qclab.dtree import (
     Leaf,
     Query,
     RandomizedTree,
+    avg_leaf_bias,
     exact_Dmu_eps,
     label_leaves,
     random_randomized_tree,
@@ -216,12 +218,12 @@ def test_lp_matches_scipy(data):
         [data.draw(st.integers(-5, 5)) for _ in range(cols)] for _ in range(rows)
     ]
     want = _scipy_game_value(matrix)
-    for exact in (None, False):  # the rational tableau, then the float one
-        gv = solve_zero_sum(matrix, exact=exact)
-        assert isinstance(gv.value, Fraction if exact is None else float)
+    for exact in (True, False):  # int entries: the rational tableau; floats: the float one
+        gv = solve_zero_sum(matrix if exact else [[float(v) for v in r] for r in matrix])
+        assert isinstance(gv.value, Fraction if exact else float)
         assert float(gv.value) == pytest.approx(want, abs=1e-7)
         # strategies are distributions and certify the value against pure replies
-        one = 1 if exact is None else pytest.approx(1, abs=1e-12)
+        one = 1 if exact else pytest.approx(1, abs=1e-12)
         assert sum(gv.row_strategy) == one and min(gv.row_strategy) >= 0
         assert sum(gv.col_strategy) == one and min(gv.col_strategy) >= 0
         for j in range(cols):
@@ -233,7 +235,7 @@ def test_lp_matches_scipy(data):
 def _exact_games(draw):
     # signed Fractions with denominators 1..7, tie-heavy 0/1 matrices (where the
     # cross-multiplied ratio test and the lowest-basis tie rule pick the
-    # pivots), and dyadic floats solved exactly on request
+    # pivots), and dyadic Fractions n / 2^e
     kind = draw(st.sampled_from(("fraction", "zero_one", "dyadic")))
     rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     if kind == "fraction":
@@ -241,15 +243,14 @@ def _exact_games(draw):
     elif kind == "zero_one":
         entry = st.integers(0, 1)
     else:
-        entry = st.builds(lambda n, e: n / 2**e, st.integers(-40, 40), st.integers(0, 5))
-    return [[draw(entry) for _ in range(cols)] for _ in range(rows)], kind == "dyadic"
+        entry = st.builds(lambda n, e: Fraction(n, 2**e), st.integers(-40, 40), st.integers(0, 5))
+    return [[draw(entry) for _ in range(cols)] for _ in range(rows)]
 
 
 @given(_exact_games())
 @settings(max_examples=150, deadline=None)
-def test_exact_lp_on_rational_and_degenerate_games(game):
-    matrix, dyadic = game
-    gv = solve_zero_sum(matrix, exact=True if dyadic else None)
+def test_exact_lp_on_rational_and_degenerate_games(matrix):
+    gv = solve_zero_sum(matrix)
     assert all(type(v) is Fraction for v in (gv.value, *gv.row_strategy, *gv.col_strategy))
     assert float(gv.value) == pytest.approx(_scipy_game_value(matrix), abs=1e-7)
     assert sum(gv.row_strategy) == 1 and min(gv.row_strategy) >= 0
@@ -283,13 +284,14 @@ def test_exact_verification_has_zero_slack(monkeypatch):
 @pytest.mark.parametrize("exact", [True, False])
 def test_the_cycling_guard_stops_a_simplex_past_its_pivot_bound(exact, monkeypatch):
     # the 3 x 3 identity game's optimum takes all three columns into the
-    # basis: three pivots, one each
-    identity = np.eye(3, dtype=int).tolist()
+    # basis: three pivots, one each; int entries take the exact tableau,
+    # float ones the float tableau
+    identity = np.eye(3, dtype=int if exact else float).tolist()
     monkeypatch.setattr(games, "SIMPLEX_MAX_PIVOTS", 3)
-    assert solve_zero_sum(identity, exact=exact).value == pytest.approx(1 / 3)
+    assert solve_zero_sum(identity).value == pytest.approx(1 / 3)
     monkeypatch.setattr(games, "SIMPLEX_MAX_PIVOTS", 2)
     with pytest.raises(LPError, match=r"cycling guard hit"):
-        solve_zero_sum(identity, exact=exact)
+        solve_zero_sum(identity)
 
 
 def test_lp_float_path_on_large_matrix():
@@ -321,7 +323,7 @@ def test_simplex_outputs_are_pinned():
     # a float basis ends with w = -9.6e-17 here; the clamp keeps it at 0.0
     quarters = [[0, -2, -1, -3, -3, -3], [-2, 2, 1, 3, 0, 1], [3, 2, 1, 0, 0, 3],
                 [-2, 2, 1, -3, -1, 3], [0, -3, 2, 2, 2, -2], [-3, 3, -3, 0, -3, -1]]
-    gv = solve_zero_sum([[v / 4 for v in row] for row in quarters], exact=False)
+    gv = solve_zero_sum([[v / 4 for v in row] for row in quarters])
     assert repr(float(gv.value)) == "0.14285714285714324"
     assert [repr(float(v)) for v in gv.row_strategy] == [
         "0.0", "1.576120186744642e-16", "0.7142857142857142", "0.0", "0.28571428571428575", "0.0"]
@@ -680,6 +682,28 @@ def test_check_two_point_bound_cases():
     assert check_two_point_bound(singleton(complete_tree(2)), f).ok
     rep = check_two_point_bound(singleton(DecisionTree(2, Leaf(None))), f)
     assert rep.ok and rep.max_violation == 0  # equality at the empty tree
+
+
+def test_the_two_point_bound_holds_with_equality():
+    # x and x^{+i} share a leaf of T exactly when T's run on x misses i, and
+    # that leaf holds mass 1/2 with f = 0 and 1/2 with f = 1: bias = miss/2
+    rng = random.Random(17)
+    half = Fraction(1, 2)
+    for _ in range(60):
+        m = rng.randint(1, 5)
+        f = random_function(m, rng)
+        r = random_randomized_tree(m, rng, support=3)
+        cases = 0
+        for idx in range(f.size):
+            x = point_from_index(idx, m)
+            for i in range(1, m + 1):
+                if f.value_at(idx ^ (1 << (i - 1))) != f.value_at(idx):
+                    mu = ProductDistribution(tuple(half if j == i else x[j - 1]
+                                                   for j in range(1, m + 1)))
+                    assert miss_probability(r, x, i) / 2 == avg_leaf_bias(r, f, mu)
+                    cases += 1
+        rep = check_two_point_bound(r, f)
+        assert rep.pairs_checked == rep.tight == cases and rep.max_violation == 0
 
 
 # -- the adversarial-distribution search ------------------------------------------------

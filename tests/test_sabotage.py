@@ -5,11 +5,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qclab.nandtree import MC_Z, SaksWigderson, Transcript, _bitrev, eval_formula, fit_exponent
+from qclab.nandtree import (
+    MC_Z,
+    SaksWigderson,
+    Transcript,
+    _bitrev,
+    _eval,
+    eval_formula,
+    fit_exponent,
+)
 from qclab.sabotage import (
     BOUND_MATRIX,
     _lift_step,
     _sample_pairs,
+    _sep_counts,
     HardPair,
     LevelLift,
     LiftedAlgorithm,
@@ -251,13 +260,27 @@ def test_mc_sep_cost_matches_exact_recursion():
         assert est.mean == pytest.approx(
             float(expected_sep_cost_sw(d)), abs=4 * est.half_width_95 + 1e-9
         )
-    # the left-first deterministic evaluator has the same expected separation
-    # cost: the block position randomness substitutes for the coin
-    for d in (2, 3, 4):
-        est = mc_sep_cost("greedy_zero", d, 30_000, seed=40 + d)
-        assert est.mean == pytest.approx(
-            float(expected_sep_cost_sw(d)), abs=4 * est.half_width_95 + 1e-9
-        )
+    with pytest.raises(ValueError, match="unknown algorithm 'greedy_zero'"):
+        mc_sep_cost("greedy_zero", 3, 1000, seed=0)
+
+
+def test_every_static_child_order_separates_as_saks_wigderson():
+    # swapping a node's two children leaves the hard-pair distribution
+    # unchanged, so each of the 2^(2^t - 1) fixed child orders has exactly
+    # the Saks-Wigderson counts, on both runs
+    for t in range(4):
+        pairs = enumerate_hard_pairs(t)
+        for bits in itertools.product((False, True), repeat=(1 << t) - 1):
+            order = [bits[(1 << k) - 1:(2 << k) - 1] for k in range(t)]
+            for run_on in ("x", "y"):
+                q = [Fraction(0), Fraction(0)]
+                for prob, x, y in pairs:
+                    a, b = (x, y) if run_on == "x" else (y, x)
+                    access = Transcript(a)
+                    _eval(access, t, order, None)
+                    for i, count in enumerate(_sep_counts(access.order, a, b)):
+                        q[i] += prob * count
+                assert tuple(q) == q_counts_sw(t, run_on), (t, bits, run_on)
 
 
 # -- Q estimation ---------------------------------------------------------------------

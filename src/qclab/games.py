@@ -10,13 +10,21 @@ float64 tableau with a 1e-9 tolerance. Every payoff matrix, miss profile
 and the zero-error filter is read off ``run_arrays``: each tree's output and
 query steps on every input, filled bottom-up as two int8 arrays;
 ``dtree.run`` stays the per-point primitive and the tests' oracle.
+
+A strategy catalog depends on no function, only on (arity, depth cap,
+labeled), so ``enumerate_trees`` builds each of the at most 26 catalogs once
+per process, on its first request, and every game reads the catalog's run
+table, filled on its first read, instead of running the trees again. Only
+trees and their runs are shared: no game matrix or value is cached.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -93,26 +101,48 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StrategyCatalog:
+    """Every duplicate-free decision tree on ``arity`` variables of depth at
+    most ``depth_cap``, with leaves labelled 0/1 or all unlabelled.
+
+    ``runs`` is the catalog's run table, ``run_arrays(trees, arity)``,
+    computed on its first read and then kept read-only with the catalog.
+    """
+
     arity: int
     depth_cap: int
     labeled: bool
     trees: tuple  # of DecisionTree
 
-
-def _check_catalog_caps(m: int, depth_cap: int):
-    if m > 4:
-        raise ValueError(f"catalog arity {m} above cap 4")
-    if m == 4 and depth_cap > 2:
-        raise ValueError("arity-4 catalogs are capped at depth 2")
+    @functools.cached_property
+    def runs(self) -> tuple:
+        outputs, positions = run_arrays(self.trees, self.arity)
+        outputs.flags.writeable = False
+        positions.flags.writeable = False
+        return outputs, positions
 
 
 def enumerate_trees(m: int, depth_cap: Optional[int] = None, labeled: bool = True) -> StrategyCatalog:
     """Exhaustive duplicate-free catalog of decision trees on m variables.
 
-    Full depth needs m <= 3; depth_cap <= 2 allows m = 4.
+    Full depth needs m <= 3; depth_cap <= 2 allows m = 4, and a cap above m
+    is m. A catalog depends only on (m, cap, labeled), so each is built on
+    its first request and the same object is returned for the rest of the
+    process (docs/decisions.md, entry 18).
     """
-    cap = m if depth_cap is None else min(depth_cap, m)
-    _check_catalog_caps(m, cap)
+    for name, v in (("arity", m), ("depth cap", m if depth_cap is None else depth_cap)):
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 0:
+            raise ValueError(f"catalog {name} must be a non-negative int, got {v!r}")
+    m = int(m)
+    cap = m if depth_cap is None else min(int(depth_cap), m)
+    if m > 4:
+        raise ValueError(f"catalog arity {m} above cap 4")
+    if m == 4 and cap > 2:
+        raise ValueError("arity-4 catalogs are capped at depth 2")
+    return _catalog(m, cap, bool(labeled))
+
+
+@functools.cache
+def _catalog(m: int, cap: int, labeled: bool) -> StrategyCatalog:
     leaf_pool = (Leaf(0), Leaf(1)) if labeled else (Leaf(None),)
     memo = {}
 
@@ -358,7 +388,7 @@ def zero_error_trees(f: BooleanFunction) -> tuple:
     variables, and all its points share one run.
     """
     catalog = enumerate_trees(f.arity, None, labeled=False)
-    queried = _queried_masks(catalog.trees, f.arity)
+    queried = _queried_masks(catalog.runs[1])
     sens = _sensitive(f) @ _var_bits(f.arity)
     keep = ((queried & sens) == sens).all(axis=1)
     return tuple(t for t, k in zip(catalog.trees, keep.tolist()) if k)
@@ -428,10 +458,10 @@ def _var_bits(m: int) -> np.ndarray:
     return np.int64(1) << np.arange(m, dtype=np.int64)
 
 
-def _queried_masks(trees: Sequence[DecisionTree], m: int) -> np.ndarray:
-    """(trees, points) bit masks of the variables each run queries."""
-    _, positions = run_arrays(trees, m)
-    return (positions > 0).astype(np.int64) @ _var_bits(m)
+def _queried_masks(positions: np.ndarray) -> np.ndarray:
+    """(trees, points) bit masks of the variables each run of a run table's
+    ``positions`` queries."""
+    return (positions > 0).astype(np.int64) @ _var_bits(positions.shape[2])
 
 
 def _sensitive(f: BooleanFunction) -> np.ndarray:
@@ -441,11 +471,17 @@ def _sensitive(f: BooleanFunction) -> np.ndarray:
     return tbl[:, None] != tbl[np.arange(f.size)[:, None] ^ _var_bits(f.arity)]
 
 
-def _hit_mask(trees: Sequence[DecisionTree], m: int, xs: np.ndarray,
-              targets: np.ndarray) -> np.ndarray:
+def _hit_mask(positions: np.ndarray, xs: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """(trees, cases) bools: does the tree's run on point index xs[c] query a
     variable in the bit mask targets[c] (bit j - 1 for variable j)?"""
-    return (_queried_masks(trees, m)[:, xs] & targets) != 0
+    return (_queried_masks(positions)[:, xs] & targets) != 0
+
+
+def _catalog_runs(f: BooleanFunction, catalog: StrategyCatalog) -> tuple:
+    """The catalog's run table, for a game on f."""
+    if catalog.arity != f.arity:
+        raise ValueError(f"catalog of arity {catalog.arity} given a function of arity {f.arity}")
+    return catalog.runs
 
 
 def _pair_arrays(f: BooleanFunction) -> tuple:
@@ -459,7 +495,7 @@ def _pair_arrays(f: BooleanFunction) -> tuple:
 def r_game(f: BooleanFunction, catalog: StrategyCatalog):
     """Rows: inputs; columns: labeled trees; payoff [T(x) != f(x)]."""
     points = [point_from_index(i, f.arity) for i in range(f.size)]
-    outputs, _ = run_arrays(catalog.trees, f.arity)
+    outputs, _ = _catalog_runs(f, catalog)
     fbits = np.array(f.bits(), dtype=np.int8)
     return (outputs != fbits).T.astype(np.int64).tolist(), points
 
@@ -468,7 +504,7 @@ def rs_game(f: BooleanFunction, catalog: StrategyCatalog):
     """Rows: sabotage pairs; payoff 1 when the run on x misses every
     differing index."""
     pairs = all_sabotage_pairs(f)
-    missed = ~_hit_mask(catalog.trees, f.arity, *_pair_arrays(f))
+    missed = ~_hit_mask(_catalog_runs(f, catalog)[1], *_pair_arrays(f))
     return missed.T.astype(np.int64).tolist(), pairs
 
 
@@ -575,7 +611,7 @@ def _worst_miss(r: RandomizedTree, xs: np.ndarray, targets: np.ndarray):
     """
     if not len(xs):
         return 0
-    hit = _hit_mask([t for _, t in r.entries], r.arity, xs, targets)
+    hit = _hit_mask(run_arrays([t for _, t in r.entries], r.arity)[1], xs, targets)
     patterns, first = np.unique(hit.T, axis=0, return_index=True)
     worst = 0
     for pattern in patterns[np.argsort(first)].tolist():

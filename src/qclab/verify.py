@@ -65,7 +65,7 @@ class _CatalogIndex:
     """
 
     def __init__(self, m: int):
-        outputs, positions = gm.run_arrays(gm.enumerate_trees(m, labeled=True).trees, m)
+        outputs, positions = gm.enumerate_trees(m, labeled=True).runs
         self.pathlen = positions.max(axis=2).astype(np.int64)  # (trees, points)
         depth = self.pathlen.max(axis=1)  # every path of a repeat-free tree is run
         table = outputs.astype(np.int64) @ (np.int64(1) << np.arange(1 << m, dtype=np.int64))

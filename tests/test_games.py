@@ -106,6 +106,39 @@ def test_catalog_depth_caps():
         enumerate_trees(5, 1, True)
 
 
+@pytest.mark.parametrize("m, cap", [(3, 1.5), (3, -1), (2, True), (3, "2"), (-1, None),
+                                    (2.0, None), (False, None)])
+def test_catalog_refuses_a_cap_or_arity_that_is_not_a_non_negative_int(m, cap):
+    with pytest.raises(ValueError, match="non-negative int"):
+        enumerate_trees(m, cap)
+
+
+def test_each_catalog_is_one_shared_object():
+    assert enumerate_trees(3) is enumerate_trees(3, None) is enumerate_trees(3, 9)
+    assert enumerate_trees(3, 2, False) is not enumerate_trees(3, 2, True)
+    assert enumerate_trees(3, np.int64(2), 1) is enumerate_trees(3, 2, True)
+    assert enumerate_trees(3, 2, True).depth_cap == 2
+
+
+def test_the_cached_run_table_is_the_fresh_one_and_read_only():
+    for m, k in [(m, k) for m in (1, 2, 3) for k in range(m + 1)] + [(4, 2)]:
+        for labeled in (True, False):
+            catalog = enumerate_trees(m, k, labeled)
+            for cached, fresh in zip(catalog.runs, run_arrays(catalog.trees, m)):
+                assert cached.dtype == fresh.dtype and np.array_equal(cached, fresh)
+                with pytest.raises(ValueError, match="read-only"):
+                    cached[0] = 0
+            assert catalog.runs is catalog.runs
+
+
+def test_games_on_the_shared_catalog_do_not_leak_between_functions():
+    # the multiplexer, then its negation, then the multiplexer again
+    f, not_f = BooleanFunction(3, 0xCA), BooleanFunction(3, 0xFF ^ 0xCA)
+    first = r_game_value(f, 2)[0]
+    assert r_game_value(not_f, 2)[0].value == first.value  # relabelling the leaves
+    assert r_game_value(f, 2)[0] == first
+
+
 # -- the run table ------------------------------------------------------------------
 
 
@@ -157,23 +190,28 @@ def test_run_arrays_refuses_an_oversized_table_before_allocating():
     assert peak < 1 << 20
     with pytest.raises(ValueError, match="arity"):
         run_arrays([DecisionTree(2, Leaf(0))], 3)
+    for game in (r_game, rs_game):  # a catalog's own run table, on a function of another arity
+        with pytest.raises(ValueError, match="arity"):
+            game(BooleanFunction(2, 0b0110), enumerate_trees(3, 1))
 
 
 def test_catalogs_and_games_leave_no_cyclic_garbage():
-    # the catalog memo, the run table's node index and the leaf lists are freed
+    # the catalog builder's memo, the run table's node index and the leaf lists are freed
     # by refcounting when a call returns, not at some later cycle collection;
     # so are the recursive helpers of the tree builders and the exact counts,
     # which are module functions rather than closures that refer to themselves
     f = BooleanFunction(3, 0xE8)
+    games._catalog.cache_clear()
     gc.collect()
     gc.disable()
     try:
-        r_game_value(f, 2)
-        rs_game_value(f, 1)
-        exact_RSE(f)
-        label_leaves(random_tree(3, random.Random(0)), f, uniform_distribution(3))
-        catalog_size_formula(3, 3, labeled=True)
-        sw_expected_queries_at(2, [0, 1, 1, 0])
+        for _ in range(2):  # the first pass builds the shared catalogs, the second reads them
+            r_game_value(f, 2)
+            rs_game_value(f, 1)
+            exact_RSE(f)
+            label_leaves(random_tree(3, random.Random(0)), f, uniform_distribution(3))
+            catalog_size_formula(3, 3, labeled=True)
+            sw_expected_queries_at(2, [0, 1, 1, 0])
         assert gc.collect() == 0
     finally:
         gc.enable()

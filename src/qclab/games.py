@@ -9,13 +9,15 @@ zero tolerance and a best-response check in integers, larger ones on a
 float64 tableau with a 1e-9 tolerance. Every payoff matrix, miss profile
 and the zero-error filter is read off ``run_arrays``: each tree's output and
 query steps on every input, filled bottom-up as two int8 arrays;
-``dtree.run`` stays the per-point primitive and the tests' oracle.
+``dtree.run`` stays the per-point primitive and the tests' oracle. Payoffs
+stay int64 arrays; only ``solve_zero_sum`` makes Python ints of them.
 
 A strategy catalog depends on no function, only on (arity, depth cap,
 labeled), so ``enumerate_trees`` builds each of the at most 26 catalogs once
-per process, on its first request, and every game reads the catalog's run
-table, filled on its first read, instead of running the trees again. Only
-trees and their runs are shared: no game matrix or value is cached.
+per process, on its first request, and every game (RS_E and the exact Q
+base cases too) reads the catalog's run table, filled on its first read,
+instead of running the trees again. Only trees and their runs are shared:
+no game matrix or value is cached.
 """
 
 from __future__ import annotations
@@ -270,21 +272,26 @@ def _min_ratio(rhs: np.ndarray, col: np.ndarray, tol) -> np.ndarray:
     return rhs * col[best] == rhs[best] * col
 
 
-def solve_zero_sum(matrix: Sequence[Sequence]) -> GameValue:
+def solve_zero_sum(matrix: np.ndarray | Sequence[Sequence]) -> GameValue:
     """Value and optimal mixed strategies of a finite zero-sum game.
 
-    The row player maximizes the payoff, the column player minimizes. At
-    most ``RATIONAL_ENTRY_LIMIT`` rational entries are solved exactly, any
-    other matrix in floats. Solutions are verified against both best-response
-    conditions before being returned; failures raise LPError.
+    ``matrix`` is a non-empty 2-D payoff of finite entries, as nested
+    sequences or an ndarray. The row player maximizes the payoff, the column
+    player minimizes. At most ``RATIONAL_ENTRY_LIMIT`` rational entries are
+    solved exactly, any other matrix in floats. Solutions are verified
+    against both best-response conditions; failures raise LPError.
     """
-    rows = [list(r) for r in matrix]
-    if not rows or not rows[0]:
-        raise ValueError("payoff matrix must be non-empty")
-    if len(rows) * len(rows[0]) <= RATIONAL_ENTRY_LIMIT and _exact(v for r in rows for v in r):
-        return _solve_exact(rows)
+    # a list goes in as objects: np.asarray would make [[2**63, 1]] float64
+    a = matrix if isinstance(matrix, np.ndarray) else np.array(matrix, dtype=object)
+    if a.ndim != 2 or not a.size:
+        raise ValueError(f"payoff matrix must be a non-empty 2-D array, got shape {a.shape}")
+    # the entries of a numeric array share one type, which its first one shows
+    if a.size <= RATIONAL_ENTRY_LIMIT and _exact(a.flat if a.dtype == object else a.flat[:1]):
+        return _solve_exact(a)
 
-    a = np.array([[float(v) for v in r] for r in rows])
+    a = a.astype(float)
+    if not np.isfinite(a).all():
+        raise ValueError("payoff matrix has a non-finite entry")
     shift = max(0, 1 - a.min())  # payoffs >= 1 keep the LP bounded
     w, duals, _ = _simplex(a + shift, LP_TOL)
     total = sum(w)
@@ -304,8 +311,8 @@ def solve_zero_sum(matrix: Sequence[Sequence]) -> GameValue:
     return GameValue(value, p, q)
 
 
-def _solve_exact(rows: list) -> GameValue:
-    """The game ``rows`` of ints and Fractions, solved and verified in ints.
+def _solve_exact(a: np.ndarray) -> GameValue:
+    """The rational game ``a`` solved and verified in Python ints.
 
     The payoffs are scaled by their least common denominator s to an int
     matrix ``a`` and shifted to ``a + shift >= s``; the LP optimum is then
@@ -314,9 +321,11 @@ def _solve_exact(rows: list) -> GameValue:
     sum(t)``. Both best responses are checked with zero slack before any
     Fraction is built.
     """
-    a = np.array(rows, dtype=object)
-    s = math.lcm(*[v.denominator for v in a.flat])
-    a = a * s // 1  # an int // 1 is that int, a whole Fraction // 1 an int
+    if a.dtype == object:
+        s = math.lcm(*[v.denominator for v in a.flat])
+        a = np.frompyfunc(lambda v: int(v.numerator) * (s // v.denominator), 1, 1)(a)
+    else:
+        a, s = a.astype(object), 1  # Python ints by one cast, with no per-entry loop
     shift = max(0, s - a.min())
     t, u, d = _simplex(a + shift, 0)
     t_sum, u_sum = sum(t), sum(u)
@@ -387,11 +396,29 @@ def zero_error_trees(f: BooleanFunction) -> tuple:
     f is sensitive at y: a leaf subcube is connected by flips of its free
     variables, and all its points share one run.
     """
-    catalog = enumerate_trees(f.arity, None, labeled=False)
-    queried = _queried_masks(catalog.runs[1])
+    trees = enumerate_trees(f.arity, None, labeled=False).trees
+    return tuple(itertools.compress(trees, _zero_error_mask(f).tolist()))
+
+
+def _zero_error_mask(f: BooleanFunction) -> np.ndarray:
+    """The zero-error rule as bools over the unlabelled full-depth catalog."""
+    queried = _queried_masks(enumerate_trees(f.arity, None, labeled=False).runs[1])
     sens = _sensitive(f) @ _var_bits(f.arity)
-    keep = ((queried & sens) == sens).all(axis=1)
-    return tuple(t for t, k in zip(catalog.trees, keep.tolist()) if k)
+    return ((queried & sens) == sens).all(axis=1)
+
+
+def _separations(f: BooleanFunction, xs: np.ndarray, diff: np.ndarray) -> tuple:
+    """``(at_x, steps)`` of the runs of ``zero_error_trees(f)`` on point
+    indices xs: ``at_x[t, c]`` are the query positions of tree t on xs[c], and
+    ``steps[t, c]`` the step at which it first queries a variable in diff[c]."""
+    positions = enumerate_trees(f.arity, None, labeled=False).runs[1][_zero_error_mask(f)]
+    m = f.arity
+    differs = ((diff[:, None] >> np.arange(m)) & 1).astype(bool)  # (cases, m)
+    at_x = positions[:, xs, :]  # (trees, cases, m)
+    steps = np.where(differs & (at_x > 0), at_x, m + 1).min(axis=2)
+    if (steps > m).any():
+        raise LPError("zero-error tree failed to separate a pair")
+    return at_x, steps
 
 
 def run_arrays(trees: Sequence[DecisionTree], m: int) -> tuple:
@@ -495,9 +522,7 @@ def _pair_arrays(f: BooleanFunction) -> tuple:
 def r_game(f: BooleanFunction, catalog: StrategyCatalog):
     """Rows: inputs; columns: labeled trees; payoff [T(x) != f(x)]."""
     points = [point_from_index(i, f.arity) for i in range(f.size)]
-    outputs, _ = _catalog_runs(f, catalog)
-    fbits = np.array(f.bits(), dtype=np.int8)
-    return (outputs != fbits).T.astype(np.int64).tolist(), points
+    return (_catalog_runs(f, catalog)[0] != f.table_array()).T.astype(np.int64), points
 
 
 def rs_game(f: BooleanFunction, catalog: StrategyCatalog):
@@ -505,22 +530,13 @@ def rs_game(f: BooleanFunction, catalog: StrategyCatalog):
     differing index."""
     pairs = all_sabotage_pairs(f)
     missed = ~_hit_mask(_catalog_runs(f, catalog)[1], *_pair_arrays(f))
-    return missed.T.astype(np.int64).tolist(), pairs
+    return missed.T.astype(np.int64), pairs
 
 
-def rse_game(f: BooleanFunction, trees: Sequence[DecisionTree]):
-    """Rows: pairs; columns: zero-error trees; payoff = queries on x up to
-    and including the first differing index."""
-    pairs = all_sabotage_pairs(f)
-    _, positions = run_arrays(trees, f.arity)
-    xs, diff = _pair_arrays(f)
-    m = f.arity
-    differs = ((diff[:, None] >> np.arange(m)) & 1).astype(bool)  # (pairs, m)
-    at_x = positions[:, xs, :]  # (trees, pairs, m)
-    cost = np.where(differs & (at_x > 0), at_x, m + 1).min(axis=2)
-    if (cost > m).any():
-        raise LPError("zero-error tree failed to separate a pair")
-    return cost.T.tolist(), pairs
+def rse_game(f: BooleanFunction):
+    """Rows: pairs; columns: ``zero_error_trees(f)``; payoff = queries on x
+    up to and including the first differing index."""
+    return _separations(f, *_pair_arrays(f))[1].T.astype(np.int64), all_sabotage_pairs(f)
 
 
 def r_game_value(f: BooleanFunction, depth: int) -> tuple:
@@ -567,10 +583,9 @@ def _rse_solution(f: BooleanFunction) -> tuple:
     pairs)``, with value 0 and empty strategies when f has no pairs."""
     if f.arity > 3:
         raise ValueError("exact_RSE capped at arity 3")
-    trees = zero_error_trees(f)
-    matrix, pairs = rse_game(f, trees)
+    matrix, pairs = rse_game(f)
     gv = solve_zero_sum(matrix) if pairs else GameValue(0, (), ())
-    return gv, trees, matrix, pairs
+    return gv, zero_error_trees(f), matrix, pairs
 
 
 def exact_RSE(f: BooleanFunction):
@@ -763,16 +778,11 @@ def check_two_point_bound(r: RandomizedTree, f: BooleanFunction) -> TwoPointBoun
     an equality (docs/decisions.md, entry 17); ``tight`` counts those cases."""
     half = Fraction(1, 2) if _exact(w for w, _ in r.entries) else 0.5
     violations = []
-    for idx in range(f.size):
+    xs, var = np.nonzero(_sensitive(f))  # x-major
+    for idx, i in zip(xs.tolist(), (var + 1).tolist()):
         x = point_from_index(idx, f.arity)
-        v = f.value_at(idx)
-        for i in range(1, f.arity + 1):
-            if f.value_at(idx ^ (1 << (i - 1))) == v:
-                continue
-            mu = ProductDistribution(tuple(half if j == i else x[j - 1]
-                                           for j in range(1, f.arity + 1)))
-            bias = avg_leaf_bias(r, f, mu)
-            violations.append(miss_probability(r, x, i) * half - bias)
+        mu = ProductDistribution(x[:i - 1] + (half,) + x[i:])
+        violations.append(miss_probability(r, x, i) * half - avg_leaf_bias(r, f, mu))
     worst = max(violations, default=0)
     return TwoPointBoundReport(len(violations), worst, violations.count(0), bool(worst <= 0))
 

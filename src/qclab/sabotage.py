@@ -19,7 +19,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .boolfunc import _at_most
+from .boolfunc import BooleanFunction, _at_most, nand2
+from .games import _separations
 from .nandtree import (
     SeparationError,
     Transcript,
@@ -409,31 +410,22 @@ def block_case_bounds() -> BlockCaseBounds:
 
 def exact_base_cases() -> dict:
     """Exact minima of Q(t, b) over all deterministic zero-error trees for
-    t in {0, 1}, by enumeration over the hard-pair support.
+    t in {0, 1}, by their runs in the catalog's table on the hard-pair support.
 
     Note the x-run pins two cells to zero: the level-0 x is the single bit 0
     and the level-1 x is (1, 1), so Q(0, 1) = Q(1, 0) = 0 for every
     algorithm. The recursion bootstrap only needs Q(0, 0) and Q(1, 1).
     """
-    from .boolfunc import BooleanFunction, nand2
-    from .dtree import run as tree_run
-    from .games import zero_error_trees
-
     out = {}
     for t, f in ((0, BooleanFunction(1, 0b10)), (1, nand2())):
-        support = enumerate_hard_pairs(t)
-        best = {0: None, 1: None}
-        for tree in zero_error_trees(f):
-            totals = {0: Fraction(0), 1: Fraction(0)}
-            for prob, x, y in support:
-                q0, q1 = _sep_counts([var - 1 for var in tree_run(tree, x).queried], x, y)
-                totals[0] += prob * q0
-                totals[1] += prob * q1
-            for b in (0, 1):
-                if best[b] is None or totals[b] < best[b]:
-                    best[b] = totals[b]
-        out[(t, 0)] = best[0]
-        out[(t, 1)] = best[1]
+        probs, x, y = zip(*enumerate_hard_pairs(t))
+        x, y = np.array(x), np.array(y)  # (pairs, 2^t) bits
+        bits = 1 << np.arange(f.arity)
+        at_x, steps = _separations(f, x @ bits, (x ^ y) @ bits)
+        read = (at_x > 0) & (at_x <= steps[:, :, None])  # queried up to separation
+        for b in (0, 1):
+            totals = (read & (x == b)).sum(axis=2).astype(object) @ np.array(probs, dtype=object)
+            out[(t, b)] = min(totals)
     return out
 
 

@@ -403,25 +403,64 @@ def test_game_matrices_match_direct_runs(m):
     for table in range(1 << (1 << m)) if m < 3 else rng.sample(range(256), 12):
         f = BooleanFunction(m, table)
         matrix, points = r_game(f, labeled)
-        assert matrix == [[int(run(t, x).output != f.value_at(i)) for t in labeled.trees]
-                          for i, x in enumerate(points)]
+        assert matrix.dtype == np.int64
+        assert matrix.tolist() == [[int(run(t, x).output != f.value_at(i)) for t in labeled.trees]
+                                   for i, x in enumerate(points)]
         matrix, pairs = rs_game(f, unlabeled)
-        assert matrix == [[int(not pair.differing() & set(run(t, pair.x).queried))
-                           for t in unlabeled.trees] for pair in pairs]
-        if pairs:
-            trees = zero_error_trees(f)
-            matrix, _ = rse_game(f, trees)
-            assert matrix == [[next(pos for pos, v in enumerate(run(t, pair.x).queried, 1)
-                                    if v in pair.differing()) for t in trees] for pair in pairs]
+        assert matrix.dtype == np.int64 and matrix.shape == (len(pairs), len(unlabeled.trees))
+        assert matrix.tolist() == [[int(not pair.differing() & set(run(t, pair.x).queried))
+                                    for t in unlabeled.trees] for pair in pairs]
+        matrix, pairs = rse_game(f)
+        trees = zero_error_trees(f)
+        assert matrix.dtype == np.int64 and matrix.shape == (len(pairs), len(trees))
+        assert matrix.tolist() == [[next(pos for pos, v in enumerate(run(t, pair.x).queried, 1)
+                                         if v in pair.differing()) for t in trees]
+                                   for pair in pairs]
 
 
-def test_game_matrices_hold_python_ints():
-    # the exact simplex takes only Python ints and Fractions, not numpy scalars
+# wrapping int64 arithmetic pivots this game's tableau to 22745364809/56174141
+GAME_4X5 = [[1316, -21, -2141, 3258, 569], [-3758, 3438, -1893, -3687, -1594],
+            [1737, -751, 1453, -3115, 1018], [3349, 1058, -2692, -1504, 2744]]
+
+
+def test_the_exact_solver_makes_python_ints_of_every_rational_payoff(monkeypatch):
+    # numpy integers wrap, so the exact tableau takes only Python ints: each
+    # input gives the GameValue of its Python-int list, and every tableau the
+    # simplex sees, the game builders' int64 matrices too, holds Python ints
+    tableaus = []
+    simplex = games._simplex
+
+    def recording(a, tol):
+        tableaus.append({type(v) for v in a.flat})
+        return simplex(a, tol)
+
+    monkeypatch.setattr(games, "_simplex", recording)
+    game, big = np.array(GAME_4X5), [[2**64 - 1, 0], [0, 2**63]]
+    assert game.dtype == np.int64
+    for given, python in ((game, GAME_4X5), (list(game), GAME_4X5),
+                          ([list(row) for row in game], GAME_4X5),
+                          (np.array(big, dtype=np.uint64), big),
+                          ([[np.int64(2**62), Fraction(1, 3)], [0, 1]],
+                           [[2**62, Fraction(1, 3)], [0, 1]])):
+        assert repr(solve_zero_sum(given)) == repr(solve_zero_sum(python))
+    assert solve_zero_sum(game).value == Fraction(-5816680465, 21035523)
+    assert float(solve_zero_sum(game).value) == pytest.approx(_scipy_game_value(GAME_4X5))
     f = nand2()
     for matrix in (r_game(f, enumerate_trees(2, None, True))[0],
-                   rs_game(f, enumerate_trees(2, None, False))[0],
-                   rse_game(f, zero_error_trees(f))[0]):
-        assert {type(v) for row in matrix for v in row} == {int}
+                   rs_game(f, enumerate_trees(2, None, False))[0], rse_game(f)[0]):
+        solve_zero_sum(matrix)
+    assert len(tableaus) == 15 and all(types == {int} for types in tableaus)
+
+
+@pytest.mark.parametrize("matrix", [[[1, math.nan], [0, 1]], [[math.inf, 0], [0, 1]],
+                                    [[1], [2, 3]], [[]], np.ones((2, 2, 2)),
+                                    np.array([[-math.inf, 0.5]])])
+def test_the_solver_refuses_a_malformed_payoff_before_the_simplex(matrix, monkeypatch):
+    # NaN comparisons passed both best-response checks: [[1, nan], [0, 1]]
+    # was solved with value 1.0, and [[inf, 0], [0, 1]] with a NaN value
+    monkeypatch.setattr(games, "_simplex", None)
+    with pytest.raises(ValueError, match="non-finite|non-empty 2-D"):
+        solve_zero_sum(matrix)
 
 
 def test_exact_R_eps_examples():

@@ -5,6 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qclab.boolfunc import BooleanFunction, nand2
+from qclab.dtree import run
+from qclab.games import zero_error_trees
 from qclab.nandtree import (
     MC_Z,
     SaksWigderson,
@@ -431,6 +434,23 @@ def test_exact_base_cases():
         (1, 0): Fraction(0),
         (1, 1): Fraction(3, 2),
     }
+
+
+def test_exact_base_cases_match_the_runs_tree_by_tree():
+    # every zero-error tree run on the x of every hard pair by dtree.run, its
+    # queries counted up to separation by _sep_counts, the minima over trees
+    want = {}
+    for t, f in ((0, BooleanFunction(1, 0b10)), (1, nand2())):
+        totals = []
+        for tree in zero_error_trees(f):
+            total = [Fraction(0), Fraction(0)]
+            for prob, x, y in enumerate_hard_pairs(t):
+                counts = _sep_counts([var - 1 for var in run(tree, x).queried], x, y)
+                total = [q + prob * c for q, c in zip(total, counts)]
+            totals.append(total)
+        for b in (0, 1):
+            want[(t, b)] = min(total[b] for total in totals)
+    assert repr(exact_base_cases()) == repr(want)
 
 
 def synthetic_rows(levels, start=(Fraction(1), Fraction(0))):

@@ -63,7 +63,6 @@ from .sabotage import (
     sample_hard_pair,
     check_embedding,
     lift_chain,
-    sep_cost,
     sep_value_counts,
     estimate_sep_counts,
     q_counts_sw,

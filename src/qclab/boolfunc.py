@@ -25,6 +25,8 @@ TOL = 1e-9
 # An exact mass vector holds 2^m Python ints: with interior /64 marginals it
 # took 114 MiB at m = 20 and 367 MiB at m = 22, and each arity doubles it.
 MASS_MAX_EXACT_ARITY = 22
+RANDOM_MARGINAL_RANGE = (0.05, 0.95)  # of random_distribution
+DYADIC_DENOMINATOR = 64  # of random_dyadic_distribution
 
 Point = tuple
 
@@ -457,6 +459,8 @@ def constant(m: int, value: int) -> BooleanFunction:
 
 
 def dictator(m: int, i: int = 1) -> BooleanFunction:
+    if not 1 <= i <= m:
+        raise ValueError(f"dictator variable {i} outside [1, {m}]")
     table = 0
     for idx in range(1 << m):
         table |= ((idx >> (i - 1)) & 1) << idx
@@ -489,13 +493,17 @@ def nand_tree(depth: int) -> BooleanFunction:
     m = 1 << depth
     if m > MAX_ARITY:
         raise ValueError(f"nand tree of depth {depth} needs {m} > {MAX_ARITY} variables")
-    table = 0
-    for idx in range(1 << m):
-        vals = [(idx >> j) & 1 for j in range(m)]
-        while len(vals) > 1:
-            vals = [1 - (vals[2 * k] & vals[2 * k + 1]) for k in range(len(vals) // 2)]
-        table |= vals[0] << idx
-    return BooleanFunction(m, table)
+    points = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1
+    table = np.packbits(_nand_formula(points).astype(np.uint8), bitorder="little")
+    return BooleanFunction(m, int.from_bytes(table.tobytes(), "little"))
+
+
+def _nand_formula(x: np.ndarray) -> np.ndarray:
+    """The complete NAND formula on each row of an (n, 2^d) 0/1 integer array:
+    each level takes 1 - (a & b) of adjacent pairs; depth 0 is the leaf."""
+    while x.shape[1] > 1:
+        x = 1 - (x[:, 0::2] & x[:, 1::2])
+    return x[:, 0]
 
 
 _BUILTINS = {
@@ -550,7 +558,8 @@ def constant_distribution(m: int, p) -> ProductDistribution:
     return ProductDistribution((p,) * m)
 
 
-def random_distribution(m: int, rng, lo: float = 0.05, hi: float = 0.95) -> ProductDistribution:
+def random_distribution(m: int, rng) -> ProductDistribution:
+    lo, hi = RANDOM_MARGINAL_RANGE
     if hasattr(rng, "uniform"):
         ps = tuple(rng.uniform(lo, hi) for _ in range(m))
     else:
@@ -558,13 +567,13 @@ def random_distribution(m: int, rng, lo: float = 0.05, hi: float = 0.95) -> Prod
     return ProductDistribution(ps)
 
 
-def random_dyadic_distribution(m: int, rng, denominator: int = 64) -> ProductDistribution:
-    """Exact-rational marginals k/denominator with k in [1, denominator-1]."""
+def random_dyadic_distribution(m: int, rng) -> ProductDistribution:
+    """Exact-rational marginals k/DYADIC_DENOMINATOR, 0 < k < DYADIC_DENOMINATOR."""
     if hasattr(rng, "randint"):
-        ks = [rng.randint(1, denominator - 1) for _ in range(m)]
+        ks = [rng.randint(1, DYADIC_DENOMINATOR - 1) for _ in range(m)]
     else:
-        ks = [int(k) for k in rng.integers(1, denominator, size=m)]
-    return ProductDistribution(tuple(Fraction(k, denominator) for k in ks))
+        ks = [int(k) for k in rng.integers(1, DYADIC_DENOMINATOR, size=m)]
+    return ProductDistribution(tuple(Fraction(k, DYADIC_DENOMINATOR) for k in ks))
 
 
 # ---------------------------------------------------------------------------

@@ -439,12 +439,6 @@ class LeafStat(NamedTuple):
 class LeafProfile:
     leaves: tuple  # of LeafStat
 
-    def total_bias(self):
-        total = 0
-        for st in self.leaves:
-            total = total + st.reach * st.bias
-        return total
-
 
 def leaf_profile(tree: DecisionTree, f: BooleanFunction, mu: ProductDistribution) -> LeafProfile:
     """Reach probability and bias min{Pr[f=0|leaf], Pr[f=1|leaf]} per leaf.
@@ -551,6 +545,8 @@ def tree_from_json(text: str) -> DecisionTree:
 def random_tree(m: int, rng, max_depth: Optional[int] = None, labeled: bool = False,
                 leaf_prob: float = 0.3) -> DecisionTree:
     """A random repeat-free tree; rng is ``random.Random``."""
+    if max_depth is not None and max_depth < 0:
+        raise ValueError(f"max_depth must be >= 0, got {max_depth}")
     if max_depth is None:
         max_depth = m
     return DecisionTree(m, _grow(list(range(1, m + 1)), max_depth, rng, labeled, leaf_prob))
@@ -566,11 +562,14 @@ def _grow(available: list, depth: int, rng, labeled: bool, leaf_prob: float) -> 
                  _grow(rest, depth - 1, rng, labeled, leaf_prob))
 
 
-def random_randomized_tree(m: int, rng, support: int = 3, max_depth: Optional[int] = None,
-                           labeled: bool = False) -> RandomizedTree:
-    """Random mixture with exact dyadic-rational weights (for exact checks)."""
+def random_randomized_tree(m: int, rng, support: int = 3,
+                           max_depth: Optional[int] = None) -> RandomizedTree:
+    """Random mixture of unlabelled trees with exact dyadic-rational weights
+    (for exact checks)."""
+    if max_depth is not None and max_depth < 0:
+        raise ValueError(f"max_depth must be >= 0, got {max_depth}")
     k = rng.randint(1, support)
-    trees = [random_tree(m, rng, max_depth, labeled) for _ in range(k)]
+    trees = [random_tree(m, rng, max_depth) for _ in range(k)]
     raw = [rng.randint(1, 8) for _ in range(k)]
     total = sum(raw)
     return RandomizedTree(tuple((Fraction(w, total), t) for w, t in zip(raw, trees)))

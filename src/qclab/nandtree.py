@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .boolfunc import _at_most, _exact
+from .boolfunc import _at_most, _exact, _nand_formula
 
 __all__ = [
     "NandInstance",
@@ -35,7 +35,6 @@ __all__ = [
     "GreedyZeroEvaluator",
     "SaksWigderson",
     "saks_wigderson",
-    "sw_expected_queries_at",
     "expected_cost_greedy_zero",
     "expected_cost_sw",
     "mc_cost",
@@ -71,10 +70,7 @@ def eval_formula(x: Sequence[int]) -> int:
     n = len(x)
     if n & (n - 1):
         raise ValueError(f"input length {n} is not a power of two")
-    vals = list(x)
-    while len(vals) > 1:
-        vals = [1 - (vals[2 * i] & vals[2 * i + 1]) for i in range(len(vals) // 2)]
-    return int(vals[0])
+    return int(_nand_formula(np.array([x]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -202,24 +198,6 @@ def saks_wigderson(d: int, x: Sequence[int], rng) -> tuple:
     return value, access.count
 
 
-def sw_expected_queries_at(d: int, x: Sequence[int]):
-    """Exact expected query count of the randomized evaluator on one input,
-    by recursion over the two child orders (Fraction-safe)."""
-    return _sw_walk(x, d, 0, 0)[0]
-
-
-def _sw_walk(x: Sequence[int], d: int, k: int, j: int) -> tuple:
-    """(expected queries, value) of node (k, j) under the randomized
-    evaluator on x."""
-    if k == d:
-        return 1, x[j]
-    cl, vl = _sw_walk(x, d, k + 1, 2 * j)
-    cr, vr = _sw_walk(x, d, k + 1, 2 * j + 1)
-    cost_lr = cl + (0 if vl == 0 else cr)
-    cost_rl = cr + (0 if vr == 0 else cl)
-    return Fraction(cost_lr + cost_rl, 2), 1 - (vl & vr)
-
-
 # ---------------------------------------------------------------------------
 # Exact expected costs
 # ---------------------------------------------------------------------------
@@ -232,13 +210,14 @@ def _expected_costs(zp: ZeroProbTree, order, depths=(0,)) -> list:
     with the first child from ``order`` (see ``_greedy_order``) or, for order
     None, the mean over both orders (the randomized evaluator)."""
     costs = np.ones(1 << zp.depth, dtype=np.int64 if zp.levels[0].dtype == np.float64 else object)
+    half = Fraction(1, 2) if costs.dtype == object else 0.5  # ints stay exact; x * 0.5 is x / 2
     kept = {}
     for k in range(zp.depth, -1, -1):
         if k < zp.depth:
             q = zp.levels[k + 1]
             lr = costs[0::2] + (1 - q[0::2]) * costs[1::2]  # left child first
             rl = costs[1::2] + (1 - q[1::2]) * costs[0::2]  # right child first
-            costs = (lr + rl) / 2 if order is None else np.where(order[k], lr, rl)
+            costs = (lr + rl) * half if order is None else np.where(order[k], lr, rl)
         if k in depths:
             kept[k] = costs.tolist()
     return [kept[k] for k in depths]
@@ -253,7 +232,8 @@ def expected_cost_greedy_zero(d: int, marginals: Sequence):
 
 def expected_cost_sw(d: int, marginals: Sequence):
     """Exact E[queries] of the randomized evaluator under a product
-    distribution (expectation over inputs and coin flips)."""
+    distribution (expectation over inputs and coin flips); on a 0/1 input
+    given as its marginals, the expected queries on that one input."""
     return _expected_costs(zero_probs(d, marginals), None)[0][0]
 
 

@@ -41,7 +41,6 @@ __all__ = [
     "check_embedding",
     "LiftedAlgorithm",
     "lift_chain",
-    "sep_cost",
     "sep_value_counts",
     "estimate_sep_counts",
     "mc_sep_cost",
@@ -125,10 +124,10 @@ def sample_hard_pair(d: int, rng, keep_meta: bool = False) -> HardPair:
     """Sample a pair from the level-d hard distribution.
 
     With ``keep_meta`` the per-level bits and blocks are retained so that the
-    embedding invariants can be audited.
+    embedding invariants can be audited. Depths outside
+    [0, ``nandtree.MC_MAX_DEPTH``] are refused.
     """
-    if d < 0:
-        raise ValueError("depth must be >= 0")
+    _check_mc_depth(d)
     x, at = (0,), 0
     levels = [] if keep_meta else None
     for _ in range(d):
@@ -154,8 +153,11 @@ def _sample_pairs(d: int, n: int, rng) -> tuple:
 def enumerate_hard_pairs(d: int):
     """Exhaustive support of the level-d distribution with probabilities.
 
-    Returns a list of (prob, x, y); only sensible for d <= 3.
+    Returns a list of (prob, x, y); depths outside [0, 4] are refused: level
+    4 takes 16 384 single-pair lifts, and level 5 about 2.7e8.
     """
+    if not 0 <= d <= 4:
+        raise ValueError(f"enumeration depth must be in [0, 4], got {d}")
     out = {((0,), 0): Fraction(1)}
     for _ in range(d):
         nxt = {}
@@ -248,17 +250,9 @@ def _sep_counts(order: Sequence[int], x: Sequence[int], y: Sequence[int]) -> tup
     raise SeparationError("run ended without querying a differing index")
 
 
-def sep_cost(algorithm, x: Sequence[int], y: Sequence[int], rng) -> int:
-    """Queries on the run over x up to and including the first index where x
-    and y differ."""
-    access = Transcript(x)
-    algorithm.run(access, rng)
-    return sum(_sep_counts(access.order, x, y))
-
-
 def sep_value_counts(algorithm, t: int, x: Sequence[int], y: Sequence[int], rng) -> tuple:
     """(queries of value 0, queries of value 1) on the x-run, up to and
-    including the separating query."""
+    including the separating query; their sum is the separation cost."""
     if algorithm.depth != t or len(x) != 1 << t:
         raise ValueError("level mismatch")
     access = Transcript(x)
@@ -499,6 +493,8 @@ def check_recursions(q: dict) -> RecursionReport:
 
 
 def spectral_alpha() -> float:
-    """Largest root of x^2 - x/2 - 2, the growth rate of the Q recursion;
-    equals (1 + sqrt(33))/4."""
-    return (1.0 + math.sqrt(33.0)) / 4.0
+    """The growth rate of the Q recursion: the larger eigenvalue of
+    BOUND_MATRIX, the larger root of x^2 - tr x + det."""
+    (a, b), (c, d) = BOUND_MATRIX
+    tr, det = a + d, a * d - b * c
+    return (tr + math.sqrt(tr * tr - 4 * det)) / 2

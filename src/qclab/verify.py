@@ -126,7 +126,7 @@ def criterion_1(seed: int = DEFAULT_SEED) -> CriterionResult:
             f = bf.BooleanFunction(m, table)
             mu = bf.random_dyadic_distribution(m, rng)
             marginals += mu.marginals
-            denom = 64**m
+            denom = bf.DYADIC_DENOMINATOR**m
             weights = np.array(
                 [int(mu.point_prob(bf.point_from_index(i, m)) * denom) for i in range(1 << m)],
                 dtype=np.int64,
@@ -435,7 +435,7 @@ def criterion_13(seed: int = DEFAULT_SEED) -> CriterionResult:
     mu = bf.ProductDistribution((Fraction(1, 2), Fraction(1, 2)))
     tree = dt.DecisionTree(2, dt.Query(1, dt.Leaf(None), dt.Leaf(None)))
     labeled = dt.label_leaves(tree, f, mu)
-    bias = dt.leaf_profile(tree, f, mu).total_bias()
+    bias = dt.avg_leaf_bias(dt.singleton(tree), f, mu)
     if dt.tree_error(labeled, f, mu) > bias:
         problems.append("majority labeling exceeded the leaf bias")
     corrupted_tree = dt.DecisionTree(

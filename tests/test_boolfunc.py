@@ -423,11 +423,24 @@ def test_builtin_arity_is_capped_before_the_table_is_built():
 def test_nand_tree_agrees_with_direct_evaluation():
     from qclab.nandtree import eval_formula
 
-    for d in range(4):
+    # the root's children read the low and the high half of the leaves, so
+    # g_d at index (hi << 2^(d-1)) | lo is 1 - g_{d-1}(hi) g_{d-1}(lo)
+    table = np.array([0, 1])
+    for d in range(5):
+        if d:
+            table = 1 - np.outer(table, table).ravel()
         f = nand_tree(d)
+        assert f.table_array().tolist() == table.tolist()
         for idx in range(f.size):
             x = point_from_index(idx, f.arity)
-            assert evaluate(f, x) == eval_formula(list(x))
+            assert evaluate(f, x) == eval_formula(list(x)) == table[idx]
+
+
+def test_dictator_refuses_a_variable_outside_its_arity():
+    assert dictator(3, 3).table == sum(1 << idx for idx in range(8) if idx & 4)
+    for i in (0, 4, 5, -1):
+        with pytest.raises(ValueError, match="outside"):
+            dictator(3, i)
 
 
 def test_truth_table_roundtrip(tmp_path):

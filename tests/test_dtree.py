@@ -678,7 +678,7 @@ def test_majority_label_error_equals_total_bias():
         mu = random_dyadic_distribution(m, rng)
         t = random_tree(m, rng, max_depth=3)
         labeled = label_leaves(t, f, mu)
-        bias = leaf_profile(t, f, mu).total_bias()
+        bias = avg_leaf_bias(singleton(t), f, mu)
         err = tree_error(labeled, f, mu)
         assert err <= bias  # equality unless some leaf is exactly balanced
         assert bias <= err + Fraction(1, 2)
@@ -795,6 +795,16 @@ def test_tree_json_roundtrip_on_every_catalog_tree(m):
             back = tree_from_json(tree_to_json(t))
             assert back == t and repr(back) == repr(t)
             assert getattr(back.root, "mask", 0) == getattr(t.root, "mask", 0)
+
+
+def test_random_trees_refuse_a_negative_depth_before_any_draw():
+    rng = random.Random(44)
+    state = rng.getstate()
+    for build in (random_tree, random_randomized_tree):
+        with pytest.raises(ValueError, match="max_depth must be >= 0"):
+            build(3, rng, max_depth=-1)
+    assert rng.getstate() == state
+    assert random_tree(3, rng, max_depth=0).root == Leaf(None)
 
 
 def test_random_randomized_tree_weights_exact():

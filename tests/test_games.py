@@ -69,7 +69,7 @@ from qclab.games import (
     check_two_point_bound,
     zero_error_trees,
 )
-from qclab.nandtree import sw_expected_queries_at
+from qclab.nandtree import expected_cost_sw
 
 
 # -- catalogs -------------------------------------------------------------------
@@ -211,7 +211,7 @@ def test_catalogs_and_games_leave_no_cyclic_garbage():
             exact_RSE(f)
             label_leaves(random_tree(3, random.Random(0)), f, uniform_distribution(3))
             catalog_size_formula(3, 3, labeled=True)
-            sw_expected_queries_at(2, [0, 1, 1, 0])
+            expected_cost_sw(2, [0, 1, 1, 0])
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -22,7 +22,6 @@ from qclab.nandtree import (
     max_two_level_factor,
     mc_cost,
     saks_wigderson,
-    sw_expected_queries_at,
     tile_marginals,
     two_level_traced_bound,
     zero_probs,
@@ -40,6 +39,18 @@ def mu_weight(x, marginals):
     for b, p in zip(x, marginals):
         w *= p if b else 1 - p
     return w
+
+
+def sw_walk(x, d, k=0, j=0):
+    """(expected queries, value) of node (k, j) of the randomized evaluator
+    on the one input x, by recursion over the two child orders."""
+    if k == d:
+        return 1, x[j]
+    cl, vl = sw_walk(x, d, k + 1, 2 * j)
+    cr, vr = sw_walk(x, d, k + 1, 2 * j + 1)
+    cost_lr = cl + (0 if vl == 0 else cr)
+    cost_rl = cr + (0 if vr == 0 else cl)
+    return Fraction(cost_lr + cost_rl, 2), 1 - (vl & vr)
 
 
 def root_zero_prob_exhaustive(d, marginals):
@@ -159,8 +170,22 @@ def test_saks_wigderson_zero_error_and_examples():
             value, queries = saks_wigderson(d, x, rng)
             assert value == eval_formula(x)
             assert 1 <= queries <= 1 << d
-    assert sw_expected_queries_at(1, [0, 1]) == Fraction(3, 2)
-    assert sw_expected_queries_at(1, [1, 1]) == 2
+    assert expected_cost_sw(1, [0, 1]) == Fraction(3, 2)
+    assert expected_cost_sw(1, [1, 1]) == 2
+
+
+def test_expected_cost_sw_on_one_input_is_the_exact_walk():
+    # a 0/1 input, as int marginals or as Fractions beside ints, is a point
+    # mass: the recursion gives the walk's Fraction (the int 1 at depth 0)
+    for d in range(4):
+        for x in all_inputs(d):
+            cost, value = sw_walk(x, d)
+            assert value == eval_formula(x)
+            mixed = [Fraction(b) for b in x[:len(x) // 2]] + x[len(x) // 2:]
+            for margs in (x, mixed):
+                got = expected_cost_sw(d, margs)
+                assert got == cost and type(got) is type(cost), (x, margs)
+    assert expected_cost_sw(2, [Fraction(1, 2), Fraction(1, 2), 0, 1]) == Fraction(45, 16)
 
 
 def test_expected_cost_recursions_match_exhaustive():
@@ -172,7 +197,7 @@ def test_expected_cost_recursions_match_exhaustive():
         )
         assert expected_cost_greedy_zero(d, margs) == pytest.approx(direct, abs=1e-10)
         direct_sw = sum(
-            mu_weight(x, margs) * float(sw_expected_queries_at(d, x))
+            mu_weight(x, margs) * float(sw_walk(x, d)[0])
             for x in all_inputs(d)
         )
         assert expected_cost_sw(d, margs) == pytest.approx(direct_sw, abs=1e-10)
@@ -186,7 +211,7 @@ def test_expected_costs_keep_the_marginals_arithmetic():
         assert expected_cost_greedy_zero(d, margs) == sum(
             mu_weight(x, margs) * greedy_zero(d, margs, x)[1] for x in all_inputs(d))
         assert expected_cost_sw(d, margs) == sum(
-            mu_weight(x, margs) * sw_expected_queries_at(d, x) for x in all_inputs(d))
+            mu_weight(x, margs) * sw_walk(x, d)[0] for x in all_inputs(d))
     # any float marginal makes the recursion float64, read back as Python
     # floats, and depth 0 costs the int 1
     assert type(expected_cost_greedy_zero(3, [0.5] * 8)) is float

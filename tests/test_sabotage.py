@@ -5,10 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import qclab.sabotage as sabotage
 from qclab.boolfunc import BooleanFunction, nand2
 from qclab.dtree import run
 from qclab.games import zero_error_trees
 from qclab.nandtree import (
+    MC_MAX_DEPTH,
     MC_Z,
     SaksWigderson,
     Transcript,
@@ -37,7 +39,6 @@ from qclab.sabotage import (
     mc_sep_cost,
     q_counts_sw,
     sample_hard_pair,
-    sep_cost,
     spectral_alpha,
     block_case_bounds,
 )
@@ -58,6 +59,23 @@ def test_p1_support():
         (Fraction(1, 2), (1, 1), (0, 1)),
         (Fraction(1, 2), (1, 1), (1, 0)),
     ]
+
+
+def test_enumeration_refuses_a_depth_outside_0_to_4():
+    # level 5 would take about 2.7e8 single-pair lifts
+    for d in (-1, 5, 40):
+        with pytest.raises(ValueError, match=r"enumeration depth must be in \[0, 4\]"):
+            enumerate_hard_pairs(d)
+
+
+def test_sampling_refuses_a_depth_outside_the_monte_carlo_cap_before_any_draw():
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        sample_hard_pair(-1, rng)
+    with pytest.raises(ValueError, match=f"Monte-Carlo cap {MC_MAX_DEPTH}"):
+        sample_hard_pair(MC_MAX_DEPTH + 1, rng, keep_meta=True)
+    assert rng.bit_generator.state == state
 
 
 def test_support_invariant_and_embedding_audit():
@@ -199,11 +217,16 @@ def test_lift_separation_coupling():
 # -- separation accounting ----------------------------------------------------------
 
 
+def _sep_cost(d, x, y, rng):
+    """Queries of the randomized evaluator on x up to separation from y."""
+    return sum(sep_value_counts(SaksWigderson(d), d, x, y, rng))
+
+
 def test_sep_cost_examples():
     rng = np.random.default_rng(7)
     # differing everywhere: first query separates
-    assert sep_cost(SaksWigderson(1), (1, 1), (0, 0), rng) == 1
-    costs = [sep_cost(SaksWigderson(1), (1, 1), (0, 1), rng) for _ in range(4000)]
+    assert _sep_cost(1, (1, 1), (0, 0), rng) == 1
+    costs = [_sep_cost(1, (1, 1), (0, 1), rng) for _ in range(4000)]
     assert np.mean(costs) == pytest.approx(1.5, abs=0.05)
     assert expected_sep_cost_sw(1) == Fraction(3, 2)
 
@@ -216,7 +239,7 @@ def test_sep_cost_requires_separation():
             return None  # queries nothing
 
     with pytest.raises(SeparationError):
-        sep_cost(Lazy(), (1, 1), (0, 1), np.random.default_rng(0))
+        sep_value_counts(Lazy(), 1, (1, 1), (0, 1), np.random.default_rng(0))
 
 
 def test_count_q_trace_example():
@@ -235,14 +258,16 @@ def test_count_q_trace_example():
 
 
 def test_accounting_identity_q0_plus_q1_is_sep_cost():
+    # q0 + q1 is the separating query's position in the run's transcript, plus one
     rng = np.random.default_rng(8)
     for _ in range(150):
         d = int(rng.integers(0, 4))
         pair = sample_hard_pair(d, rng)
         seed = int(rng.integers(0, 2**32))
-        cost = sep_cost(SaksWigderson(d), pair.x, pair.y, np.random.default_rng(seed))
+        access = Transcript(pair.x)
+        SaksWigderson(d).run(access, np.random.default_rng(seed))
         q0, q1 = sep_value_counts(SaksWigderson(d), d, pair.x, pair.y, np.random.default_rng(seed))
-        assert q0 + q1 == cost
+        assert q0 + q1 == access.order.index(pair.differing_index()) + 1
 
 
 def test_sep_cost_same_on_both_runs():
@@ -252,8 +277,8 @@ def test_sep_cost_same_on_both_runs():
         d = int(rng.integers(1, 4))
         pair = sample_hard_pair(d, rng)
         seed = int(rng.integers(0, 2**32))
-        on_x = sep_cost(SaksWigderson(d), pair.x, pair.y, np.random.default_rng(seed))
-        on_y = sep_cost(SaksWigderson(d), pair.y, pair.x, np.random.default_rng(seed))
+        on_x = _sep_cost(d, pair.x, pair.y, np.random.default_rng(seed))
+        on_y = _sep_cost(d, pair.y, pair.x, np.random.default_rng(seed))
         assert on_x == on_y
 
 
@@ -511,6 +536,13 @@ def test_spectral_alpha():
     for _ in range(60):
         v = m @ v
     assert (m @ v)[1] / v[1] == pytest.approx(a, abs=1e-9)
+
+
+def test_spectral_alpha_is_read_off_the_bound_matrix(monkeypatch):
+    assert repr(spectral_alpha()) == repr((1 + math.sqrt(33)) / 4)
+    # x^2 - x/2 - 3 has the root 2
+    monkeypatch.setattr(sabotage, "BOUND_MATRIX", ((0, 1), (3, Fraction(1, 2))))
+    assert spectral_alpha() == 2.0
 
 
 def test_separation_cost_growth_rate():

@@ -6,17 +6,9 @@ __version__ = "0.1.0"
 from .boolfunc import (
     BooleanFunction,
     ProductDistribution,
-    Subcube,
-    evaluate,
-    flip,
-    restrict,
     sensitivity,
-    sensitivity_at,
     influence,
-    influence_i,
     variance,
-    subcube_prob,
-    condition,
     check_poincare,
 )
 from .dtree import (
@@ -29,7 +21,6 @@ from .dtree import (
     optimal_dist_error,
     exact_Dmu_eps,
     zero_error_expected_cost,
-    leaf_profile,
     avg_leaf_bias,
     label_leaves,
     tree_error,
@@ -49,7 +40,6 @@ from .games import (
     dprod_search,
 )
 from .nandtree import (
-    NandInstance,
     eval_formula,
     zero_probs,
     greedy_zero,
@@ -62,7 +52,6 @@ from .sabotage import (
     HardPair,
     sample_hard_pair,
     check_embedding,
-    lift_chain,
     sep_value_counts,
     estimate_sep_counts,
     q_counts_sw,

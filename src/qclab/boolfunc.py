@@ -1,4 +1,4 @@
-"""Truth-table Boolean functions with restriction, sensitivity, influence and
+"""Truth-table Boolean functions with sensitivity, influence and
 product-distribution primitives.
 
 Variables are 1-indexed. A point ``x = (x_1, ..., x_m)`` is a tuple of bits;
@@ -16,7 +16,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,22 +35,13 @@ __all__ = [
     "TOL",
     "BooleanFunction",
     "ProductDistribution",
-    "Subcube",
     "Point",
     "point_from_index",
-    "index_of_point",
-    "evaluate",
-    "flip",
-    "restrict",
-    "sensitivity_at",
     "sensitivity",
-    "influence_i",
     "influence",
     "variance",
     "avg_sensitivity",
     "prob_one",
-    "subcube_prob",
-    "condition",
     "check_poincare",
     "PoincareReport",
     "constant",
@@ -212,52 +203,6 @@ def _mass_vector(ar: _Arithmetic, weights: Sequence) -> np.ndarray:
     return w
 
 
-@dataclass(frozen=True)
-class Subcube:
-    """A subcube given by fixed variable assignments ``{i: b}`` (1-indexed)."""
-
-    fixed: tuple
-
-    def __post_init__(self):
-        pairs = tuple(sorted(dict(self.fixed).items()))
-        if len(pairs) != len(tuple(self.fixed)):
-            raise ValueError("duplicate fixed variable")
-        for i, b in pairs:
-            if i < 1:
-                raise ValueError(f"variable index {i} must be >= 1")
-            if b not in (0, 1):
-                raise ValueError(f"fixed bit must be 0 or 1, got {b!r}")
-        object.__setattr__(self, "fixed", pairs)
-
-    @classmethod
-    def of(cls, assignment: Mapping[int, int] | Iterable) -> "Subcube":
-        items = assignment.items() if isinstance(assignment, Mapping) else assignment
-        return cls(tuple(items))
-
-    @property
-    def codim(self) -> int:
-        return len(self.fixed)
-
-    def fixed_map(self) -> dict:
-        return dict(self.fixed)
-
-    def fixed_vars(self) -> tuple:
-        return tuple(i for i, _ in self.fixed)
-
-    def merge(self, other: "Subcube") -> "Subcube":
-        """Intersection of two subcubes; conflicting assignments are an error."""
-        combined = self.fixed_map()
-        for i, b in other.fixed:
-            if combined.get(i, b) != b:
-                raise ValueError(f"conflicting assignment for variable {i}")
-            combined[i] = b
-        return Subcube.of(combined)
-
-    def free_vars(self, arity: int) -> tuple:
-        fixed = set(self.fixed_vars())
-        return tuple(i for i in range(1, arity + 1) if i not in fixed)
-
-
 # ---------------------------------------------------------------------------
 # Point helpers
 # ---------------------------------------------------------------------------
@@ -267,73 +212,9 @@ def point_from_index(index: int, m: int) -> Point:
     return tuple((index >> j) & 1 for j in range(m))
 
 
-def index_of_point(x: Point) -> int:
-    idx = 0
-    for j, b in enumerate(x):
-        if b not in (0, 1):
-            raise ValueError(f"point coordinate must be a bit, got {b!r}")
-        idx |= b << j
-    return idx
-
-
-def flip(x: Point, indices: Iterable[int]) -> Point:
-    """x^{+I}: flip the coordinates listed in ``indices`` (1-indexed)."""
-    out = list(x)
-    for i in indices:
-        if not 1 <= i <= len(x):
-            raise ValueError(f"flip index {i} out of range for arity {len(x)}")
-        out[i - 1] ^= 1
-    return tuple(out)
-
-
-def evaluate(f: BooleanFunction, x: Point) -> int:
-    if len(x) != f.arity:
-        raise ValueError(f"arity mismatch: function has {f.arity}, point has {len(x)}")
-    return f.value_at(index_of_point(x))
-
-
-# ---------------------------------------------------------------------------
-# Restriction
-# ---------------------------------------------------------------------------
-
-
-def restrict(f: BooleanFunction, c: Subcube) -> BooleanFunction:
-    """The function on the free variables of ``c`` agreeing with f on c.
-
-    Free variables keep their relative order. Restricting to the empty
-    subcube returns a function equal to f.
-    """
-    for i, _ in c.fixed:
-        if i > f.arity:
-            raise ValueError(f"fixed variable {i} out of range for arity {f.arity}")
-    if c.codim == 0:
-        return f
-    if c.codim >= f.arity:
-        raise ValueError("restriction must leave at least one free variable")
-    free = c.free_vars(f.arity)
-    base = 0
-    for i, b in c.fixed:
-        base |= b << (i - 1)
-    table = 0
-    for new_idx in range(1 << len(free)):
-        full = base
-        for j, var in enumerate(free):
-            full |= ((new_idx >> j) & 1) << (var - 1)
-        table |= f.value_at(full) << new_idx
-    return BooleanFunction(len(free), table)
-
-
 # ---------------------------------------------------------------------------
 # Sensitivity and influence
 # ---------------------------------------------------------------------------
-
-
-def sensitivity_at(f: BooleanFunction, x: Point) -> int:
-    idx = index_of_point(x)
-    if len(x) != f.arity:
-        raise ValueError("arity mismatch")
-    v = f.value_at(idx)
-    return sum(1 for j in range(f.arity) if f.value_at(idx ^ (1 << j)) != v)
 
 
 def _sensitivity_vector(f: BooleanFunction) -> np.ndarray:
@@ -350,32 +231,19 @@ def sensitivity(f: BooleanFunction) -> int:
     return int(_sensitivity_vector(f).max())
 
 
-def _influences(f: BooleanFunction, mu: ProductDistribution, variables):
-    """Yield 4 p_i (1-p_i) Pr_{x~mu}[f(x) != f(x^{+i})] for each i of ``variables``."""
+def influence(f: BooleanFunction, mu: ProductDistribution):
+    """Inf(f): the sum over i of 4 p_i (1-p_i) Pr_{x~mu}[f(x) != f(x^{+i})]."""
+    _check_pair(f, mu)
     w, ar = _masses(mu.marginals)
     tbl = f.table_array()
     idx = np.arange(f.size)
-    for i in variables:
-        # exact: the marginal itself, so an int 0/1 marginal gives the int 0
-        p = mu.marginals[i - 1] if ar.exact else ar.weights[i - 1][1]
-        factor = 4 * p * (1 - p)
-        if factor:
-            factor = factor * ar.value(w[tbl != tbl[idx ^ (1 << (i - 1))]].sum())
-        yield factor
-
-
-def influence_i(f: BooleanFunction, mu: ProductDistribution, i: int):
-    """4 p_i (1-p_i) Pr_{x~mu}[f(x) != f(x^{+i})]."""
-    _check_pair(f, mu)
-    if not 1 <= i <= f.arity:
-        raise ValueError(f"variable index {i} out of range")
-    return next(_influences(f, mu, [i]))
-
-
-def influence(f: BooleanFunction, mu: ProductDistribution):
-    _check_pair(f, mu)
     total = 0
-    for term in _influences(f, mu, range(1, f.arity + 1)):
+    for j in range(f.arity):
+        # exact: the marginal itself, so an int 0/1 marginal gives the int 0
+        p = mu.marginals[j] if ar.exact else ar.weights[j][1]
+        term = 4 * p * (1 - p)
+        if term:
+            term = term * ar.value(w[tbl != tbl[idx ^ (1 << j)]].sum())
         total = total + term
     return total
 
@@ -417,35 +285,6 @@ def check_poincare(f: BooleanFunction, mu: ProductDistribution) -> PoincareRepor
 def _check_pair(f: BooleanFunction, mu: ProductDistribution):
     if f.arity != mu.arity:
         raise ValueError(f"arity mismatch: function {f.arity} vs distribution {mu.arity}")
-
-
-# ---------------------------------------------------------------------------
-# Distribution operations
-# ---------------------------------------------------------------------------
-
-
-def subcube_prob(mu: ProductDistribution, c: Subcube):
-    """Mass of the subcube: product of the fixed-bit marginal factors."""
-    prob = 1
-    for i, b in c.fixed:
-        if i > mu.arity:
-            raise ValueError(f"fixed variable {i} out of range")
-        p = mu.marginals[i - 1]
-        prob = prob * (p if b else (1 - p))
-    return prob
-
-
-def condition(mu: ProductDistribution, c: Subcube) -> ProductDistribution:
-    """mu conditioned on c: fixed marginals replaced by their bits."""
-    if subcube_prob(mu, c) == 0:
-        raise ValueError("conditioning on a zero-mass subcube")
-    fixed = c.fixed_map()
-    zero = type(mu.marginals[0])(0) if mu.marginals else 0
-    one = zero + 1
-    new = list(mu.marginals)
-    for i, b in fixed.items():
-        new[i - 1] = one if b else zero
-    return ProductDistribution(tuple(new))
 
 
 # ---------------------------------------------------------------------------

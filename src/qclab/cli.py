@@ -422,11 +422,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _emit(rec: RunRecord, args) -> int:
+def _emit(rec: RunRecord, args, other) -> int:
+    """Write the record, or compare it with ``other``, the text read from
+    ``--compare``."""
     text = render_record(rec, args.format)
     if args.compare:
-        with open(args.compare) as fh:
-            other = fh.read()
         if normalize_for_compare(text) == normalize_for_compare(other):
             print("compare: outputs match")
             return 0
@@ -445,6 +445,10 @@ def main(argv=None) -> int:
     t0 = time.time()
     try:
         _threads()  # a bad QCLAB_THREADS stops every command before it starts
+        other = None
+        if args.compare:  # read first: an unreadable file stops the command before it starts
+            with open(args.compare) as fh:
+                other = fh.read()
         if args.command == "verify":
             rec, status = cmd_verify(args)
         else:
@@ -459,7 +463,11 @@ def main(argv=None) -> int:
         print(f"qclab: error: {exc}", file=sys.stderr)
         return 2
     rec.wall_time_s = time.time() - t0
-    emit_status = _emit(rec, args)
+    try:
+        emit_status = _emit(rec, args, other)
+    except OSError as exc:  # an unwritable --out
+        print(f"qclab: error: {exc}", file=sys.stderr)
+        return 2
     return emit_status or status
 
 

@@ -27,7 +27,6 @@ from .boolfunc import (
     BooleanFunction,
     Point,
     ProductDistribution,
-    Subcube,
     _arithmetic,
     _at_most,
     _exact,
@@ -48,8 +47,6 @@ __all__ = [
     "DecisionTree",
     "RandomizedTree",
     "RunResult",
-    "LeafStat",
-    "LeafProfile",
     "run",
     "tree_depth",
     "tree_leaves",
@@ -58,7 +55,6 @@ __all__ = [
     "exact_Dmu_eps",
     "zero_error_expected_cost",
     "dist_error_curve_fast",
-    "leaf_profile",
     "avg_leaf_bias",
     "label_leaves",
     "tree_error",
@@ -146,12 +142,13 @@ def tree_depth(node: Node) -> int:
 
 
 def tree_leaves(tree: DecisionTree):
-    """Yield (leaf_id, subcube, label, depth); leaf_id is the 0/1 path string."""
+    """Yield (leaf_id, fixed, label, depth); leaf_id is the 0/1 path string
+    and ``fixed`` the leaf's (var, bit) pairs, sorted by variable."""
     out = []
 
     def walk(node, path, fixed):
         if isinstance(node, Leaf):
-            out.append((path, Subcube(tuple(fixed)), node.label, len(fixed)))
+            out.append((path, tuple(sorted(fixed)), node.label, len(fixed)))
             return
         walk(node.child0, path + "0", fixed + [(node.var, 0)])
         walk(node.child1, path + "1", fixed + [(node.var, 1)])
@@ -427,33 +424,6 @@ def _leaf_masses(tree: DecisionTree, f: BooleanFunction, w: dict) -> dict:
 def _check_arities(tree: DecisionTree, f: BooleanFunction, mu: ProductDistribution):
     if tree.arity != f.arity or f.arity != mu.arity:
         raise ValueError("arity mismatch")
-
-
-class LeafStat(NamedTuple):
-    leaf_id: str
-    reach: object
-    bias: object
-
-
-@dataclass(frozen=True)
-class LeafProfile:
-    leaves: tuple  # of LeafStat
-
-
-def leaf_profile(tree: DecisionTree, f: BooleanFunction, mu: ProductDistribution) -> LeafProfile:
-    """Reach probability and bias min{Pr[f=0|leaf], Pr[f=1|leaf]} per leaf.
-
-    Zero-reach leaves, and leaves where f is constant on mu's mass, get bias 0.
-    """
-    _check_arities(tree, f, mu)
-    w, prob = _point_masses(mu)
-    masses = _leaf_masses(tree, f, w)
-    stats = []
-    for leaf_id, _, _, _ in tree_leaves(tree):
-        m0, m1 = map(prob, masses.get(leaf_id, (0, 0)))
-        reach = m0 + m1
-        stats.append(LeafStat(leaf_id, reach, min(m0, m1) / reach if m0 and m1 else 0))
-    return LeafProfile(tuple(stats))
 
 
 def avg_leaf_bias(r: RandomizedTree, f: BooleanFunction, mu: ProductDistribution):

@@ -22,7 +22,6 @@ import numpy as np
 from .boolfunc import _at_most, _exact, _nand_formula
 
 __all__ = [
-    "NandInstance",
     "ZeroProbTree",
     "CostEstimate",
     "SeparationError",
@@ -44,25 +43,6 @@ __all__ = [
     "golden_marginals",
     "tile_marginals",
 ]
-
-
-@dataclass(frozen=True)
-class NandInstance:
-    """A depth-d input: 2^d leaf bits."""
-
-    depth: int
-    input: tuple
-
-    def __post_init__(self):
-        if self.depth < 0:
-            raise ValueError("depth must be >= 0")
-        if len(self.input) != 1 << self.depth:
-            raise ValueError(f"input length {len(self.input)} != 2^{self.depth}")
-        if set(self.input) - {0, 1}:
-            raise ValueError("input must be bits")
-
-    def value(self) -> int:
-        return eval_formula(self.input)
 
 
 def eval_formula(x: Sequence[int]) -> int:

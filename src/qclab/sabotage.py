@@ -1,5 +1,5 @@
-"""The hard pair distribution for NAND trees, the algorithm lift chain, and
-the separation-cost recursion that yields the exponential lower bound.
+"""The hard pair distribution for NAND trees and the separation-cost
+recursion that yields the exponential lower bound.
 
 A level-d pair (x, y) has g_d(x) = 0 and g_d(y) = 1 and is built by lifting
 the point pair (0, 1) d times: each level-t coordinate i becomes a fresh
@@ -39,8 +39,6 @@ __all__ = [
     "sample_hard_pair",
     "enumerate_hard_pairs",
     "check_embedding",
-    "LiftedAlgorithm",
-    "lift_chain",
     "sep_value_counts",
     "estimate_sep_counts",
     "mc_sep_cost",
@@ -184,51 +182,6 @@ def check_embedding(pair: HardPair) -> bool:
             if u[1 - bi] != 1 or v[1 - bi] != 1:
                 return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# The lift chain
-# ---------------------------------------------------------------------------
-
-
-class _LiftView:
-    """Query access seen by the inner algorithm: slot 1-b_i answers 1 for
-    free, slot b_i consumes a real query and answers the complement."""
-
-    def __init__(self, outer, b: Sequence[int]):
-        self.outer = outer
-        self.b = b
-
-    def query(self, j: int) -> int:
-        i, slot = divmod(j, 2)
-        if slot != self.b[i]:
-            return 1
-        return 1 - self.outer.query(i)
-
-
-class LiftedAlgorithm:
-    """A zero-error algorithm for g_t built from one for g_{t+1} by sampling
-    the lift bits internally and intercepting padded queries."""
-
-    def __init__(self, base):
-        if base.depth < 1:
-            raise ValueError("cannot lift below depth 0")
-        self.base = base
-        self.depth = base.depth - 1
-
-    def run(self, access, rng) -> int:
-        b = [int(v) for v in rng.integers(0, 2, size=1 << self.depth)]
-        return self.base.run(_LiftView(access, b), rng)
-
-
-def lift_chain(base, t: int):
-    """Repeatedly lift an algorithm for g_d down to one for g_t."""
-    if t > base.depth:
-        raise ValueError("target level above the base algorithm's depth")
-    algo = base
-    while algo.depth > t:
-        algo = LiftedAlgorithm(algo)
-    return algo
 
 
 # ---------------------------------------------------------------------------

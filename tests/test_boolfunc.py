@@ -15,18 +15,13 @@ from qclab.boolfunc import (
     _provenance,
     BooleanFunction,
     ProductDistribution,
-    Subcube,
     and_f,
     avg_sensitivity,
     builtin_function,
     check_poincare,
-    condition,
     constant,
     dictator,
-    evaluate,
-    flip,
     influence,
-    influence_i,
     load_distribution,
     load_function,
     nand2,
@@ -38,12 +33,9 @@ from qclab.boolfunc import (
     prob_one,
     random_distribution,
     random_function,
-    restrict,
     save_distribution,
     save_function,
     sensitivity,
-    sensitivity_at,
-    subcube_prob,
     uniform_distribution,
     variance,
     xor,
@@ -51,8 +43,6 @@ from qclab.boolfunc import (
 from qclab.boolfunc import _masses
 
 # -- strategies --------------------------------------------------------------
-
-small_arity = st.integers(min_value=1, max_value=6)
 
 
 @st.composite
@@ -75,18 +65,7 @@ def functions_with_mu(draw, max_arity=6):
     return f, ProductDistribution(tuple(ps))
 
 
-# -- construction and evaluation ---------------------------------------------
-
-
-def test_evaluate_examples():
-    assert evaluate(nand2(), (1, 1)) == 0
-    assert evaluate(nand2(), (0, 0)) == 1
-    assert evaluate(xor(2), (0, 1)) == 1
-
-
-def test_evaluate_arity_mismatch():
-    with pytest.raises(ValueError):
-        evaluate(nand2(), (0, 0, 0))
+# -- construction ------------------------------------------------------------
 
 
 def test_table_invariants():
@@ -98,62 +77,6 @@ def test_table_invariants():
         BooleanFunction(1, 16)  # does not fit 2 bits
 
 
-def test_flip_examples():
-    assert flip((0, 0, 0, 0), {1, 3}) == (1, 0, 1, 0)
-    assert flip((1, 0), ()) == (1, 0)
-    with pytest.raises(ValueError):
-        flip((0, 1), {3})
-
-
-@given(functions(), st.data())
-def test_flip_involution(f, data):
-    x = point_from_index(data.draw(st.integers(0, f.size - 1)), f.arity)
-    idxs = data.draw(st.sets(st.integers(1, f.arity)))
-    assert flip(flip(x, idxs), idxs) == x
-
-
-# -- restriction ---------------------------------------------------------------
-
-
-def test_restrict_examples():
-    r = restrict(nand2(), Subcube.of({1: 0}))
-    assert r.arity == 1 and r.bits() == (1, 1)
-    f = xor(3)
-    assert restrict(f, Subcube(())) == f
-    r = restrict(f, Subcube.of({3: 1}))
-    assert r.bits() == tuple(1 - b for b in xor(2).bits())
-
-
-@given(functions(max_arity=5), st.data())
-def test_restrict_compose(f, data):
-    if f.arity < 3:
-        return
-    i, j = data.draw(
-        st.lists(st.integers(1, f.arity), min_size=2, max_size=2, unique=True)
-    )
-    bi = data.draw(st.integers(0, 1))
-    bj = data.draw(st.integers(0, 1))
-    one_step = restrict(f, Subcube.of({i: bi, j: bj}))
-    inner = restrict(f, Subcube.of({i: bi}))
-    # after fixing i, variable j shifts left when j > i
-    j2 = j - 1 if j > i else j
-    two_step = restrict(inner, Subcube.of({j2: bj}))
-    assert one_step == two_step
-
-
-def test_subcube_validation():
-    with pytest.raises(ValueError):
-        Subcube(((1, 0), (1, 1)))
-    with pytest.raises(ValueError):
-        Subcube(((0, 1),))
-    with pytest.raises(ValueError):
-        Subcube.of({1: 2})
-    merged = Subcube.of({1: 0}).merge(Subcube.of({3: 1}))
-    assert merged.fixed == ((1, 0), (3, 1))
-    with pytest.raises(ValueError):
-        Subcube.of({1: 0}).merge(Subcube.of({1: 1}))
-
-
 # -- sensitivity and influence -------------------------------------------------
 
 
@@ -161,43 +84,19 @@ def test_sensitivity_examples():
     for m in (1, 2, 3, 5):
         f = xor(m)
         assert sensitivity(f) == m
-        assert sensitivity_at(f, (0,) * m) == m
-    assert sensitivity_at(or_f(2), (0, 0)) == 2
+    assert sensitivity(or_f(2)) == 2
     assert sensitivity(nand_tree(2)) == 2  # exhaustive scan over 16 inputs
-
-
-def test_sensitivity_restriction_monotone_along_paths():
-    # restriction to any subcube never raises sensitivity: each sensitive
-    # flip of the restriction is a sensitive flip of the original input
-    rng = random.Random(5)
-    for _ in range(50):
-        m = rng.randint(2, 6)
-        f = random_function(m, rng)
-        k = rng.randint(1, m - 1)
-        fixed = {i: rng.randint(0, 1) for i in rng.sample(range(1, m + 1), k)}
-        assert sensitivity(restrict(f, Subcube.of(fixed))) <= sensitivity(f)
 
 
 def test_influence_examples():
     u = uniform_distribution(2)
-    assert influence_i(xor(2), u, 1) == pytest.approx(1.0)
     assert influence(xor(2), u) == pytest.approx(2.0)
-    mu = ProductDistribution((0.0, 0.7))
-    assert influence_i(random_function(2, random.Random(0)), mu, 1) == 0
+    # a 0 marginal's term is 0: the dictator on it has no influence
+    assert influence(dictator(2, 1), ProductDistribution((0.0, 0.7))) == 0
     c = constant(3, 1)
     u3 = uniform_distribution(3)
     assert variance(c, u3) == 0
     assert influence(c, u3) == 0
-
-
-@given(functions_with_mu())
-@settings(max_examples=60, deadline=None)
-def test_influence_fast_path_matches_definition(fm):
-    f, mu = fm
-    total = 0.0
-    for i in range(1, f.arity + 1):
-        total += influence_i(f, mu, i)
-    assert influence(f, mu) == total  # the same terms, summed in the same order
 
 
 def _loop_measures(f, mu):
@@ -238,10 +137,6 @@ def test_exact_measures_sum_over_the_positive_mass_support():
         w, ar = _masses(mu.marginals)
         assert [ar.value(v) for v in w] == masses
         assert (prob_one(f, mu), influence(f, mu), avg_sensitivity(f, mu)) == _loop_measures(f, mu)
-        for i in range(1, m + 1):
-            p, bit = mu.marginals[i - 1], 1 << (i - 1)
-            assert influence_i(f, mu, i) == 4 * p * (1 - p) * sum(
-                w for idx, w in enumerate(masses) if f.value_at(idx) != f.value_at(idx ^ bit))
 
 
 def test_float_masses_are_the_kron_product_bit_for_bit():
@@ -339,15 +234,6 @@ def test_numpy_float32_marginals_take_the_float_path():
 # -- distributions ---------------------------------------------------------------
 
 
-def test_subcube_prob_examples():
-    u3 = uniform_distribution(3)
-    assert subcube_prob(u3, Subcube.of({1: 0, 3: 1})) == pytest.approx(0.25)
-    mu = ProductDistribution((0.3, 0.6))
-    assert subcube_prob(mu, Subcube.of({1: 1})) == pytest.approx(0.3)
-    assert condition(mu, Subcube.of({1: 1})).marginals == (1.0, 0.6)
-    assert condition(mu, Subcube(())) == mu
-
-
 def test_distribution_refuses_marginals_that_are_not_real_numbers():
     for bad in (True, False, None, "0.5", 0.5j, (0.5,), np.bool_(True)):
         with pytest.raises(ValueError, match="is not a real number"):
@@ -359,39 +245,9 @@ def test_distribution_refuses_marginals_that_are_not_real_numbers():
         assert ProductDistribution((good,)).marginals == (good,)
 
 
-def test_condition_zero_mass_errors():
-    mu = ProductDistribution((0.0, 0.5))
-    with pytest.raises(ValueError):
-        condition(mu, Subcube.of({1: 1}))
-
-
-@given(st.data())
-@settings(max_examples=50, deadline=None)
-def test_condition_is_product_and_concentrates(data):
-    m = data.draw(small_arity)
-    mu = ProductDistribution(
-        tuple(data.draw(st.floats(min_value=0.05, max_value=0.95)) for _ in range(m))
-    )
-    k = data.draw(st.integers(1, m))
-    fixed = dict(
-        zip(
-            data.draw(st.lists(st.integers(1, m), min_size=k, max_size=k, unique=True)),
-            [data.draw(st.integers(0, 1)) for _ in range(k)],
-        )
-    )
-    c = Subcube.of(fixed)
-    nu = condition(mu, c)
-    assert subcube_prob(nu, c) == pytest.approx(1.0)
-    # the mass of any subcube factors through the marginals
-    other = Subcube.of({1: 1})
-    expected = nu.marginals[0]
-    assert subcube_prob(nu, other) == pytest.approx(expected)
-
-
 def test_point_prob_fraction_arithmetic_survives():
     mu = ProductDistribution((Fraction(1, 3), Fraction(1, 2)))
     assert mu.point_prob((1, 0)) == Fraction(1, 6)
-    assert subcube_prob(mu, Subcube.of({1: 0})) == Fraction(2, 3)
     assert prob_one(and_f(2), mu) == Fraction(1, 6)
 
 
@@ -433,7 +289,7 @@ def test_nand_tree_agrees_with_direct_evaluation():
         assert f.table_array().tolist() == table.tolist()
         for idx in range(f.size):
             x = point_from_index(idx, f.arity)
-            assert evaluate(f, x) == eval_formula(list(x)) == table[idx]
+            assert f.value_at(idx) == eval_formula(list(x)) == table[idx]
 
 
 def test_dictator_refuses_a_variable_outside_its_arity():

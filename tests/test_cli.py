@@ -398,6 +398,23 @@ def test_compare_mode_ignores_wall_time(tmp_path, capsys):
     assert status == 1
 
 
+def test_an_unreadable_compare_file_exits_2_before_the_command_runs(tmp_path):
+    missing = str(tmp_path / "missing" / "x.csv")
+    for argv in (["measure", "--fn", "xor:2"], ["nand", "--depth", "4", "--samples", "500"],
+                 ["sabotage", "--depth", "3", "--samples", "500"],
+                 ["measure", "--fn", "xor:2", "--out", str(tmp_path / "x.csv")]):
+        _assert_refused(argv + ["--compare", missing])
+    _assert_refused(["measure", "--fn", "xor:2", "--compare", str(tmp_path)])  # a directory
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_an_unwritable_out_path_exits_2(tmp_path, capsys):
+    status, out, err = run_cli(capsys, "measure", "--fn", "xor:2",
+                               "--out", str(tmp_path / "missing" / "x.csv"))
+    assert status == 2 and out == ""
+    assert err.startswith("qclab: error:") and "missing" in err
+
+
 def test_threads_do_not_change_output(tmp_path, capsys):
     out_path = tmp_path / "t.csv"
     base = ["nand", "--algo", "both", "--depths", "3..6", "--samples", "600",

@@ -19,7 +19,6 @@ from qclab.boolfunc import (
     avg_sensitivity,
     constant,
     influence,
-    influence_i,
     nand2,
     nand_tree,
     point_from_index,
@@ -40,7 +39,6 @@ from qclab.dtree import (
     exact_D,
     exact_Dmu_eps,
     label_leaves,
-    leaf_profile,
     optimal_dist_error,
     random_randomized_tree,
     random_tree,
@@ -410,8 +408,7 @@ def test_exact_mass_vector_is_refused_above_its_cap_before_allocating():
     f = BooleanFunction(m, 0)
     mu = ProductDistribution((Fraction(1, 3),) * m)
     tree = DecisionTree(m, Leaf(None))
-    calls = (lambda: prob_one(f, mu), lambda: influence(f, mu), lambda: influence_i(f, mu, 1),
-             lambda: avg_sensitivity(f, mu), lambda: leaf_profile(tree, f, mu),
+    calls = (lambda: prob_one(f, mu), lambda: influence(f, mu), lambda: avg_sensitivity(f, mu),
              lambda: avg_leaf_bias(singleton(tree), f, mu), lambda: label_leaves(tree, f, mu),
              lambda: tree_error(DecisionTree(m, Leaf(0)), f, mu))
     tracemalloc.start()
@@ -620,31 +617,14 @@ def test_markov_direction():
 # -- leaf statistics -------------------------------------------------------------
 
 
-def test_leaf_profile_examples():
-    u = uniform_distribution(2)
-    f = nand2()
-    single = DecisionTree(2, Leaf(None))
-    prof = leaf_profile(single, f, u)
-    assert prof.leaves[0].reach == pytest.approx(1.0)
-    assert prof.leaves[0].bias == pytest.approx(0.25)
-
-    full = complete_tree(2)
-    prof = leaf_profile(full, f, u)
-    assert all(st.bias == 0 for st in prof.leaves)
-    assert sum(st.reach for st in prof.leaves) == pytest.approx(1.0)
-
-    split = DecisionTree(2, Query(1, Leaf(None), Leaf(None)))
-    prof = leaf_profile(split, f, u)
-    assert prof.leaves[0].bias == 0  # f|x1=0 is constant 1
-    assert prof.leaves[1].bias == pytest.approx(0.5)
-
-
 def test_zero_reach_leaf_bias_is_zero():
+    # leaf x1 = 0 has no mass: it adds nothing, and no 0/0 is taken
     mu = ProductDistribution((1.0, 0.5))
     f = xor(2)
     split = DecisionTree(2, Query(1, Leaf(None), Leaf(None)))
-    prof = leaf_profile(split, f, mu)
-    assert prof.leaves[0].reach == 0 and prof.leaves[0].bias == 0
+    assert avg_leaf_bias(singleton(split), f, mu) == 0.5  # leaf x1 = 1 alone
+    full = DecisionTree(2, Query(1, Leaf(None), Query(2, Leaf(None), Leaf(None))))
+    assert avg_leaf_bias(singleton(full), f, mu) == 0
 
 
 def test_label_leaves_and_error():
@@ -652,9 +632,9 @@ def test_label_leaves_and_error():
     f = nand2()
     full = label_leaves(complete_tree(2), f, u)
     assert tree_error(full, f, u) == 0
-    for _, cube, label, _ in tree_leaves(full):
+    for _, fixed, label, _ in tree_leaves(full):
         idx = 0
-        for i, b in cube.fixed:
+        for i, b in fixed:
             idx |= b << (i - 1)
         assert label == f.value_at(idx)
 
@@ -721,11 +701,7 @@ def test_leaf_statistics_match_a_brute_force_over_every_point(seed, two_point):
     want_bias = 0
     for w, t in r.entries:
         masses = _brute_leaf_masses(t, f, mu)
-        stats = leaf_profile(t, f, mu).leaves
-        assert [stat.leaf_id for stat in stats] == list(masses)
-        for stat, (m0, m1) in zip(stats, masses.values()):
-            assert stat.reach == m0 + m1
-            assert stat.bias == (min(m0, m1) / (m0 + m1) if m0 + m1 else 0)
+        for m0, m1 in masses.values():
             want_bias += w * min(m0, m1)
         labeled = label_leaves(t, f, mu)
         for (_, _, label, _), (m0, m1) in zip(tree_leaves(labeled), masses.values()):
@@ -754,7 +730,7 @@ def test_leaf_statistics_build_masses_over_the_interior_variables_only(monkeypat
 def test_leaf_statistics_refuse_mismatched_arities():
     mu, t = uniform_distribution(2), DecisionTree(2, Leaf(1))
     for tree, f in ((t, xor(3)), (DecisionTree(3, Leaf(1)), xor(2))):
-        for stat in (leaf_profile, label_leaves, tree_error):
+        for stat in (label_leaves, tree_error):
             with pytest.raises(ValueError, match="arity mismatch"):
                 stat(tree, f, mu)
         with pytest.raises(ValueError, match="arity mismatch"):

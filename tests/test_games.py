@@ -13,7 +13,6 @@ import hypothesis.strategies as st
 from qclab.boolfunc import (
     BooleanFunction,
     ProductDistribution,
-    Subcube,
     and_f,
     constant,
     dictator,
@@ -530,11 +529,12 @@ def test_functions_with_no_pairs_have_value_0():
             assert exact_RS_eps(f, 0) == 0
 
 
-def restriction_value(f, c):
-    """Constant value of f on subcube c, or None if not constant there."""
-    free = c.free_vars(f.arity)
+def restriction_value(f, fixed):
+    """Constant value of f on the subcube that fixes the (var, bit) pairs
+    ``fixed``, or None if f is not constant there."""
+    free = [i for i in range(1, f.arity + 1) if i not in dict(fixed)]
     base = 0
-    for i, b in c.fixed:
+    for i, b in fixed:
         base |= b << (i - 1)
     first = f.value_at(base)
     for new_idx in range(1, 1 << len(free)):
@@ -548,10 +548,10 @@ def restriction_value(f, c):
 
 def test_restriction_value_examples():
     f = nand2()
-    assert restriction_value(f, Subcube(((1, 0),))) == 1
-    assert restriction_value(f, Subcube(((1, 1),))) is None
-    assert restriction_value(f, Subcube(((1, 1), (2, 1)))) == 0
-    assert restriction_value(and_f(3), Subcube(())) is None
+    assert restriction_value(f, ((1, 0),)) == 1
+    assert restriction_value(f, ((1, 1),)) is None
+    assert restriction_value(f, ((1, 1), (2, 1))) == 0
+    assert restriction_value(and_f(3), ()) is None
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -562,7 +562,7 @@ def test_zero_error_trees_match_the_leaf_walk(m):
     for table in range(1 << (1 << m)):
         f = BooleanFunction(m, table)
         want = tuple(t for t in catalog if all(
-            restriction_value(f, cube) is not None for _, cube, _, _ in tree_leaves(t)))
+            restriction_value(f, fixed) is not None for _, fixed, _, _ in tree_leaves(t)))
         assert zero_error_trees(f) == want
 
 

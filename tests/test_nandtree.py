@@ -11,7 +11,6 @@ from qclab.nandtree import (
     GreedyZeroEvaluator,
     _fold,
     _greedy_order,
-    NandInstance,
     Transcript,
     greedy_zero,
     eval_formula,
@@ -67,15 +66,6 @@ def test_eval_examples():
     assert eval_formula([1, 1, 1, 1]) == 1
     with pytest.raises(ValueError):
         eval_formula([0, 1, 1])
-
-
-def test_instance_validation():
-    inst = NandInstance(1, (1, 1))
-    assert inst.value() == 0
-    with pytest.raises(ValueError):
-        NandInstance(1, (1, 1, 1))
-    with pytest.raises(ValueError):
-        NandInstance(1, (2, 0))
 
 
 # -- zero probabilities ---------------------------------------------------------

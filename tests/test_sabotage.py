@@ -26,7 +26,6 @@ from qclab.sabotage import (
     _sep_counts,
     HardPair,
     LevelLift,
-    LiftedAlgorithm,
     SeparationError,
     check_embedding,
     check_recursions,
@@ -35,7 +34,6 @@ from qclab.sabotage import (
     estimate_sep_counts,
     exact_base_cases,
     expected_sep_cost_sw,
-    lift_chain,
     mc_sep_cost,
     q_counts_sw,
     sample_hard_pair,
@@ -171,6 +169,49 @@ def test_halves_lift_is_the_natural_lift_permuted(w):
     assert np.array_equal(rev2[got_at], want_at)
 
 
+# -- the lift chain: the oracle of the lift lemma ------------------------------------
+
+
+class _LiftView:
+    """Query access seen by the inner algorithm: slot 1-b_i answers 1 for
+    free, slot b_i consumes a real query and answers the complement."""
+
+    def __init__(self, outer, b):
+        self.outer = outer
+        self.b = b
+
+    def query(self, j: int) -> int:
+        i, slot = divmod(j, 2)
+        if slot != self.b[i]:
+            return 1
+        return 1 - self.outer.query(i)
+
+
+class LiftedAlgorithm:
+    """A zero-error algorithm for g_t built from one for g_{t+1} by sampling
+    the lift bits internally and intercepting padded queries."""
+
+    def __init__(self, base):
+        if base.depth < 1:
+            raise ValueError("cannot lift below depth 0")
+        self.base = base
+        self.depth = base.depth - 1
+
+    def run(self, access, rng) -> int:
+        b = [int(v) for v in rng.integers(0, 2, size=1 << self.depth)]
+        return self.base.run(_LiftView(access, b), rng)
+
+
+def lift_chain(base, t: int):
+    """Repeatedly lift an algorithm for g_d down to one for g_t."""
+    if t > base.depth:
+        raise ValueError("target level above the base algorithm's depth")
+    algo = base
+    while algo.depth > t:
+        algo = LiftedAlgorithm(algo)
+    return algo
+
+
 def test_lift_chain_zero_error():
     rng = np.random.default_rng(5)
     base = SaksWigderson(3)
@@ -189,8 +230,6 @@ def test_lift_chain_zero_error():
 def test_lift_separation_coupling():
     # the lifted algorithm consumes its real queries exactly where the inner
     # run hits the embedded slots, so separation happens at the same step
-    from qclab.sabotage import _LiftView
-
     rng = np.random.default_rng(6)
     for _ in range(200):
         pair = sample_hard_pair(1, rng, keep_meta=False)

@@ -251,6 +251,9 @@ class SeparationError(RuntimeError):
 _BATCH_ELEMENTS = 1 << 26
 _MIN_BATCH_ROWS = 16
 MC_MAX_DEPTH = (_BATCH_ELEMENTS // _MIN_BATCH_ROWS).bit_length() - 1
+# The fold runs a batch in row blocks of 2^19 leaves, whose bool values,
+# run masks and uint8 counters fit a 2 MiB L2 cache.
+_BLOCK_ELEMENTS = 1 << 19
 
 
 def _check_mc_depth(d: int) -> None:
@@ -329,12 +332,16 @@ def _fold(val, counts, rng, order=None, at=None) -> list:
     holds the (n, 2^d) C-contiguous bool leaf values and ``counts`` the
     per-leaf query counters: each is a bool leaf mask, or None for the
     all-ones counter, which is never built. Each node takes its first child
-    from ``order`` (see ``_fold_order``) or, without one, from a coin per
-    node drawn from ``rng`` at every level. A node's value is the NAND of its
-    children whatever their order; the order only decides which children
-    run: the first always, the other when the first reads 1. A node's count
-    sums the counts of its children that run, in uint16 up to d = 15 and
-    uint32 above, wide enough for the 2^d queries of a full evaluation.
+    from ``order`` (see ``_fold_order``): one array per depth k, either
+    (2^k,) and shared by every row, or (n, 2^k) per row. Without an order,
+    the fold draws one (n, 2^k) ``_coins`` array per level from ``rng``,
+    from k = d-1 down to 0, all before it folds; these draws are part of
+    every fixed-seed output. A node's value is the NAND of its children
+    whatever their order; the order only decides which children run: the
+    first always, the other when the first reads 1. A node's count sums the
+    counts of its children that run, in uint8 while its subtree is at most
+    7 levels high (2^7 queries) and above that in uint16 up to d = 15 and
+    uint32 beyond, wide enough for the 2^d queries of a full evaluation.
 
     Returns each counter's root column, summed over the whole run. Given
     ``at``, the (n,) position of the one differing leaf per row, returns the
@@ -345,18 +352,36 @@ def _fold(val, counts, rng, order=None, at=None) -> list:
     gather reads the first child per row: with ``at``, each ``order[k]``
     must be (n, 2^k), as the coins are.
 
-    The draws, one (n, 2^k) ``_coins`` array per level from k = d-1 down to
-    0, are part of every fixed-seed output.
+    Rows are independent, so the batch is folded in blocks of
+    ``_BLOCK_ELEMENTS // 2^d`` rows (at least one), whose arrays stay in a
+    core's cache through all d levels, and the blocks' roots are joined
+    (docs/decisions.md, entry 22).
     """
     n, width = val.shape
     d = width.bit_length() - 1
-    ctype = np.uint16 if d <= 15 else np.uint32
+    if order is None:
+        order = [_coins(rng, n, 1 << k) for k in range(d - 1, -1, -1)][::-1]
+    step = max(1, _BLOCK_ELEMENTS // width)
+    blocks = []
+    for s in range(0, n, step):
+        rows = slice(s, s + step)
+        blocks.append(_fold_block(
+            val[rows], [None if c is None else c[rows] for c in counts],
+            [o if o.ndim == 1 else o[rows] for o in order], None if at is None else at[rows]))
+    return [np.concatenate(roots) for roots in zip(*blocks)]
+
+
+def _fold_block(val, counts, order, at) -> list:
+    """``_fold`` on one block of rows, with its order given."""
+    n, width = val.shape
+    d = width.bit_length() - 1
+    rtype = np.uint16 if d <= 15 else np.uint32
     rows = np.arange(n)
     if at is not None:
-        until = [np.ones(n, ctype) if c is None else c[rows, at].astype(ctype) for c in counts]
+        until = [np.ones(n, rtype) if c is None else c[rows, at].astype(rtype) for c in counts]
     for k in range(d - 1, -1, -1):
         h = 1 << k
-        first = _coins(rng, n, h) if order is None else order[k]
+        first = order[k]
         left, right = val[:, :h], val[:, h:]
         if at is not None:
             # the ancestor of leaf position c at width 2^L sits at c mod 2^L
@@ -373,11 +398,12 @@ def _fold(val, counts, rng, order=None, at=None) -> list:
         # a child runs when it goes first, or after a sibling that goes first
         # and reads 1
         runs = (first | right, ~first | left)
+        ctype = np.uint8 if d - k <= 7 else rtype
         counts = [_combine(c, runs, ctype) for c in counts]
         val = ~(left & right)
     if at is not None:
         return until
-    return [np.ones(n, ctype) if c is None else c[:, 0] for c in counts]
+    return [np.ones(n, rtype) if c is None else c[:, 0] for c in counts]
 
 
 def _combine(c, runs, ctype) -> np.ndarray:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from qclab.nandtree import (
+    _BLOCK_ELEMENTS,
     MC_MAX_DEPTH,
     CostEstimate,
     GreedyZeroEvaluator,
@@ -30,6 +31,7 @@ from qclab.nandtree import (
     zero_probs,
 )
 from qclab.sabotage import (
+    _sample_pairs,
     enumerate_hard_pairs,
     estimate_sep_counts,
     mc_sep_cost,
@@ -118,14 +120,59 @@ def _full_evaluation(d, value=0):
     return _full_evaluation(d - 1, 1) + _full_evaluation(d - 1, 1 - value)
 
 
-@pytest.mark.parametrize("d", [15, 16])
+@pytest.mark.parametrize("d", [7, 8, 9, 15, 16])
 def test_fold_counts_a_full_evaluation_without_wrapping(d):
-    # 2^16 queries do not fit a uint16 counter
+    # a node counts in uint8 up to 2^7 queries, then in uint16, and 2^16
+    # queries do not fit a uint16 counter; the last leaf read is the
+    # rightmost, reached after every left sibling on its path ran in full
     x = np.array([_full_evaluation(d)] * 2, dtype=bool)
     order = [np.ones(1 << k, dtype=bool) for k in range(d)]
     ones = np.ones(x.shape, dtype=bool)
     cost, count = _fold_natural(x, [None, ones], order)
     assert cost.tolist() == count.tolist() == [1 << d] * 2
+    last = np.full(2, (1 << d) - 1)
+    cost, count = _fold_natural(x, [None, ones], order, last)
+    assert cost.tolist() == count.tolist() == [1 << d] * 2
+
+
+def _twin_coins(rng, n, d):
+    """The fold's random-order draws, made by hand: one ``_coins`` array per
+    level from k = d-1 down to 0, indexed by k."""
+    return [_coins(rng, n, 1 << k) for k in range(d - 1, -1, -1)][::-1]
+
+
+@pytest.mark.parametrize("n, d", [(2000, 12), (3, 20)])
+def test_fold_draws_its_coins_up_front_and_folds_rows_independently(n, d):
+    # 2000 rows of 2^12 leaves are several blocks and a partial one; a row of
+    # 2^20 leaves is more than a block, so each row is its own block
+    step = max(1, _BLOCK_ELEMENTS >> d)
+    assert (n > step and n % step) if d == 12 else step == 1
+    cuts = [0, 1, 2, n] if n < 10 else [0, 1, step - 1, step + 5, 3 * step, n]
+    rng = np.random.default_rng(d)
+    margs = tile_marginals([0.05, 0.9, 0.35, 0.97, 0.6], d)
+    x = _bernoulli_leaves(rng, n, margs[_bitrev(1 << d)])
+    static = _fold_order(_greedy_order(zero_probs(d, margs)))
+    pairs, at = _sample_pairs(d, n, rng)
+    cases = (  # a static order, per-row coins with at, the two-mask chain counters
+        (x, lambda v: [None, v], static, None),
+        (pairs, lambda v: [None], None, at),
+        (pairs, lambda v: [~v, v], None, at),
+    )
+    for seed, (val, counters, static_order, sep) in enumerate(cases):
+        drawn, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        order = _twin_coins(twin, n, d) if static_order is None else static_order
+        roots = _fold(val, counters(val), drawn, static_order, sep)
+        assert drawn.bit_generator.state == twin.bit_generator.state
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(roots, _fold(val, counters(val), None, order, sep), strict=True))
+        pieces = []
+        for lo, hi in zip(cuts, cuts[1:]):
+            rows = slice(lo, hi)
+            pieces.append(_fold(val[rows], counters(val[rows]), None,
+                                [o if o.ndim == 1 else o[rows] for o in order],
+                                None if sep is None else sep[rows]))
+        assert all(np.array_equal(a, np.concatenate(b)) for a, b in
+                   zip(roots, zip(*pieces), strict=True))
 
 
 @pytest.mark.parametrize("n, w", [(3, 8), (1, 1), (5000, 16), (17, 1 << 12), (2, 1 << 16),
@@ -162,8 +209,9 @@ def test_mc_cost_matches_exact_on_asymmetric_marginals(d):
 
 def test_folds_stay_within_their_memory_budget():
     # with (n, 2^d) float64 uniforms and int64 counters these two calls
-    # peaked at 102 and 332 MiB traced
-    budget = 48 << 20
+    # peaked at 102 and 332 MiB traced, and folding the whole batch level by
+    # level in uint16 at 27 and 37 MiB
+    budget = 32 << 20
     for run in (lambda: mc_cost("greedy_zero", 12, golden_marginals(12), 2000, seed=7),
                 lambda: mc_sep_cost("saks_wigderson", 12, 2000, seed=8)):
         tracemalloc.start()
@@ -199,6 +247,21 @@ def test_fixed_seed_outputs_are_pinned():
     assert estimate_sep_counts("saks_wigderson", 6, 3, 1501, seed=106, run_on="y") == (
         CostEstimate(1.736842105263158, 0.032761485633539, 1501),
         CostEstimate(1.8620919387075283, 0.06614811463001055, 1501),
+    )
+
+
+def test_multi_block_outputs_are_pinned():
+    # recorded before the fold ran in row blocks (docs/decisions.md, entry
+    # 22); each batch here spans several blocks
+    assert mc_cost("greedy_zero", 12, tile_marginals([0.3, 0.8, 0.55, 0.61], 12), 2000,
+                   seed=121) == CostEstimate(215.3895, 2.7934666106478176, 2000)
+    assert mc_cost("saks_wigderson", 11, golden_marginals(11), 2000, seed=122) == CostEstimate(
+        201.8585, 3.252561187187784, 2000)
+    assert mc_sep_cost("saks_wigderson", 11, 2000, seed=123) == CostEstimate(
+        214.6845, 5.3566773539223735, 2000)
+    assert estimate_sep_counts("saks_wigderson", 11, 11, 1000, seed=124, run_on="y") == (
+        CostEstimate(80.875, 2.8301873573807583, 1000),
+        CostEstimate(136.34, 4.789266761577763, 1000),
     )
 
 

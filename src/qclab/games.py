@@ -4,11 +4,12 @@ The randomized and sabotage complexities at tiny arity are exact LP values:
 rows are adversary choices (inputs, or 0/1-input pairs), columns are
 deterministic trees, and the solver is one dense simplex with Bland's rule in
 two arithmetic modes: matrices with at most 10^4 rational entries are solved
-on a fraction-free tableau of Python ints over one common denominator, with
-zero tolerance and a best-response check in integers, larger ones on a
-float64 tableau with a 1e-9 tolerance. Every payoff matrix, miss profile
-and the zero-error filter is read off ``run_arrays``: each tree's output and
-query steps on every input, filled bottom-up as two int8 arrays;
+on a fraction-free tableau over one common denominator, in int64 while every
+entry is at most 2^30 and in Python ints after, with zero tolerance and a
+best-response check in Python ints, larger ones on a float64 tableau with a
+1e-9 tolerance. Every payoff matrix, miss profile and the zero-error filter
+is read off ``run_arrays``: each tree's output and query steps on every
+input, filled bottom-up as two int8 arrays;
 ``dtree.run`` stays the per-point primitive and the tests' oracle. Payoffs
 stay int64 arrays; only ``solve_zero_sum`` makes Python ints of them.
 
@@ -57,6 +58,9 @@ from .dtree import (
 RATIONAL_ENTRY_LIMIT = 10_000
 LP_TOL = 1e-9
 SIMPLEX_MAX_PIVOTS = 200_000  # a simplex run that needs more stops as cycling
+# the exact tableau runs in int64 while no entry's magnitude passes this
+# (docs/decisions.md, entry 23): products stay <= 2^60, update numerators <= 2^61
+_INT64_ENTRY_BOUND = 1 << 30
 RUN_TABLE_ELEMENTS = 1 << 26  # int8 entries per run-table array, as nandtree._BATCH_ELEMENTS
 MIXTURE_DROP_TOL = 1e-12  # float column weights at or below it leave an LP mixture (exact: 0)
 AMPLIFY_SUPPORT_LIMIT = 500_000  # tuples that amplify may enumerate
@@ -205,16 +209,21 @@ def _simplex(a: np.ndarray, tol) -> tuple:
     the last pivot, so that the true tableau is ``T / d``. A pivot on (r, e)
     maps every other row i to ``(T[i] T[r, e] - T[i, e] T[r]) // d`` and then
     sets ``d = T[r, e]``; the division is exact, as every entry of ``T`` is a
-    minor of the initial tableau. The float tableau divides the pivot row
-    instead, and its ``d`` stays 1. Bland's rules read only signs and ratio
-    orders, which a positive ``d`` leaves unchanged, so the exact mode pivots
-    as a Fraction tableau would. The last tableau row holds the reduced costs.
-    Returns (w, duals, d): the optimum is ``w / d`` and its duals ``duals / d``.
+    minor of the initial tableau. ``T`` is int64 while every entry's magnitude
+    is at most ``_INT64_ENTRY_BOUND`` = 2^30, checked at the top of each pass,
+    so no product or update numerator can wrap; past it, ``T`` turns into
+    Python ints for the rest of the run (docs/decisions.md, entry 23). The
+    float tableau divides the pivot row instead, and its ``d`` stays 1.
+    Bland's rules read only signs and ratio orders, which a positive ``d``
+    leaves unchanged, so the exact mode pivots as a Fraction tableau would.
+    The last tableau row holds the reduced costs. Returns (w, duals, d), in
+    ``a``'s arithmetic: the optimum is ``w / d`` and its duals ``duals / d``.
     """
     n_rows, n_cols = a.shape
     zero = 0 * a[0, 0]  # 0 or 0.0: the tableau's arithmetic
     one = zero + 1
-    tab = np.full((n_rows + 1, n_cols + n_rows + 1), zero, dtype=a.dtype)
+    fits = not tol and max(a.max(), -a.min()) <= _INT64_ENTRY_BOUND
+    tab = np.full((n_rows + 1, n_cols + n_rows + 1), zero, dtype=np.int64 if fits else a.dtype)
     tab[:n_rows, :n_cols] = a
     tab[np.arange(n_rows), n_cols + np.arange(n_rows)] = one  # slacks
     tab[:n_rows, -1] = one
@@ -223,6 +232,10 @@ def _simplex(a: np.ndarray, tol) -> tuple:
     d = one
 
     for _ in range(SIMPLEX_MAX_PIVOTS + 1):  # a pass tests for the optimum, then pivots
+        # an int64 entry past the bound could wrap a product below: Python
+        # ints from here on
+        if tab.dtype == np.int64 and max(tab.max(), -tab.min()) > _INT64_ENTRY_BOUND:
+            tab = tab.astype(object)
         pos = np.flatnonzero(tab[-1, :-1] > tol)
         if not len(pos):
             break
@@ -248,11 +261,12 @@ def _simplex(a: np.ndarray, tol) -> tuple:
             p = tab[leave, enter]
             rest = np.arange(n_rows + 1) != leave
             tab[rest] = (tab[rest] * p - np.outer(tab[rest, enter], tab[leave])) // d
-            d = p
+            d = int(p)
         basis[leave] = enter
     else:
         raise LPError("simplex failed to terminate (cycling guard hit)")
 
+    tab = tab.astype(a.dtype, copy=False)  # an int64 tableau returns Python ints
     w = np.full(n_cols, zero, dtype=a.dtype)
     structural = basis < n_cols
     w[basis[structural]] = tab[:-1, -1][structural]
@@ -266,8 +280,9 @@ def _min_ratio(rhs: np.ndarray, col: np.ndarray, tol) -> np.ndarray:
         ratios = rhs / col
         return ratios <= ratios.min() + tol
     best = 0
-    for i in range(1, len(rhs)):
-        if rhs[i] * col[best] < rhs[best] * col[i]:
+    r, c = rhs.tolist(), col.tolist()  # Python ints, from int64 or object entries
+    for i in range(1, len(r)):
+        if r[i] * c[best] < r[best] * c[i]:
             best = i
     return rhs * col[best] == rhs[best] * col
 
@@ -285,6 +300,12 @@ def solve_zero_sum(matrix: np.ndarray | Sequence[Sequence]) -> GameValue:
     a = matrix if isinstance(matrix, np.ndarray) else np.array(matrix, dtype=object)
     if a.ndim != 2 or not a.size:
         raise ValueError(f"payoff matrix must be a non-empty 2-D array, got shape {a.shape}")
+    # np.bool_ is no numbers.Rational: numpy bools play as the ints 0 and 1,
+    # as Python bools do
+    if a.dtype == bool:
+        a = a.astype(np.int64)
+    elif a.dtype == object and np.bool_ in set(map(type, a.flat)):
+        a = np.frompyfunc(lambda v: int(v) if type(v) is np.bool_ else v, 1, 1)(a)
     # the entries of a numeric array share one type, which its first one shows
     if a.size <= RATIONAL_ENTRY_LIMIT and _exact(a.flat if a.dtype == object else a.flat[:1]):
         return _solve_exact(a)

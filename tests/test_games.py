@@ -1,13 +1,17 @@
+import contextlib
 import gc
 import hashlib
 import math
 import random
 import tracemalloc
+import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis.extra.numpy import arrays
 import hypothesis.strategies as st
 
 from qclab.boolfunc import (
@@ -449,6 +453,67 @@ def test_the_exact_solver_makes_python_ints_of_every_rational_payoff(monkeypatch
                    rs_game(f, enumerate_trees(2, None, False))[0], rse_game(f)[0]):
         solve_zero_sum(matrix)
     assert len(tableaus) == 15 and all(types == {int} for types in tableaus)
+
+
+@contextlib.contextmanager
+def _tableau_dtypes():
+    """The dtype of the tableau at each ratio test of the exact simplex runs
+    in the block: int64 while its entries fit the bound, object after."""
+    seen = []
+    min_ratio = games._min_ratio
+
+    def recording(rhs, col, tol):
+        seen.append(rhs.dtype.name)
+        return min_ratio(rhs, col, tol)
+
+    with mock.patch.object(games, "_min_ratio", recording):
+        yield seen
+
+
+def test_the_exact_tableau_turns_to_python_ints_past_the_int64_bound():
+    # GAME_4X5's entries pass 2^30 after two pivots, so the run finishes in
+    # Python ints; 2^62 payoffs never enter an int64 tableau
+    with _tableau_dtypes() as seen:
+        assert solve_zero_sum(np.array(GAME_4X5)).value == Fraction(-5816680465, 21035523)
+    turn = seen.index("object")
+    assert turn > 0 and set(seen[:turn]) == {"int64"} and set(seen[turn:]) == {"object"}
+    with _tableau_dtypes() as seen:
+        gv = solve_zero_sum(np.array([[2**62, -2**62]]))
+    assert repr(gv) == repr(GameValue(Fraction(-2**62), (Fraction(1),), (Fraction(0), Fraction(1))))
+    assert seen and set(seen) == {"object"}
+
+
+@given(st.tuples(st.integers(1, 8), st.integers(1, 12)).flatmap(
+    lambda shape: arrays(np.int64, shape, elements=st.integers(1, 2**13))))
+@settings(max_examples=200, deadline=None)
+def test_the_int64_tableau_pivots_as_the_python_int_tableau(a):
+    # entries >= 1 need no shift, so a and a * 2^40 pivot alike: the first
+    # starts in int64, the second in Python ints, as its entries pass 2^30
+    scale = 2**40
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with _tableau_dtypes() as small:
+            gv = solve_zero_sum(a)
+        with _tableau_dtypes() as big:
+            gv_big = solve_zero_sum(a.astype(object) * scale)
+    assert small[0] == "int64" and set(big) == {"object"}
+    assert gv_big.value == gv.value * scale
+    assert repr(gv_big.row_strategy) == repr(gv.row_strategy)
+    assert repr(gv_big.col_strategy) == repr(gv.col_strategy)
+
+
+def test_numpy_bools_are_solved_exactly_as_the_ints_0_and_1():
+    # np.bool_ is no numbers.Rational: a bool array went to the float tableau
+    # and returned np.float64(0.4999999999999998)
+    bools, ints = [[True, False], [False, True]], [[1, 0], [0, 1]]
+    assert solve_zero_sum(ints).value == Fraction(1, 2)
+    for given, python in ((bools, ints), (np.array(bools), ints), (list(np.array(bools)), ints),
+                          ([[np.True_, np.False_], [np.False_, np.True_]], ints),
+                          ([[np.True_, Fraction(1, 3)], [0, True]], [[1, Fraction(1, 3)], [0, 1]])):
+        assert repr(solve_zero_sum(given)) == repr(solve_zero_sum(python))
+    # a bool among floats is still a float game
+    assert repr(solve_zero_sum([[np.True_, 0.5], [0, 1]])) == repr(
+        solve_zero_sum([[1.0, 0.5], [0, 1]]))
 
 
 @pytest.mark.parametrize("matrix", [[[1, math.nan], [0, 1]], [[math.inf, 0], [0, 1]],

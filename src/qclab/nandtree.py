@@ -13,6 +13,7 @@ below it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -256,7 +257,18 @@ MC_MAX_DEPTH = (_BATCH_ELEMENTS // _MIN_BATCH_ROWS).bit_length() - 1
 _BLOCK_ELEMENTS = 1 << 19
 
 
+def _is_int(v) -> bool:
+    """Whether v is an integer other than a bool."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _check_int(name: str, v) -> None:
+    if not _is_int(v):
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+
+
 def _check_mc_depth(d: int) -> None:
+    _check_int("depth", d)
     if d < 0:
         raise ValueError(f"depth must be >= 0, got {d}")
     if d > MC_MAX_DEPTH:
@@ -267,6 +279,7 @@ def _check_mc_depth(d: int) -> None:
 
 
 def _check_samples(samples: int) -> None:
+    _check_int("samples", samples)
     if samples < 100:
         raise ValueError("need at least 100 samples")
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,16 +25,17 @@ from .nandtree import (
     SeparationError,
     Transcript,
     _bitrev,
+    _check_int,
     _check_mc_depth,
     _check_samples,
     _coins,
     _fold,
+    _is_int,
     _summary,
 )
 
 __all__ = [
     "HardPair",
-    "LevelLift",
     "SeparationError",
     "sample_hard_pair",
     "enumerate_hard_pairs",
@@ -60,22 +61,10 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class LevelLift:
-    """One lift step: the pre-lift pair, the uniform bits, and the blocks."""
-
-    b: tuple
-    pre_x: tuple
-    pre_y: tuple
-    u: tuple  # of (u0, u1) per block
-    v: tuple
-
-
-@dataclass(frozen=True)
 class HardPair:
     depth: int
     x: tuple
     y: tuple
-    levels: Optional[tuple] = None  # of LevelLift, bottom (level 0) first
 
     def differing_index(self) -> int:
         for i, (a, b) in enumerate(zip(self.x, self.y)):
@@ -100,7 +89,7 @@ def _lift_step(x: np.ndarray, at: np.ndarray, b: np.ndarray) -> tuple:
     return out, at + w * b[np.arange(n), at]
 
 
-def _lift_one(x: tuple, at: int, b: tuple) -> tuple:
+def _lift_one(x: tuple, at: int, b: Sequence[int]) -> tuple:
     """One lift of a single pair in natural order, given by x, its differing
     index and the bits b: the lifted x and differing index, by ``_lift_step``
     in the fold layout."""
@@ -114,27 +103,14 @@ def _y_of(x: tuple, at: int) -> tuple:
     return x[:at] + (1 - x[at],) + x[at + 1:]
 
 
-def _blocks(z: tuple) -> tuple:
-    return tuple(zip(z[0::2], z[1::2]))
-
-
-def sample_hard_pair(d: int, rng, keep_meta: bool = False) -> HardPair:
-    """Sample a pair from the level-d hard distribution.
-
-    With ``keep_meta`` the per-level bits and blocks are retained so that the
-    embedding invariants can be audited. Depths outside
-    [0, ``nandtree.MC_MAX_DEPTH``] are refused.
-    """
+def sample_hard_pair(d: int, rng) -> HardPair:
+    """Sample a pair from the level-d hard distribution. Depths outside
+    [0, ``nandtree.MC_MAX_DEPTH``] are refused before any draw."""
     _check_mc_depth(d)
     x, at = (0,), 0
-    levels = [] if keep_meta else None
     for _ in range(d):
-        b = tuple(int(v) for v in rng.integers(0, 2, size=len(x)))
-        x2, at2 = _lift_one(x, at, b)
-        if keep_meta:
-            levels.append(LevelLift(b, x, _y_of(x, at), _blocks(x2), _blocks(_y_of(x2, at2))))
-        x, at = x2, at2
-    return HardPair(d, x, _y_of(x, at), tuple(levels) if keep_meta else None)
+        x, at = _lift_one(x, at, rng.integers(0, 2, size=len(x)))
+    return HardPair(d, x, _y_of(x, at))
 
 
 def _sample_pairs(d: int, n: int, rng) -> tuple:
@@ -154,6 +130,7 @@ def enumerate_hard_pairs(d: int):
     Returns a list of (prob, x, y); depths outside [0, 4] are refused: level
     4 takes 16 384 single-pair lifts, and level 5 about 2.7e8.
     """
+    _check_int("depth", d)
     if not 0 <= d <= 4:
         raise ValueError(f"enumeration depth must be in [0, 4], got {d}")
     out = {((0,), 0): Fraction(1)}
@@ -169,19 +146,25 @@ def enumerate_hard_pairs(d: int):
 
 
 def check_embedding(pair: HardPair) -> bool:
-    """Audit the embedding: x_i is the complement of u_i at slot b_i, same
-    for y_i and v_i, and both blocks carry 1 at slot 1-b_i."""
-    if pair.levels is None:
-        raise ValueError("pair was sampled without lift metadata")
-    for lift_rec in pair.levels:
-        for xi, yi, bi, u, v in zip(
-            lift_rec.pre_x, lift_rec.pre_y, lift_rec.b, lift_rec.u, lift_rec.v
-        ):
-            if u[bi] != 1 - xi or v[bi] != 1 - yi:
-                return False
-            if u[1 - bi] != 1 or v[1 - bi] != 1:
-                return False
-    return True
+    """Whether (x, y) is in the support of the level-d hard distribution,
+    read off the pair's own bits. A lift writes a 0 as the block (1, 1) and
+    a 1 as (b, 1 - b), never (0, 0), so unlifting is one NAND level: the
+    pair is in the support exactly when, at every level, x and y differ at
+    one index and no block of either reads (0, 0), and the unlifted pair
+    ends at x = (0,), y = (1,). Strings that are not 2^depth entries of 0/1
+    are not in the support."""
+    x, y = tuple(pair.x), tuple(pair.y)
+    if not (_is_int(pair.depth) and pair.depth >= 0 and len(x) == len(y)
+            and all(v in (0, 1) for v in x + y)):
+        return False
+    for _ in range(pair.depth):  # each level halves the strings, so a short one stops this
+        if len(x) % 2 or sum(a != b for a, b in zip(x, y)) != 1:
+            return False
+        bx, by = (tuple(zip(z[0::2], z[1::2])) for z in (x, y))
+        if (0, 0) in bx + by:
+            return False
+        x, y = (tuple(1 - a * b for a, b in blocks) for blocks in (bx, by))
+    return x == (0,) and y == (1,)
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +210,8 @@ def estimate_sep_counts(base, d: int, t: int, samples: int, seed: int,
     """
     if base != "saks_wigderson":
         raise ValueError(f"unknown base algorithm {base!r}")
+    _check_int("depth", d)
+    _check_int("t", t)
     if not 0 <= t <= d:
         raise ValueError(f"need 0 <= t <= d, got t = {t} and d = {d}")
     if run_on not in ("x", "y"):

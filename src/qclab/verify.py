@@ -413,21 +413,16 @@ def criterion_13(seed: int = DEFAULT_SEED) -> CriterionResult:
     rng = np.random.default_rng(seed + 13)
     problems = []
 
-    # (a) corrupting a hard-pair block must break the embedding audit
-    pair = sb.sample_hard_pair(3, rng, keep_meta=True)
+    # (a) corrupting a hard-pair block must break the embedding audit: clear
+    # the padded slot, the 1 beside a block's 0, in both strings, so the pair
+    # still differs at one index but holds a (0, 0) block
+    pair = sb.sample_hard_pair(3, rng)
     if not sb.check_embedding(pair):
         problems.append("clean pair failed the audit")
-    lv = pair.levels[-1]
-    # flip the padded slot (1 - b_0) of block 0
-    flip_slot = 1 - lv.b[0]
-    u0 = list(lv.u[0])
-    u0[flip_slot] ^= 1
-    bad_u = (tuple(u0),) + lv.u[1:]
-    corrupted = sb.HardPair(
-        pair.depth, pair.x, pair.y,
-        pair.levels[:-1] + (sb.LevelLift(lv.b, lv.pre_x, lv.pre_y, bad_u, lv.v),),
-    )
-    if sb.check_embedding(corrupted):
+    block = pair.differing_index() // 2
+    pad = next(j for j, v in enumerate(pair.x) if v > pair.x[j ^ 1] and j // 2 != block)
+    x, y = (z[:pad] + (0,) + z[pad + 1:] for z in (pair.x, pair.y))
+    if sb.check_embedding(sb.HardPair(pair.depth, x, y)):
         problems.append("corrupted block passed the embedding audit")
 
     # (b) mislabeling a leaf must break the majority-labeling bound

@@ -379,6 +379,30 @@ def test_sabotage_command(tmp_path, capsys):
             assert 0 <= z <= nandtree.MC_Z, (t, b, z)
 
 
+# The pair rows of ``sabotage --depth 5 --samples 200 --dump-pairs 4 --seed 3``:
+# they pin the draws of ``sample_hard_pair`` and of each run's seed.
+DUMPED_PAIRS = [
+    "pair[0],12,x=11101011101011011011101110101101;y=11101011101011011001101110101101;"
+    "sep=18;q0=2;q1=10,mc(1)",
+    "pair[1],9,x=11101001111011101110111001101101;y=11101001111011101110101001101101;"
+    "sep=21;q0=4;q1=5,mc(1)",
+    "pair[2],2,x=10100111111001111101111010011101;y=10100111101001111101111010011101;"
+    "sep=9;q0=1;q1=1,mc(1)",
+    "pair[3],19,x=10011110110111011011011110110110;y=10011110110110011011011110110110;"
+    "sep=13;q0=7;q1=12,mc(1)",
+]
+
+
+def test_sabotage_dumped_pairs_are_pinned_and_pass_the_audit(capsys):
+    status, out, _ = run_cli(capsys, "sabotage", "--depth", "5", "--samples", "200",
+                             "--dump-pairs", "4", "--seed", "3")
+    assert status == 0
+    assert [ln for ln in out.splitlines() if ln.startswith("pair[")] == DUMPED_PAIRS
+    for line in DUMPED_PAIRS:
+        x, y = (tuple(map(int, s.split("=")[1])) for s in line.split(",")[2].split(";")[:2])
+        assert sabotage.check_embedding(sabotage.HardPair(5, x, y))
+
+
 def test_compare_mode_ignores_wall_time(tmp_path, capsys):
     out_path = tmp_path / "a.csv"
     args = ["nand", "--algo", "saks_wigderson", "--depths", "2..5",

@@ -18,6 +18,7 @@ from qclab.nandtree import (
     _eval,
     eval_formula,
     fit_exponent,
+    mc_cost,
 )
 from qclab.sabotage import (
     BOUND_MATRIX,
@@ -25,7 +26,6 @@ from qclab.sabotage import (
     _sample_pairs,
     _sep_counts,
     HardPair,
-    LevelLift,
     SeparationError,
     check_embedding,
     check_recursions,
@@ -72,15 +72,48 @@ def test_sampling_refuses_a_depth_outside_the_monte_carlo_cap_before_any_draw():
     with pytest.raises(ValueError, match="depth must be >= 0"):
         sample_hard_pair(-1, rng)
     with pytest.raises(ValueError, match=f"Monte-Carlo cap {MC_MAX_DEPTH}"):
-        sample_hard_pair(MC_MAX_DEPTH + 1, rng, keep_meta=True)
+        sample_hard_pair(MC_MAX_DEPTH + 1, rng)
     assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("d", [True, False, 2.0, 1.5, "2", None])
+def test_every_sampler_refuses_a_depth_that_is_no_integer_before_any_draw(d):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="depth must be an integer"):
+        sample_hard_pair(d, rng)
+    with pytest.raises(ValueError, match="depth must be an integer"):
+        enumerate_hard_pairs(d)
+    with pytest.raises(ValueError, match="depth must be an integer"):
+        mc_sep_cost("saks_wigderson", d, 200, 0)
+    with pytest.raises(ValueError, match="depth must be an integer"):
+        estimate_sep_counts("saks_wigderson", d, 1, 200, 0)
+    with pytest.raises(ValueError, match="depth must be an integer"):
+        mc_cost("greedy_zero", d, [0.5, 0.5], 200, 0)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("samples", [True, 150.5, 200.0, "200", None])
+def test_the_folds_refuse_a_sample_count_that_is_no_integer(samples):
+    with pytest.raises(ValueError, match="samples must be an integer"):
+        mc_sep_cost("saks_wigderson", 2, samples, 0)
+    with pytest.raises(ValueError, match="samples must be an integer"):
+        estimate_sep_counts("saks_wigderson", 2, 1, samples, 0)
+    with pytest.raises(ValueError, match="samples must be an integer"):
+        mc_cost("greedy_zero", 1, [0.5, 0.5], samples, 0)
+
+
+@pytest.mark.parametrize("t", [True, 1.0, 0.5, "1", None])
+def test_sep_count_estimates_refuse_a_level_that_is_no_integer(t):
+    with pytest.raises(ValueError, match="t must be an integer"):
+        estimate_sep_counts("saks_wigderson", 2, t, 200, 0)
 
 
 def test_support_invariant_and_embedding_audit():
     rng = np.random.default_rng(1)
     for d in range(5):
         for _ in range(300):
-            pair = sample_hard_pair(d, rng, keep_meta=True)
+            pair = sample_hard_pair(d, rng)
             assert eval_formula(pair.x) == 0
             assert eval_formula(pair.y) == 1
             assert check_embedding(pair)
@@ -88,33 +121,71 @@ def test_support_invariant_and_embedding_audit():
 
 
 def test_case_a_blocks_are_all_ones():
+    # a level-t coordinate that reads 0 on both strings (the value of its
+    # subtree) lies off the differing leaf's path, and its block, the values
+    # of its two children, reads (1, 1) in both strings
     rng = np.random.default_rng(2)
     seen = False
     for _ in range(200):
-        pair = sample_hard_pair(3, rng, keep_meta=True)
-        for lv in pair.levels:
-            for xi, yi, u, v in zip(lv.pre_x, lv.pre_y, lv.u, lv.v):
-                if (xi, yi) == (0, 0):
+        pair = sample_hard_pair(3, rng)
+        at = pair.differing_index()
+        for t in range(3):
+            w = 8 >> t  # leaves under a level-t coordinate
+            for i in range(1 << t):
+                xs, ys = pair.x[i * w:(i + 1) * w], pair.y[i * w:(i + 1) * w]
+                if eval_formula(xs) == eval_formula(ys) == 0:
                     seen = True
-                    assert u == (1, 1) and v == (1, 1)
+                    assert at // w != i
+                    for z in (xs, ys):
+                        assert (eval_formula(z[:w // 2]), eval_formula(z[w // 2:])) == (1, 1)
     assert seen
 
 
 def test_corrupted_block_detected():
+    # clearing the padded 1 beside a block's 0 in both strings keeps g(x) = 0,
+    # g(y) = 1 and one differing index, but writes a (0, 0) block, which no
+    # lift writes
     rng = np.random.default_rng(3)
-    pair = sample_hard_pair(2, rng, keep_meta=True)
-    lv = pair.levels[-1]
-    u0 = list(lv.u[0])
-    u0[1 - lv.b[0]] ^= 1  # break the padded-slot invariant
-    bad = HardPair(
-        pair.depth,
-        pair.x,
-        pair.y,
-        pair.levels[:-1] + (LevelLift(lv.b, lv.pre_x, lv.pre_y, (tuple(u0),) + lv.u[1:], lv.v),),
-    )
-    assert not check_embedding(bad)
-    with pytest.raises(ValueError):
-        check_embedding(sample_hard_pair(2, rng))  # no metadata retained
+    for _ in range(20):
+        pair = sample_hard_pair(2, rng)
+        block = pair.differing_index() // 2
+        (pad,) = [j for j, v in enumerate(pair.x) if v > pair.x[j ^ 1] and j // 2 != block]
+        x, y = (z[:pad] + (0,) + z[pad + 1:] for z in (pair.x, pair.y))
+        assert eval_formula(x) == 0 and eval_formula(y) == 1
+        assert sum(a != b for a, b in zip(x, y)) == 1
+        assert check_embedding(pair) and not check_embedding(HardPair(2, x, y))
+
+
+@pytest.mark.parametrize("d", range(4))
+def test_audit_accepts_exactly_the_enumerated_support(d):
+    # among every (x, y) that differs at one index
+    n = 1 << d
+    accepted = set()
+    for x in itertools.product((0, 1), repeat=n):
+        for i in range(n):
+            y = x[:i] + (1 - x[i],) + x[i + 1:]
+            if check_embedding(HardPair(d, x, y)):
+                accepted.add((x, y))
+    assert accepted == {(x, y) for _, x, y in enumerate_hard_pairs(d)}
+    assert len(accepted) == (1, 2, 8, 64)[d]
+
+
+def test_audit_refuses_malformed_pairs():
+    pair = sample_hard_pair(3, np.random.default_rng(4))
+    x, y = pair.x, pair.y
+    assert check_embedding(pair)
+    assert not check_embedding(HardPair(3, x, x))  # g(y) = 0
+    assert not check_embedding(HardPair(3, x[:4], y[:4]))
+    assert not check_embedding(HardPair(3, x + (1,), y + (1,)))
+    assert not check_embedding(HardPair(2, x, y))
+    assert not check_embedding(HardPair(4, x, y))
+    # the padded 1 beside a block's 0 unlifts to the same value as any number
+    block = pair.differing_index() // 2
+    pad = next(j for j, v in enumerate(x) if v > x[j ^ 1] and j // 2 != block)
+    for bad in (2, -1, 0.5, "1", None):
+        assert not check_embedding(HardPair(3, *(z[:pad] + (bad,) + z[pad + 1:] for z in (x, y))))
+    assert not check_embedding(HardPair(-1, (0,), (1,)))
+    assert not check_embedding(HardPair(True, (1, 1), (0, 1)))
 
 
 def sample_pairs_batch(d, n, rng):
@@ -232,7 +303,7 @@ def test_lift_separation_coupling():
     # run hits the embedded slots, so separation happens at the same step
     rng = np.random.default_rng(6)
     for _ in range(200):
-        pair = sample_hard_pair(1, rng, keep_meta=False)
+        pair = sample_hard_pair(1, rng)
         b = [int(v) for v in rng.integers(0, 2, len(pair.x))]
         outer = Transcript(pair.x)
         inner_view = _LiftView(outer, b)

@@ -81,8 +81,10 @@ class BooleanFunction:
     table: int
 
     def __post_init__(self):
+        _check_int("arity", self.arity)
         if not 1 <= self.arity <= MAX_ARITY:
             raise ValueError(f"arity must be in [1, {MAX_ARITY}], got {self.arity}")
+        object.__setattr__(self, "arity", int(self.arity))  # a numpy int shifts in int64
         if not 0 <= self.table < (1 << (1 << self.arity)):
             raise ValueError("truth table does not fit 2^arity bits")
 
@@ -97,10 +99,11 @@ class BooleanFunction:
         return self.table == 0 or self.table == (1 << self.size) - 1
 
     def bits(self) -> tuple:
-        return tuple(self.value_at(i) for i in range(self.size))
+        return tuple(self.table_array().tolist())
 
     def table_array(self) -> np.ndarray:
-        """Truth table as a uint8 vector indexed like ``value_at``."""
+        """Truth table as a uint8 vector indexed like ``value_at``: the one
+        reader of the table's bits, as ``_from_bits`` is the one writer."""
         nbytes = (self.size + 7) // 8
         raw = np.frombuffer(self.table.to_bytes(nbytes, "little"), dtype=np.uint8)
         return np.unpackbits(raw, bitorder="little")[: self.size]
@@ -134,6 +137,26 @@ class ProductDistribution:
         for b, p in zip(x, self.marginals):
             prob = prob * (p if b else (1 - p))
         return prob
+
+
+def _from_bits(m: int, bits) -> BooleanFunction:
+    """The function whose truth table is the 0/1 vector ``bits`` of 2^m
+    entries, packed little-endian: entry i is bit i of the table."""
+    packed = np.packbits(np.asarray(bits, dtype=np.uint8), bitorder="little")
+    return BooleanFunction(m, int.from_bytes(packed.tobytes(), "little"))
+
+
+def _is_int(v) -> bool:
+    """Whether v is an integer other than a bool."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _check_int(name: str, v, low: int = None) -> None:
+    """Refuse a v that is no integer (bools too), or is below ``low``."""
+    if not _is_int(v):
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+    if low is not None and v < low:
+        raise ValueError(f"{name} must be >= {low}, got {v}")
 
 
 def _exact(values: Iterable) -> bool:
@@ -298,19 +321,19 @@ def constant(m: int, value: int) -> BooleanFunction:
 
 
 def dictator(m: int, i: int = 1) -> BooleanFunction:
+    _check_int("dictator variable", i)
     if not 1 <= i <= m:
         raise ValueError(f"dictator variable {i} outside [1, {m}]")
-    table = 0
-    for idx in range(1 << m):
-        table |= ((idx >> (i - 1)) & 1) << idx
-    return BooleanFunction(m, table)
+    BooleanFunction(m, 0)  # arity checked before 2^m entries are built
+    return _from_bits(m, (np.arange(1 << m) >> (i - 1)) & 1)
 
 
 def xor(m: int) -> BooleanFunction:
-    table = 0
-    for idx in range(1 << m):
-        table |= (bin(idx).count("1") & 1) << idx
-    return BooleanFunction(m, table)
+    BooleanFunction(m, 0)  # arity checked before 2^m entries are built
+    parity = np.zeros(1, dtype=np.uint8)
+    for _ in range(m):  # variable j + 1 flips the parity of the upper half
+        parity = np.concatenate((parity, parity ^ 1))
+    return _from_bits(m, parity)
 
 
 def and_f(m: int) -> BooleanFunction:
@@ -327,14 +350,11 @@ def nand2() -> BooleanFunction:
 
 def nand_tree(depth: int) -> BooleanFunction:
     """The complete binary NAND-tree function on 2^depth variables."""
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
+    _check_int("depth", depth, 0)
     m = 1 << depth
     if m > MAX_ARITY:
         raise ValueError(f"nand tree of depth {depth} needs {m} > {MAX_ARITY} variables")
-    points = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1
-    table = np.packbits(_nand_formula(points).astype(np.uint8), bitorder="little")
-    return BooleanFunction(m, int.from_bytes(table.tobytes(), "little"))
+    return _from_bits(m, _nand_formula((np.arange(1 << m)[:, None] >> np.arange(m)) & 1))
 
 
 def _nand_formula(x: np.ndarray) -> np.ndarray:
@@ -382,11 +402,8 @@ def random_function(m: int, rng) -> BooleanFunction:
     """Uniformly random truth table; rng is ``random.Random`` or a numpy
     Generator."""
     if hasattr(rng, "getrandbits"):
-        table = rng.getrandbits(1 << m)
-    else:
-        bits = rng.integers(0, 2, size=1 << m)
-        table = sum(int(b) << i for i, b in enumerate(bits))
-    return BooleanFunction(m, table)
+        return BooleanFunction(m, rng.getrandbits(1 << m))
+    return _from_bits(m, rng.integers(0, 2, size=1 << m))
 
 
 def uniform_distribution(m: int) -> ProductDistribution:
@@ -421,7 +438,7 @@ def random_dyadic_distribution(m: int, rng) -> ProductDistribution:
 
 
 def format_truth_table(f: BooleanFunction) -> str:
-    bits = "".join(str(f.value_at(i)) for i in range(f.size))
+    bits = (f.table_array() + ord("0")).tobytes().decode("ascii")
     return f"m={f.arity}\n{bits}\n"
 
 
@@ -433,8 +450,7 @@ def parse_truth_table(text: str) -> BooleanFunction:
     bits = lines[1]
     if len(bits) != (1 << m) or set(bits) - {"0", "1"}:
         raise ValueError(f"expected {1 << m} bits over {{0,1}}, got {len(bits)} chars")
-    table = sum((b == "1") << i for i, b in enumerate(bits))
-    return BooleanFunction(m, table)
+    return _from_bits(m, np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0"))
 
 
 def load_function(path: str) -> BooleanFunction:

@@ -389,10 +389,11 @@ def _point_masses(mu: ProductDistribution) -> tuple:
     return {idx: x for idx, x in zip(points, masses) if x}, lambda s: s and ar.value(s)
 
 
-def _leaf_masses(tree: DecisionTree, f: BooleanFunction, w: dict) -> dict:
+def _leaf_masses(tree: DecisionTree, table: np.ndarray, w: dict) -> dict:
     """{leaf_id: (s0, s1)} for every leaf that holds one of the points of
     ``w``, in leaf order: s_b sums the masses ``w`` of the leaf's points with
-    f = b, by ascending index (the int 0 if there is none).
+    f = b (``table`` is f's ``table_array``), by ascending index (the int 0
+    if there is none).
 
     The points are split down the tree by each queried bit, so a subtree
     that no point reaches is never entered, and a two-point mu follows at
@@ -413,7 +414,7 @@ def _leaf_masses(tree: DecisionTree, f: BooleanFunction, w: dict) -> dict:
             continue
         s0 = s1 = 0
         for idx in points:
-            if f.value_at(idx):
+            if table[idx]:
                 s1 = s1 + w[idx]
             else:
                 s0 = s0 + w[idx]
@@ -430,11 +431,12 @@ def avg_leaf_bias(r: RandomizedTree, f: BooleanFunction, mu: ProductDistribution
     """E_{T~R} sum over leaves of min{Pr[leaf, f=0], Pr[leaf, f=1]}: the
     reach-weighted leaf bias, the unlabelled-tree error proxy."""
     mass, prob = _point_masses(mu)
+    table = f.table_array()
     total = 0
     for w, tree in r.entries:
         _check_arities(tree, f, mu)
         bias = 0
-        for s0, s1 in _leaf_masses(tree, f, mass).values():
+        for s0, s1 in _leaf_masses(tree, table, mass).values():
             bias = bias + min(s0, s1)
         total = total + w * prob(bias)
     return total
@@ -447,7 +449,7 @@ def label_leaves(tree: DecisionTree, f: BooleanFunction, mu: ProductDistribution
     """
     _check_arities(tree, f, mu)
     w, _ = _point_masses(mu)
-    masses = _leaf_masses(tree, f, w)
+    masses = _leaf_masses(tree, f.table_array(), w)
     return DecisionTree(tree.arity, _majority_labels(tree.root, "", masses))
 
 
@@ -464,7 +466,7 @@ def tree_error(tree: DecisionTree, f: BooleanFunction, mu: ProductDistribution):
     """Pr_{x~mu}[f(x) != T(x)], exact by summation over leaves."""
     _check_arities(tree, f, mu)
     w, prob = _point_masses(mu)
-    masses = _leaf_masses(tree, f, w)
+    masses = _leaf_masses(tree, f.table_array(), w)
     err = 0
     for leaf_id, _, label, _ in tree_leaves(tree):
         if leaf_id not in masses:

@@ -27,7 +27,6 @@ import functools
 import itertools
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -36,10 +35,10 @@ import numpy as np
 
 from .boolfunc import (
     BooleanFunction,
-    Point,
     ProductDistribution,
     _at_most,
     _exact,
+    _is_int,
     point_from_index,
     sensitivity,
 )
@@ -52,7 +51,6 @@ from .dtree import (
     _check_eps,
     avg_leaf_bias,
     dist_error_curve_fast,
-    run,
 )
 
 RATIONAL_ENTRY_LIMIT = 10_000
@@ -89,7 +87,6 @@ __all__ = [
     "mixture_from_columns",
     "sens_miss_profile",
     "pair_miss_profile",
-    "miss_probability",
     "amplify",
     "AmplifiedBiasReport",
     "TwoPointBoundReport",
@@ -136,7 +133,7 @@ def enumerate_trees(m: int, depth_cap: Optional[int] = None, labeled: bool = Tru
     process (docs/decisions.md, entry 18).
     """
     for name, v in (("arity", m), ("depth cap", m if depth_cap is None else depth_cap)):
-        if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 0:
+        if not _is_int(v) or v < 0:
             raise ValueError(f"catalog {name} must be a non-negative int, got {v!r}")
     m = int(m)
     cap = m if depth_cap is None else min(int(depth_cap), m)
@@ -405,9 +402,10 @@ class SabotagePair:
 
 
 def all_sabotage_pairs(f: BooleanFunction) -> tuple:
-    zeros = [point_from_index(i, f.arity) for i in range(f.size) if not f.value_at(i)]
-    ones = [point_from_index(i, f.arity) for i in range(f.size) if f.value_at(i)]
-    return tuple(SabotagePair(x, y) for x in zeros for y in ones)
+    """Every (x, y) with f(x) = 0 and f(y) = 1, in ``_pair_arrays`` order."""
+    xs, diff = _pair_arrays(f)
+    points = [point_from_index(i, f.arity) for i in range(f.size)]
+    return tuple(SabotagePair(points[x], points[x ^ d]) for x, d in zip(xs.tolist(), diff.tolist()))
 
 
 def zero_error_trees(f: BooleanFunction) -> tuple:
@@ -534,7 +532,7 @@ def _catalog_runs(f: BooleanFunction, catalog: StrategyCatalog) -> tuple:
 
 def _pair_arrays(f: BooleanFunction) -> tuple:
     """Point index of x and the bit mask of the differing variables for every
-    sabotage pair, in ``all_sabotage_pairs`` order."""
+    sabotage pair (x, y), x-major and each by ascending point index."""
     tbl = f.table_array()
     zeros, ones = np.flatnonzero(tbl == 0), np.flatnonzero(tbl == 1)
     return np.repeat(zeros, len(ones)), (zeros[:, None] ^ ones).ravel()
@@ -627,37 +625,29 @@ def mixture_from_columns(catalog_trees: Sequence[DecisionTree], gv: GameValue) -
 # ---------------------------------------------------------------------------
 
 
-def miss_probability(r: RandomizedTree, x: Point, i: int):
-    """Pr_{T~R}[T run on x does not query x_i]."""
-    total = 0
-    for w, t in r.entries:
-        if i not in run(t, x).queried:
-            total = total + w
-    return total
+def _entry_hits(r: RandomizedTree, xs: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """``_hit_mask`` of one run table of all of r's entries: (entries, cases)."""
+    return _hit_mask(run_arrays([t for _, t in r.entries], r.arity)[1], xs, targets)
+
+
+def _miss(r: RandomizedTree, hits) -> object:
+    """The weight of the entries e with ``hits[e]`` false, in entry order from 0."""
+    miss = 0
+    for (w, _), h in zip(r.entries, hits):
+        if not h:
+            miss = miss + w
+    return miss
 
 
 def _worst_miss(r: RandomizedTree, xs: np.ndarray, targets: np.ndarray):
-    """max over cases c of the weight of the entries whose run on point
-    index xs[c] queries no variable in the bit mask targets[c].
-
-    Each distinct miss pattern (the set of entries that miss) is summed once,
-    in entry order, and the patterns are scanned in the order of the case
-    that first shows them, so the result is the one a case-by-case loop of
-    ``miss = miss + w`` and ``if miss > worst`` returns, bit for bit.
-    """
+    """max over cases c of the ``_miss`` of ``_entry_hits`` column c: each
+    distinct miss pattern is summed once, scanned in the order of the case
+    that first shows it, so the result is a case-by-case loop's
+    ``if miss > worst``, bit for bit (the int 0 when no case misses)."""
     if not len(xs):
         return 0
-    hit = _hit_mask(run_arrays([t for _, t in r.entries], r.arity)[1], xs, targets)
-    patterns, first = np.unique(hit.T, axis=0, return_index=True)
-    worst = 0
-    for pattern in patterns[np.argsort(first)].tolist():
-        miss = 0
-        for (w, _), h in zip(r.entries, pattern):
-            if not h:
-                miss = miss + w
-        if miss > worst:
-            worst = miss
-    return worst
+    patterns, first = np.unique(_entry_hits(r, xs, targets).T, axis=0, return_index=True)
+    return max([0, *(_miss(r, p) for p in patterns[np.argsort(first)].tolist())])
 
 
 def sens_miss_profile(r: RandomizedTree, f: BooleanFunction):
@@ -797,13 +787,16 @@ def check_two_point_bound(r: RandomizedTree, f: BooleanFunction) -> TwoPointBoun
     mu(x) = mu(x^{+i}) = 1/2, the miss probability satisfies
     miss(x, i) * 1/2 <= avg leaf bias of R under mu, with zero slack. It is
     an equality (docs/decisions.md, entry 17); ``tight`` counts those cases."""
+    if r.arity != f.arity:
+        raise ValueError("arity mismatch")
     half = Fraction(1, 2) if _exact(w for w, _ in r.entries) else 0.5
     violations = []
     xs, var = np.nonzero(_sensitive(f))  # x-major
-    for idx, i in zip(xs.tolist(), (var + 1).tolist()):
+    hits = _entry_hits(r, xs, _var_bits(f.arity)[var]).T.tolist()
+    for idx, i, case_hits in zip(xs.tolist(), (var + 1).tolist(), hits):
         x = point_from_index(idx, f.arity)
         mu = ProductDistribution(x[:i - 1] + (half,) + x[i:])
-        violations.append(miss_probability(r, x, i) * half - avg_leaf_bias(r, f, mu))
+        violations.append(_miss(r, case_hits) * half - avg_leaf_bias(r, f, mu))
     worst = max(violations, default=0)
     return TwoPointBoundReport(len(violations), worst, violations.count(0), bool(worst <= 0))
 

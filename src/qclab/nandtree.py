@@ -13,14 +13,13 @@ below it.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .boolfunc import _at_most, _exact, _nand_formula
+from .boolfunc import _at_most, _check_int, _exact, _nand_formula
 
 __all__ = [
     "ZeroProbTree",
@@ -85,6 +84,7 @@ def _check_marginals(p: np.ndarray) -> None:
 
 
 def zero_probs(d: int, marginals: Sequence) -> ZeroProbTree:
+    _check_int("depth", d, 0)
     if len(marginals) != 1 << d:
         raise ValueError(f"need 2^{d} marginals, got {len(marginals)}")
     exact = _exact(marginals)
@@ -257,20 +257,8 @@ MC_MAX_DEPTH = (_BATCH_ELEMENTS // _MIN_BATCH_ROWS).bit_length() - 1
 _BLOCK_ELEMENTS = 1 << 19
 
 
-def _is_int(v) -> bool:
-    """Whether v is an integer other than a bool."""
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-
-def _check_int(name: str, v) -> None:
-    if not _is_int(v):
-        raise ValueError(f"{name} must be an integer, got {v!r}")
-
-
 def _check_mc_depth(d: int) -> None:
-    _check_int("depth", d)
-    if d < 0:
-        raise ValueError(f"depth must be >= 0, got {d}")
+    _check_int("depth", d, 0)
     if d > MC_MAX_DEPTH:
         raise ValueError(
             f"depth {d} above the Monte-Carlo cap {MC_MAX_DEPTH}: {_MIN_BATCH_ROWS} rows "
@@ -461,12 +449,12 @@ def mc_cost(algorithm: str, d: int, marginals: Sequence, samples: int, seed: int
     if algorithm not in ("greedy_zero", "saks_wigderson"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
     _check_mc_depth(d)
-    p = np.asarray([float(q) for q in marginals])
+    p = np.asarray(marginals)
     n_leaves = 1 << d
     if len(p) != n_leaves:
         raise ValueError("marginal count does not match depth")
-    _check_marginals(p)
-    p = p[_bitrev(n_leaves)]
+    _check_marginals(p)  # in the marginals' own arithmetic, before the float cast
+    p = p.astype(np.float64)[_bitrev(n_leaves)]
     order = None
     if algorithm == "greedy_zero":
         order = _fold_order(_greedy_order(zero_probs(d, marginals)))

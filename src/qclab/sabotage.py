@@ -19,18 +19,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .boolfunc import BooleanFunction, _at_most, nand2
+from .boolfunc import BooleanFunction, _at_most, _check_int, _is_int, nand2
 from .games import _separations
 from .nandtree import (
     SeparationError,
     Transcript,
     _bitrev,
-    _check_int,
     _check_mc_depth,
     _check_samples,
     _coins,
     _fold,
-    _is_int,
     _summary,
 )
 
@@ -265,8 +263,9 @@ def q_counts_sw(t: int, run_on: str = "x") -> tuple:
     y = 1), by the lift rules of the four leaf types (docs/decisions.md,
     entry 12). The O child of a node runs first, in full, with probability 1/2.
     """
-    if t < 0 or run_on not in ("x", "y"):
-        raise ValueError(f"need t >= 0 and run_on 'x' or 'y', got {t} and {run_on!r}")
+    _check_int("t", t, 0)
+    if run_on not in ("x", "y"):
+        raise ValueError("run_on must be 'x' or 'y'")
     read0, read1 = np.array([Fraction(1), Fraction(0)]), np.array([Fraction(0), Fraction(1)])
     e_z, e_o = read0, read1  # full evaluations from a Z (0 on both runs) and an O leaf
     s_d0, s_d1 = (read0, read1) if run_on == "x" else (read1, read0)

@@ -86,7 +86,7 @@ def _check_one_function(f: bf.BooleanFunction, mu, eps_grid, catalog: _CatalogIn
     """Empty string when every DP value matches the brute force over all
     labeled trees (their truth tables, depths and path lengths) exactly."""
     m = f.arity
-    fbits = np.array(f.bits(), dtype=np.int8)
+    fbits = f.table_array()
     d_dp = dt.exact_D(f)
     d_bf = int(catalog.least[f.table])
     if d_dp != d_bf:

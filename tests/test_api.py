@@ -38,3 +38,13 @@ def test_every_imported_name_is_used(name):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     used |= set(importlib.import_module(f"qclab.{name}").__all__)
     assert sorted(imported - used) == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_reads_a_truth_table_one_bit_at_a_time(name):
+    # value_at is the scalar accessor and the tests' oracle; programs read a
+    # table through table_array and build one through boolfunc._from_bits
+    tree = ast.parse(open(importlib.import_module(f"qclab.{name}").__file__).read())
+    calls = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute) and node.func.attr == "value_at"]
+    assert calls == []

@@ -1,4 +1,6 @@
+import hashlib
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -331,3 +333,69 @@ def test_distribution_roundtrip(tmp_path):
     save_distribution(mu, str(path))
     back = load_distribution(str(path))
     assert back.marginals == pytest.approx(mu.marginals)
+
+
+# -- the table's one writer and one reader -------------------------------------
+
+
+def _sha(items):
+    h = hashlib.sha256()
+    for item in items:
+        h.update((hex(item) if isinstance(item, int) else item).encode() + b"\n")
+    return h.hexdigest()
+
+
+def test_builders_keep_the_tables_pinned_before_the_linear_rewrite():
+    # recorded at the parent of the linear builders, from its per-bit loops
+    assert _sha(xor(m).table for m in range(1, 13)) == (
+        "7faa28a39c39e8694998fa6df9130374e0b1d13b13eef26d8aed4832f8fb1c70")
+    assert _sha(dictator(m, i).table for m in range(1, 13) for i in range(1, m + 1)) == (
+        "ca6c6959a0d56dca6720b644e2347556822e12ff5c9731c845a281dc6b977e18")
+    assert _sha(nand_tree(d).table for d in range(5)) == (
+        "721083bbc2f7effea0d0a8c5355e487e859b18aadae9d0bda41f1ec94529316a")
+    seeded = [random_function(m, np.random.default_rng(s)) for m in range(1, 11) for s in range(5)]
+    assert _sha(f.table for f in seeded) == (
+        "e36ff5003b30b24dcb074487b3a75e1e5c7913e42e15d7e5dc986eaa3f96c077")
+    assert _sha(format_truth_table(f) for f in seeded) == (
+        "9c21d4b89e0af44617e700b53ae53301d071f18ca174a7e2db26173e6697b90d")
+
+
+@given(functions(max_arity=10))
+@settings(max_examples=60, deadline=None)
+def test_table_text_and_bits_round_trip(f):
+    assert parse_truth_table(format_truth_table(f)) == f
+    assert f.bits() == tuple(f.table_array().tolist())
+    assert f.bits() == tuple(f.value_at(i) for i in range(f.size))
+
+
+def test_tables_are_built_and_read_in_linear_time():
+    # the per-bit loops took 15.4 s (parse), 4.5 s (xor) and 3.9 s (dictator)
+    # at m = 20, and format and bits about 4 s
+    m = 20
+
+    def timed(fn, *args):
+        start = time.perf_counter()
+        out = fn(*args)
+        assert time.perf_counter() - start < 1.0, fn.__name__
+        return out
+
+    f = timed(xor, m)
+    text = timed(format_truth_table, f)
+    assert timed(parse_truth_table, text) == f
+    assert timed(dictator, m, 3).value_at(1 << 2) == 1
+    assert sum(timed(f.bits)) == 1 << (m - 1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: BooleanFunction(True, 2), lambda: BooleanFunction(2.0, 2),
+    lambda: dictator(2, True), lambda: dictator(2, 1.0), lambda: xor(2.0),
+    lambda: nand_tree(True), lambda: nand_tree(2.0), lambda: nand_tree(-1)])
+def test_integer_arguments_refuse_bools_and_non_integers(build):
+    with pytest.raises(ValueError, match=r"must be an integer|must be >= 0"):
+        build()
+
+
+def test_a_numpy_int_arity_builds_a_python_int_arity():
+    f = BooleanFunction(np.int64(3), 5)
+    assert f == BooleanFunction(3, 5) and type(f.arity) is int
+    assert BooleanFunction(np.int64(7), 1).size == 128

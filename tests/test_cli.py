@@ -5,13 +5,15 @@ import json
 import math
 import os
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from qclab import dtree, games, nandtree, sabotage, verify
-from qclab.boolfunc import and_f, nand2, save_function, save_distribution, uniform_distribution
+from qclab.boolfunc import (and_f, nand2, save_function, save_distribution,
+                             uniform_distribution, xor)
 from qclab.cli import main, normalize_for_compare
 from qclab.dtree import DP_MAX_ARITY
 
@@ -276,6 +278,16 @@ def test_game_refuses_an_arity_4_truth_table_file(tmp_path, capsys):
     save_function(and_f(4), str(path))
     status, out, err = run_cli(capsys, "game", "--fn", str(path))
     assert status == 2 and out == "" and "cap 3" in err
+
+
+def test_game_refuses_an_arity_20_truth_table_file_at_once(tmp_path, capsys):
+    # reading the 2^20 bits one at a time took 17.9 s before the refusal
+    path = tmp_path / "f.tt"
+    save_function(xor(20), str(path))
+    start = time.perf_counter()
+    status, out, err = run_cli(capsys, "game", "--fn", str(path))
+    assert time.perf_counter() - start < 2.0
+    assert status == 2 and out == "" and "arity 20 above this command's cap 3" in err
 
 
 def test_nand_command_text_format(capsys):

@@ -46,6 +46,7 @@ import qclab.games as games
 from qclab.games import (
     GameValue,
     LPError,
+    SabotagePair,
     all_sabotage_pairs,
     amplify,
     catalog_size_formula,
@@ -57,7 +58,6 @@ from qclab.games import (
     exact_RS_eps,
     exact_RSE,
     mixture_from_columns,
-    miss_probability,
     pair_miss_profile,
     r_game,
     r_game_value,
@@ -662,26 +662,41 @@ def test_miss_profile_examples():
     assert sens_miss_profile(mix, f) == Fraction(1, 4)
 
 
+def _miss_probability(r, x, i):
+    # Pr_{T~R}[the run on x does not query x_i], one dtree.run per tree
+    total = 0
+    for w, t in r.entries:
+        if i not in run(t, x).queried:
+            total = total + w
+    return total
+
+
 def test_star_pairs_reduce_to_miss_probability():
+    # the pair (x, x^{+i}) is missed exactly when x_i is unqueried: the run
+    # table's misses of the star cases are the per-point oracle's, bit for bit
     rng = random.Random(3)
-    for _ in range(20):
+    for k in range(40):
         m = rng.randint(1, 5)
         f = random_function(m, rng)
-        from qclab.dtree import random_randomized_tree
-
         r = random_randomized_tree(m, rng)
-        for idx in range(f.size):
-            x = tuple((idx >> j) & 1 for j in range(m))
-            for i in range(1, m + 1):
-                if f.value_at(idx) == f.value_at(idx ^ (1 << (i - 1))):
-                    continue
-                pair_x = x
-                miss = miss_probability(r, pair_x, i)
-                # the pair (x, x^{+i}) is missed exactly when x_i is unqueried
-                queried = [
-                    (w, i in run(t, pair_x).queried) for w, t in r.entries
-                ]
-                assert miss == sum(w for w, hit in queried if not hit)
+        if k % 2:
+            r = RandomizedTree(tuple((float(w), t) for w, t in r.entries))
+        xs, var = np.nonzero(games._sensitive(f))
+        hits = games._entry_hits(r, xs, games._var_bits(m)[var]).T.tolist()
+        got = [games._miss(r, case_hits) for case_hits in hits]
+        want = [_miss_probability(r, point_from_index(x, m), i + 1)
+                for x, i in zip(xs.tolist(), var.tolist())]
+        assert repr(got) == repr(want)
+
+
+@given(st.integers(1, 8).flatmap(
+    lambda m: st.integers(0, (1 << (1 << m)) - 1).map(lambda t: BooleanFunction(m, t))))
+@settings(max_examples=60, deadline=None)
+def test_sabotage_pairs_are_every_zero_one_pair_in_index_order(f):
+    # the value_at oracle is quadratic in 2^m, so arity stops at 8 here
+    want = [SabotagePair(point_from_index(x, f.arity), point_from_index(y, f.arity))
+            for x in range(f.size) if not f.value_at(x) for y in range(f.size) if f.value_at(y)]
+    assert list(all_sabotage_pairs(f)) == want
 
 
 @given(st.integers(0, 10**6))
@@ -842,7 +857,7 @@ def test_the_two_point_bound_holds_with_equality():
                 if f.value_at(idx ^ (1 << (i - 1))) != f.value_at(idx):
                     mu = ProductDistribution(tuple(half if j == i else x[j - 1]
                                                    for j in range(1, m + 1)))
-                    assert miss_probability(r, x, i) / 2 == avg_leaf_bias(r, f, mu)
+                    assert _miss_probability(r, x, i) / 2 == avg_leaf_bias(r, f, mu)
                     cases += 1
         rep = check_two_point_bound(r, f)
         assert rep.pairs_checked == rep.tight == cases and rep.max_violation == 0

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import qclab.nandtree as nandtree
 from qclab.nandtree import (
     GreedyZeroEvaluator,
     _fold,
@@ -88,11 +89,38 @@ def test_marginals_outside_the_unit_interval_are_refused(bad):
                   lambda d, m: GreedyZeroEvaluator(d, m)):
         with pytest.raises(ValueError, match=r"marginals must lie in \[0, 1\]"):
             entry(2, margs)
-    if 0 <= float(bad) <= 1:
-        return  # a sub-ulp Fraction rounds into [0, 1] for the Bernoulli draw
     for algo in ("greedy_zero", "saks_wigderson"):
         with pytest.raises(ValueError, match=r"marginals must lie in \[0, 1\]"):
             mc_cost(algo, 2, margs, 1000, seed=0)
+
+
+@pytest.mark.parametrize("bad", [Fraction(1) + Fraction(1, 10**30), Fraction(-1, 10**30)])
+def test_mc_cost_checks_sub_ulp_marginals_exactly_before_any_draw(bad, monkeypatch):
+    # both round into [0, 1] as floats: the check reads the Fractions
+    def drew(*args, **kwargs):
+        raise AssertionError("mc_cost drew before it checked its marginals")
+
+    monkeypatch.setattr(nandtree, "_summary", drew)
+    for algo in ("greedy_zero", "saks_wigderson"):
+        with pytest.raises(ValueError, match=r"marginals must lie in \[0, 1\]"):
+            mc_cost(algo, 1, [bad, Fraction(1, 2)], 100, seed=0)
+
+
+def test_mc_cost_checks_a_float_array_of_marginals_without_a_python_loop():
+    class NoIteration(np.ndarray):
+        def __iter__(self):
+            raise AssertionError("a Python loop over the marginals")
+
+    p = golden_marginals(4)
+    got = mc_cost("saks_wigderson", 4, p.view(NoIteration), 200, seed=1)
+    assert got == mc_cost("saks_wigderson", 4, p, 200, seed=1)
+
+
+@pytest.mark.parametrize("d", [True, False, 1.0, 1.5, -1])
+def test_zero_probs_refuse_a_depth_that_is_no_non_negative_integer(d):
+    for entry in (zero_probs, expected_cost_sw, expected_cost_greedy_zero):
+        with pytest.raises(ValueError, match=r"depth must be (an integer|>= 0)"):
+            entry(d, [0.5, 0.5])
 
 
 @given(st.integers(0, 3), st.data())

@@ -661,3 +661,13 @@ def test_separation_cost_growth_rate():
     pts = [(d, float(expected_sep_cost_sw(d))) for d in range(4, 13)]
     base, _ = fit_exponent(pts)
     assert abs(base - spectral_alpha()) < 0.05
+
+
+@pytest.mark.parametrize("t", [True, False, 1.5, 2.0, -1])
+def test_exact_sep_counts_refuse_a_level_that_is_no_non_negative_integer(t):
+    with pytest.raises(ValueError, match=r"t must be (an integer|>= 0)"):
+        q_counts_sw(t)
+    with pytest.raises(ValueError, match=r"t must be (an integer|>= 0)"):
+        expected_sep_cost_sw(t)
+    with pytest.raises(ValueError, match="run_on must be 'x' or 'y'"):
+        q_counts_sw(2, "z")

@@ -120,7 +120,7 @@ class ProductDistribution:
 
     def __post_init__(self):
         for p in self.marginals:
-            if isinstance(p, bool) or not isinstance(p, numbers.Real):
+            if not _is_real(p):
                 raise ValueError(f"marginal {p!r} is not a real number")
             if not 0 <= p <= 1:
                 raise ValueError(f"marginal {p!r} outside [0, 1]")
@@ -149,6 +149,11 @@ def _from_bits(m: int, bits) -> BooleanFunction:
 def _is_int(v) -> bool:
     """Whether v is an integer other than a bool."""
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    """Whether v is a real number other than a bool."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 def _check_int(name: str, v, low: int = None) -> None:
@@ -235,38 +240,51 @@ def point_from_index(index: int, m: int) -> Point:
     return tuple((index >> j) & 1 for j in range(m))
 
 
+def _point_bits(index, m: int) -> np.ndarray:
+    """The points with the indices ``index`` as an (n, m) int64 0/1 array:
+    column j - 1 holds x_j, bit j - 1 of the index, so that each row is
+    ``point_from_index`` of its index. The one numpy reader of a point index."""
+    return (np.asarray(index, dtype=np.int64)[:, None] >> np.arange(m)) & 1
+
+
+def _point_index(bits) -> np.ndarray:
+    """The inverse of ``_point_bits``: the index of each 0/1 (or bool) row
+    along the last axis. A row that marks a set of variables gives the set's
+    mask, bit j - 1 for variable j."""
+    bits = np.asarray(bits)
+    return bits.astype(np.int64) @ (np.int64(1) << np.arange(bits.shape[-1], dtype=np.int64))
+
+
 # ---------------------------------------------------------------------------
 # Sensitivity and influence
 # ---------------------------------------------------------------------------
 
 
-def _sensitivity_vector(f: BooleanFunction) -> np.ndarray:
-    """s(f, x) for every point, indexed like the truth table."""
+def _flips(f: BooleanFunction):
+    """For j = 1, ..., m in turn, the bools f(x) != f(x ^ e_j) over every
+    point x, indexed like the truth table: the one route to f's flips."""
     tbl = f.table_array()
-    idx = np.arange(f.size)
-    sens = np.zeros(f.size, dtype=np.int64)
     for j in range(f.arity):
-        sens += tbl != tbl[idx ^ (1 << j)]
-    return sens
+        # axis 1 of the reshape is bit j of the index: reversing it flips x_{j+1}
+        blocks = tbl.reshape(-1, 2, 1 << j)
+        yield (blocks != blocks[:, ::-1]).ravel()
 
 
 def sensitivity(f: BooleanFunction) -> int:
-    return int(_sensitivity_vector(f).max())
+    return int(sum(_flips(f)).max())
 
 
 def influence(f: BooleanFunction, mu: ProductDistribution):
     """Inf(f): the sum over i of 4 p_i (1-p_i) Pr_{x~mu}[f(x) != f(x^{+i})]."""
     _check_pair(f, mu)
     w, ar = _masses(mu.marginals)
-    tbl = f.table_array()
-    idx = np.arange(f.size)
     total = 0
-    for j in range(f.arity):
+    for j, flips in enumerate(_flips(f)):
         # exact: the marginal itself, so an int 0/1 marginal gives the int 0
         p = mu.marginals[j] if ar.exact else ar.weights[j][1]
         term = 4 * p * (1 - p)
         if term:
-            term = term * ar.value(w[tbl != tbl[idx ^ (1 << j)]].sum())
+            term = term * ar.value(w[flips].sum())
         total = total + term
     return total
 
@@ -288,7 +306,7 @@ def avg_sensitivity(f: BooleanFunction, mu: ProductDistribution):
     """E_{x~mu} s(f, x), by full-table summation."""
     _check_pair(f, mu)
     w, ar = _masses(mu.marginals)
-    return ar.value(_sensitivity_vector(f) @ w)
+    return ar.value(sum(_flips(f)) @ w)
 
 
 @dataclass(frozen=True)
@@ -354,7 +372,7 @@ def nand_tree(depth: int) -> BooleanFunction:
     m = 1 << depth
     if m > MAX_ARITY:
         raise ValueError(f"nand tree of depth {depth} needs {m} > {MAX_ARITY} variables")
-    return _from_bits(m, _nand_formula((np.arange(1 << m)[:, None] >> np.arange(m)) & 1))
+    return _from_bits(m, _nand_formula(_point_bits(np.arange(1 << m), m)))
 
 
 def _nand_formula(x: np.ndarray) -> np.ndarray:

@@ -381,10 +381,11 @@ def _build_parser() -> argparse.ArgumentParser:
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, mu_default=None, eps=True):
+    def common(sp, mu_default=None, eps=True, seed=True):  # seed: only commands that draw
         if eps:
             sp.add_argument("--eps", type=_eps_arg, default=1 / 3)
-        sp.add_argument("--seed", type=int, default=vf.DEFAULT_SEED)
+        if seed:
+            sp.add_argument("--seed", type=int, default=vf.DEFAULT_SEED)
         sp.add_argument("--out", default=None)
         sp.add_argument("--format", choices=("csv", "text"), default="csv")
         sp.add_argument("--compare", default=None, metavar="PATH",
@@ -394,13 +395,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("measure", help="exact complexity measures of one function")
     sp.add_argument("--fn", required=True)
-    common(sp, mu_default="uniform")
+    common(sp, mu_default="uniform", seed=False)
 
     sp = sub.add_parser("game", help="exact LP game values at arity <= 3")
     sp.add_argument("--fn", required=True)
     sp.add_argument("--strategies", action="store_true")
     sp.add_argument("--dump-game", default=None, metavar="PATH")
-    common(sp)
+    common(sp, seed=False)
 
     sp = sub.add_parser("nand", help="NAND-tree evaluator costs across depths")
     sp.add_argument("--algo", choices=("greedy_zero", "saks_wigderson", "both"), default="both")

@@ -29,6 +29,7 @@ from .boolfunc import (
     ProductDistribution,
     _arithmetic,
     _at_most,
+    _check_int,
     _exact,
     _mass_vector,
     _masses,
@@ -517,10 +518,9 @@ def tree_from_json(text: str) -> DecisionTree:
 def random_tree(m: int, rng, max_depth: Optional[int] = None, labeled: bool = False,
                 leaf_prob: float = 0.3) -> DecisionTree:
     """A random repeat-free tree; rng is ``random.Random``."""
-    if max_depth is not None and max_depth < 0:
-        raise ValueError(f"max_depth must be >= 0, got {max_depth}")
     if max_depth is None:
         max_depth = m
+    _check_int("max_depth", max_depth, 0)
     return DecisionTree(m, _grow(list(range(1, m + 1)), max_depth, rng, labeled, leaf_prob))
 
 
@@ -538,8 +538,9 @@ def random_randomized_tree(m: int, rng, support: int = 3,
                            max_depth: Optional[int] = None) -> RandomizedTree:
     """Random mixture of unlabelled trees with exact dyadic-rational weights
     (for exact checks)."""
-    if max_depth is not None and max_depth < 0:
-        raise ValueError(f"max_depth must be >= 0, got {max_depth}")
+    _check_int("support", support, 1)
+    if max_depth is not None:
+        _check_int("max_depth", max_depth, 0)
     k = rng.randint(1, support)
     trees = [random_tree(m, rng, max_depth) for _ in range(k)]
     raw = [rng.randint(1, 8) for _ in range(k)]

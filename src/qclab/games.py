@@ -37,9 +37,12 @@ from .boolfunc import (
     BooleanFunction,
     ProductDistribution,
     _at_most,
+    _check_int,
     _exact,
+    _flips,
     _is_int,
-    point_from_index,
+    _point_bits,
+    _point_index,
     sensitivity,
 )
 from .dtree import (
@@ -403,9 +406,13 @@ class SabotagePair:
 
 def all_sabotage_pairs(f: BooleanFunction) -> tuple:
     """Every (x, y) with f(x) = 0 and f(y) = 1, in ``_pair_arrays`` order."""
-    xs, diff = _pair_arrays(f)
-    points = [point_from_index(i, f.arity) for i in range(f.size)]
-    return tuple(SabotagePair(points[x], points[x ^ d]) for x, d in zip(xs.tolist(), diff.tolist()))
+    return _sabotage_pairs(f, *_pair_arrays(f))
+
+
+def _sabotage_pairs(f: BooleanFunction, xs: np.ndarray, diff: np.ndarray) -> tuple:
+    """The pairs of ``_pair_arrays`` arrays, each point a ``_point_bits`` row."""
+    x, y = (map(tuple, _point_bits(v, f.arity).tolist()) for v in (xs, xs ^ diff))
+    return tuple(map(SabotagePair, x, y))
 
 
 def zero_error_trees(f: BooleanFunction) -> tuple:
@@ -415,24 +422,29 @@ def zero_error_trees(f: BooleanFunction) -> tuple:
     f is sensitive at y: a leaf subcube is connected by flips of its free
     variables, and all its points share one run.
     """
-    trees = enumerate_trees(f.arity, None, labeled=False).trees
-    return tuple(itertools.compress(trees, _zero_error_mask(f).tolist()))
+    return _zero_error_trees(f, _zero_error_mask(f))
+
+
+def _zero_error_trees(f: BooleanFunction, keep: np.ndarray) -> tuple:
+    """``zero_error_trees(f)`` read off its mask ``keep``."""
+    return tuple(itertools.compress(enumerate_trees(f.arity, None, labeled=False).trees, keep))
 
 
 def _zero_error_mask(f: BooleanFunction) -> np.ndarray:
     """The zero-error rule as bools over the unlabelled full-depth catalog."""
     queried = _queried_masks(enumerate_trees(f.arity, None, labeled=False).runs[1])
-    sens = _sensitive(f) @ _var_bits(f.arity)
+    sens = _point_index(_sensitive(f))
     return ((queried & sens) == sens).all(axis=1)
 
 
-def _separations(f: BooleanFunction, xs: np.ndarray, diff: np.ndarray) -> tuple:
-    """``(at_x, steps)`` of the runs of ``zero_error_trees(f)`` on point
-    indices xs: ``at_x[t, c]`` are the query positions of tree t on xs[c], and
-    ``steps[t, c]`` the step at which it first queries a variable in diff[c]."""
-    positions = enumerate_trees(f.arity, None, labeled=False).runs[1][_zero_error_mask(f)]
+def _separations(f: BooleanFunction, keep: np.ndarray, xs: np.ndarray, diff: np.ndarray) -> tuple:
+    """``(at_x, steps)`` of the runs of the zero-error trees, ``keep`` =
+    ``_zero_error_mask(f)``, on point indices xs: ``at_x[t, c]`` are the query
+    positions of tree t on xs[c], and ``steps[t, c]`` the step at which it
+    first queries a variable in diff[c]."""
+    positions = enumerate_trees(f.arity, None, labeled=False).runs[1][keep]
     m = f.arity
-    differs = ((diff[:, None] >> np.arange(m)) & 1).astype(bool)  # (cases, m)
+    differs = _point_bits(diff, m).astype(bool)  # (cases, m)
     at_x = positions[:, xs, :]  # (trees, cases, m)
     steps = np.where(differs & (at_x > 0), at_x, m + 1).min(axis=2)
     if (steps > m).any():
@@ -486,7 +498,7 @@ def run_arrays(trees: Sequence[DecisionTree], m: int) -> tuple:
     out[:3] = np.array([-1, 0, 1], dtype=np.int8)[:, None]
     pos = np.zeros((len(var), n, m), dtype=np.int8)
     var, child0, child1, height = map(np.array, (var, child0, child1, height))
-    point_bits = (np.arange(n) >> np.arange(m)[:, None]) & 1  # (m, n)
+    point_bits = _point_bits(np.arange(n), m).T  # (m, n)
     cols = np.arange(n)
     for h in range(1, int(height.max()) + 1):
         rows = np.flatnonzero(height == h)
@@ -499,22 +511,16 @@ def run_arrays(trees: Sequence[DecisionTree], m: int) -> tuple:
     return out[roots], pos[roots]
 
 
-def _var_bits(m: int) -> np.ndarray:
-    """Bit j - 1 for variable j, as int64."""
-    return np.int64(1) << np.arange(m, dtype=np.int64)
-
-
 def _queried_masks(positions: np.ndarray) -> np.ndarray:
     """(trees, points) bit masks of the variables each run of a run table's
     ``positions`` queries."""
-    return (positions > 0).astype(np.int64) @ _var_bits(positions.shape[2])
+    return _point_index(positions > 0)
 
 
 def _sensitive(f: BooleanFunction) -> np.ndarray:
     """(points, variables) bools: does flipping variable j + 1 at point
     index x change f?"""
-    tbl = f.table_array()
-    return tbl[:, None] != tbl[np.arange(f.size)[:, None] ^ _var_bits(f.arity)]
+    return np.stack(list(_flips(f)), axis=1)
 
 
 def _hit_mask(positions: np.ndarray, xs: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -540,22 +546,28 @@ def _pair_arrays(f: BooleanFunction) -> tuple:
 
 def r_game(f: BooleanFunction, catalog: StrategyCatalog):
     """Rows: inputs; columns: labeled trees; payoff [T(x) != f(x)]."""
-    points = [point_from_index(i, f.arity) for i in range(f.size)]
+    points = list(map(tuple, _point_bits(np.arange(f.size), f.arity).tolist()))
     return (_catalog_runs(f, catalog)[0] != f.table_array()).T.astype(np.int64), points
 
 
 def rs_game(f: BooleanFunction, catalog: StrategyCatalog):
     """Rows: sabotage pairs; payoff 1 when the run on x misses every
     differing index."""
-    pairs = all_sabotage_pairs(f)
-    missed = ~_hit_mask(_catalog_runs(f, catalog)[1], *_pair_arrays(f))
-    return missed.T.astype(np.int64), pairs
+    xs, diff = _pair_arrays(f)
+    missed = ~_hit_mask(_catalog_runs(f, catalog)[1], xs, diff)
+    return missed.T.astype(np.int64), _sabotage_pairs(f, xs, diff)
 
 
 def rse_game(f: BooleanFunction):
     """Rows: pairs; columns: ``zero_error_trees(f)``; payoff = queries on x
     up to and including the first differing index."""
-    return _separations(f, *_pair_arrays(f))[1].T.astype(np.int64), all_sabotage_pairs(f)
+    return _rse_game(f, _zero_error_mask(f))
+
+
+def _rse_game(f: BooleanFunction, keep: np.ndarray) -> tuple:
+    """``rse_game(f)`` over the columns ``keep``, the zero-error mask."""
+    xs, diff = _pair_arrays(f)
+    return _separations(f, keep, xs, diff)[1].T.astype(np.int64), _sabotage_pairs(f, xs, diff)
 
 
 def r_game_value(f: BooleanFunction, depth: int) -> tuple:
@@ -602,9 +614,10 @@ def _rse_solution(f: BooleanFunction) -> tuple:
     pairs)``, with value 0 and empty strategies when f has no pairs."""
     if f.arity > 3:
         raise ValueError("exact_RSE capped at arity 3")
-    matrix, pairs = rse_game(f)
+    keep = _zero_error_mask(f)
+    matrix, pairs = _rse_game(f, keep)
     gv = solve_zero_sum(matrix) if pairs else GameValue(0, (), ())
-    return gv, zero_error_trees(f), matrix, pairs
+    return gv, _zero_error_trees(f, keep), matrix, pairs
 
 
 def exact_RSE(f: BooleanFunction):
@@ -658,7 +671,7 @@ def sens_miss_profile(r: RandomizedTree, f: BooleanFunction):
     if r.arity != f.arity:
         raise ValueError("arity mismatch")
     xs, var = np.nonzero(_sensitive(f))  # x-major
-    return _worst_miss(r, xs, _var_bits(f.arity)[var])
+    return _worst_miss(r, xs, np.int64(1) << var)
 
 
 def pair_miss_profile(r: RandomizedTree, f: BooleanFunction):
@@ -713,8 +726,7 @@ def amplify(r: RandomizedTree, reps: int) -> RandomizedTree:
 
     Identical flattened trees are merged, so the support stays canonical.
     """
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
+    _check_int("reps", reps, 1)
     if len(r.entries) ** reps > AMPLIFY_SUPPORT_LIMIT:
         raise ValueError(
             f"amplified support {len(r.entries)}^{reps} exceeds limit {AMPLIFY_SUPPORT_LIMIT}"
@@ -792,10 +804,9 @@ def check_two_point_bound(r: RandomizedTree, f: BooleanFunction) -> TwoPointBoun
     half = Fraction(1, 2) if _exact(w for w, _ in r.entries) else 0.5
     violations = []
     xs, var = np.nonzero(_sensitive(f))  # x-major
-    hits = _entry_hits(r, xs, _var_bits(f.arity)[var]).T.tolist()
-    for idx, i, case_hits in zip(xs.tolist(), (var + 1).tolist(), hits):
-        x = point_from_index(idx, f.arity)
-        mu = ProductDistribution(x[:i - 1] + (half,) + x[i:])
+    hits = _entry_hits(r, xs, np.int64(1) << var).T.tolist()
+    for x, i, case_hits in zip(_point_bits(xs, f.arity).tolist(), (var + 1).tolist(), hits):
+        mu = ProductDistribution((*x[:i - 1], half, *x[i:]))
         violations.append(_miss(r, case_hits) * half - avg_leaf_bias(r, f, mu))
     worst = max(violations, default=0)
     return TwoPointBoundReport(len(violations), worst, violations.count(0), bool(worst <= 0))
@@ -827,8 +838,7 @@ def dprod_search(f: BooleanFunction, eps: float, restarts: int = 6,
     if m > DP_MAX_ARITY:
         raise ValueError(f"dprod_search capped at arity {DP_MAX_ARITY}")
     _check_eps(eps)
-    if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
+    _check_int("restarts", restarts, 1)
     rng = np.random.default_rng(seed)
     evals = 0
 

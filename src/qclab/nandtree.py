@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .boolfunc import _at_most, _check_int, _exact, _nand_formula
+from .boolfunc import _at_most, _check_int, _exact, _is_real, _nand_formula
 
 __all__ = [
     "ZeroProbTree",
@@ -78,8 +78,20 @@ class ZeroProbTree:
         return self.levels[0].tolist()[0]
 
 
-def _check_marginals(p: np.ndarray) -> None:
-    if not np.all((p >= 0) & (p <= 1)):  # NaN fails both
+def _check_marginals(marginals) -> None:
+    """Refuse marginals that are no real numbers (bools too), or lie outside
+    [0, 1], in their own arithmetic: a numeric array is one array check,
+    without a Python loop, and any other sequence is read entry by entry."""
+    p = marginals if isinstance(marginals, np.ndarray) else np.array(marginals, dtype=object)
+    if p.dtype.kind in "iuf":
+        inside = np.all((p >= 0) & (p <= 1))  # NaN fails both
+    else:
+        values = p.ravel().tolist()
+        bad = [v for v in values if not _is_real(v)]
+        if bad:
+            raise ValueError(f"marginals must be real numbers, got {bad[0]!r}")
+        inside = all(0 <= v <= 1 for v in values)  # NaN fails both
+    if not inside:
         raise ValueError("marginals must lie in [0, 1]")
 
 
@@ -87,9 +99,9 @@ def zero_probs(d: int, marginals: Sequence) -> ZeroProbTree:
     _check_int("depth", d, 0)
     if len(marginals) != 1 << d:
         raise ValueError(f"need 2^{d} marginals, got {len(marginals)}")
+    _check_marginals(marginals)  # in the marginals' own arithmetic, before any float conversion
     exact = _exact(marginals)
     p = np.asarray(marginals, dtype=object if exact else None)
-    _check_marginals(p)  # in the marginals' own arithmetic, before any float conversion
     levels = [1 - (p if exact else p.astype(np.float64))]
     for _ in range(d):
         levels.append((1 - levels[-1][0::2]) * (1 - levels[-1][1::2]))
@@ -453,7 +465,7 @@ def mc_cost(algorithm: str, d: int, marginals: Sequence, samples: int, seed: int
     n_leaves = 1 << d
     if len(p) != n_leaves:
         raise ValueError("marginal count does not match depth")
-    _check_marginals(p)  # in the marginals' own arithmetic, before the float cast
+    _check_marginals(marginals)  # in the marginals' own arithmetic, before the float cast
     p = p.astype(np.float64)[_bitrev(n_leaves)]
     order = None
     if algorithm == "greedy_zero":
@@ -522,12 +534,14 @@ def fit_exponent(points: Sequence) -> tuple:
 def golden_marginals(d: int) -> np.ndarray:
     """The stationary marginals: every subtree has zero-probability
     (3 - sqrt 5)/2, the fixed point of q = (1-q)^2."""
+    _check_int("depth", d, 0)
     p = (math.sqrt(5.0) - 1.0) / 2.0
     return np.full(1 << d, p)
 
 
 def tile_marginals(block: Sequence[float], d: int) -> np.ndarray:
     """Tile a block of leaf marginals periodically across 2^d leaves."""
+    _check_int("depth", d, 0)
     block = np.asarray([float(p) for p in block])
     n = 1 << d
     reps = -(-n // len(block))

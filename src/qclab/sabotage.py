@@ -19,8 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .boolfunc import BooleanFunction, _at_most, _check_int, _is_int, nand2
-from .games import _separations
+from .boolfunc import BooleanFunction, _at_most, _check_int, _is_int, _point_index, nand2
+from .games import _separations, _zero_error_mask
 from .nandtree import (
     SeparationError,
     Transcript,
@@ -351,8 +351,7 @@ def exact_base_cases() -> dict:
     for t, f in ((0, BooleanFunction(1, 0b10)), (1, nand2())):
         probs, x, y = zip(*enumerate_hard_pairs(t))
         x, y = np.array(x), np.array(y)  # (pairs, 2^t) bits
-        bits = 1 << np.arange(f.arity)
-        at_x, steps = _separations(f, x @ bits, (x ^ y) @ bits)
+        at_x, steps = _separations(f, _zero_error_mask(f), _point_index(x), _point_index(x ^ y))
         read = (at_x > 0) & (at_x <= steps[:, :, None])  # queried up to separation
         for b in (0, 1):
             totals = (read & (x == b)).sum(axis=2).astype(object) @ np.array(probs, dtype=object)

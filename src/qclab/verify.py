@@ -68,11 +68,11 @@ class _CatalogIndex:
         outputs, positions = gm.enumerate_trees(m, labeled=True).runs
         self.pathlen = positions.max(axis=2).astype(np.int64)  # (trees, points)
         depth = self.pathlen.max(axis=1)  # every path of a repeat-free tree is run
-        table = outputs.astype(np.int64) @ (np.int64(1) << np.arange(1 << m, dtype=np.int64))
+        table = bf._point_index(outputs)  # the table a tree computes: its outputs as bits
         self.least = np.full(1 << (1 << m), m + 1, dtype=np.int64)
         np.minimum.at(self.least, table, depth)
         self.tables = np.flatnonzero(self.least <= m)
-        self.table_bits = ((self.tables[:, None] >> np.arange(1 << m)) & 1).astype(np.int8)
+        self.table_bits = bf._point_bits(self.tables, 1 << m).astype(np.int8)
         self.order = np.argsort(table, kind="stable")
         self.starts = np.searchsorted(table[self.order], np.arange((1 << (1 << m)) + 1))
 

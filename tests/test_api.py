@@ -48,3 +48,24 @@ def test_no_module_reads_a_truth_table_one_bit_at_a_time(name):
     calls = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
              and isinstance(node.func, ast.Attribute) and node.func.attr == "value_at"]
     assert calls == []
+
+
+def _is_arange(node) -> bool:
+    """An ``np.arange(...)`` call, or a subscript of one."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"
+            and node.func.attr == "arange")
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "boolfunc"])
+def test_no_module_but_boolfunc_spells_out_a_points_bits(name):
+    # a point crosses between its index and its bits through
+    # boolfunc._point_bits and _point_index, and f's flips come from _flips:
+    # no shift or xor elsewhere takes an arange of indices or variables
+    tree = ast.parse(open(importlib.import_module(f"qclab.{name}").__file__).read())
+    sites = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.BinOp)
+             and isinstance(node.op, (ast.LShift, ast.RShift, ast.BitXor))
+             and (_is_arange(node.left) or _is_arange(node.right))]
+    assert sites == []

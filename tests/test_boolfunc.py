@@ -399,3 +399,43 @@ def test_a_numpy_int_arity_builds_a_python_int_arity():
     f = BooleanFunction(np.int64(3), 5)
     assert f == BooleanFunction(3, 5) and type(f.arity) is int
     assert BooleanFunction(np.int64(7), 1).size == 128
+
+
+# -- the point's one format and f's one flip route ------------------------------
+
+
+def test_measures_are_pinned_before_the_one_flip_route():
+    # recorded at the parent of boolfunc._flips, from _sensitivity_vector and
+    # influence's own flip loop: exact, float and 0/1-int marginals
+    rng = random.Random(31)
+    h = hashlib.sha256()
+    for m in range(1, 11):
+        for _ in range(4):
+            f = random_function(m, rng)
+            mus = [boolfunc.random_dyadic_distribution(m, rng), random_distribution(m, rng),
+                   ProductDistribution(tuple(rng.choice((0, 1, Fraction(1, 3))) for _ in range(m)))]
+            h.update(repr((sensitivity(f), [(influence(f, mu), avg_sensitivity(f, mu))
+                                            for mu in mus])).encode())
+    assert h.hexdigest() == "97c26e75cec94febe65097478d59f7666fbc963c94824d499b7b389c01a8aff7"
+
+
+@given(st.integers(1, 12).flatmap(
+    lambda m: st.tuples(st.just(m), st.lists(st.integers(0, (1 << m) - 1), min_size=1))))
+@settings(max_examples=80, deadline=None)
+def test_point_bits_and_point_index_are_inverse(case):
+    m, indices = case
+    bits = boolfunc._point_bits(indices, m)
+    assert bits.shape == (len(indices), m)
+    assert [tuple(row) for row in bits.tolist()] == [point_from_index(i, m) for i in indices]
+    assert boolfunc._point_index(bits).tolist() == indices
+    assert boolfunc._point_index(bits.astype(bool)).tolist() == indices
+
+
+@given(functions(max_arity=8))
+@settings(max_examples=60, deadline=None)
+def test_flips_match_a_value_at_oracle(f):
+    flips = list(boolfunc._flips(f))
+    assert len(flips) == f.arity
+    for j, got in enumerate(flips):
+        assert got.dtype == bool
+        assert got.tolist() == [f.value_at(x) != f.value_at(x ^ (1 << j)) for x in range(f.size)]

@@ -166,6 +166,14 @@ def test_a_bad_eps_exits_2_before_any_work(command, eps):
     assert "argument --eps" in err.getvalue()
 
 
+@pytest.mark.parametrize("command", ["measure", "game"])
+def test_seed_is_no_option_of_a_command_that_draws_nothing(command, capsys):
+    # measure and game used to accept --seed 5 and ignore it
+    status, out, err = run_cli(capsys, command, "--fn", "xor:2", "--seed", "5")
+    assert status == 2 and out == "" and "unrecognized arguments: --seed" in err
+    assert run_cli(capsys, command, "--fn", "xor:2")[0] == 0
+
+
 @pytest.mark.parametrize("argv", [
     ("measure", "--fn", "xor:2", "--eps", "-0.1"),
     ("measure", "--fn", "xor:2", "--eps", "nan"),

@@ -779,6 +779,15 @@ def test_random_trees_refuse_a_negative_depth_before_any_draw():
     for build in (random_tree, random_randomized_tree):
         with pytest.raises(ValueError, match="max_depth must be >= 0"):
             build(3, rng, max_depth=-1)
+    # max_depth=1.5 used to build a depth-3 tree (depth == 0 never held), and
+    # support=True ran as a support of 1
+    for bad in (1.5, True, "2"):
+        for build in (random_tree, random_randomized_tree):
+            with pytest.raises(ValueError, match="max_depth must be an integer"):
+                build(3, rng, max_depth=bad)
+    for support in (1.5, True, 0):
+        with pytest.raises(ValueError, match=r"support must be (an integer|>= 1)"):
+            random_randomized_tree(3, rng, support=support)
     assert rng.getstate() == state
     assert random_tree(3, rng, max_depth=0).root == Leaf(None)
 

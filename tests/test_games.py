@@ -394,6 +394,45 @@ def test_exact_games_are_pinned():
         "70d95507acbbe492f3db5289b9469eb342796e2567c51e5b80f5fbfdafd55a95")
 
 
+def test_game_rows_labels_and_zero_error_masks_are_pinned():
+    # recorded at the parent of boolfunc._point_bits: every R and RS game at
+    # each depth cap and every RS_E game, matrix and labels, and every
+    # zero-error mask, over all functions of arity <= 3
+    rows, masks = hashlib.sha256(), hashlib.sha256()
+    for m in (1, 2, 3):
+        catalogs = [(enumerate_trees(m, k, labeled=True), enumerate_trees(m, k, labeled=False))
+                    for k in range(m + 1)]
+        for table in range(1 << (1 << m)):
+            f = BooleanFunction(m, table)
+            played = [game(f, c) for lab, unl in catalogs
+                      for game, c in ((r_game, lab), (rs_game, unl))]
+            for matrix, labels in played + [rse_game(f)]:
+                rows.update(repr((matrix.dtype.str, matrix.shape, labels)).encode()
+                            + matrix.tobytes())
+            masks.update(games._zero_error_mask(f).tobytes())
+    assert rows.hexdigest() == "c67f6b5389e7c006559f81cda6a81f8bb191a8eaecc9bffb1f2704874af40214"
+    assert masks.hexdigest() == "4465b5205c1072009d2900910e98e86408706974bed27c6b7e2a2db5b049c6a2"
+
+
+def test_each_game_builds_its_rows_and_zero_error_mask_once(monkeypatch):
+    calls = {"pairs": 0, "mask": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(games, "_pair_arrays", counted("pairs", games._pair_arrays))
+    monkeypatch.setattr(games, "_zero_error_mask", counted("mask", games._zero_error_mask))
+    f = BooleanFunction(3, 0b01101001)
+    for play in (lambda: rs_game(f, enumerate_trees(3, 2, labeled=False)),
+                 lambda: rse_game(f), lambda: games._rse_solution(f)):
+        calls.update(pairs=0, mask=0)
+        play()
+        assert calls["pairs"] == 1 and calls["mask"] <= 1
+
+
 # -- complexity games ---------------------------------------------------------------
 
 
@@ -682,7 +721,7 @@ def test_star_pairs_reduce_to_miss_probability():
         if k % 2:
             r = RandomizedTree(tuple((float(w), t) for w, t in r.entries))
         xs, var = np.nonzero(games._sensitive(f))
-        hits = games._entry_hits(r, xs, games._var_bits(m)[var]).T.tolist()
+        hits = games._entry_hits(r, xs, np.int64(1) << var).T.tolist()
         got = [games._miss(r, case_hits) for case_hits in hits]
         want = [_miss_probability(r, point_from_index(x, m), i + 1)
                 for x, i in zip(xs.tolist(), var.tolist())]
@@ -769,6 +808,18 @@ def test_amplify_identity_and_products():
         amplify(r, 40)  # 2^40 tuples exceeds the support limit
     with pytest.raises(ValueError):
         amplify(r, 0)
+
+
+@pytest.mark.parametrize("reps", [1.5, True, 0])
+def test_amplify_refuses_repetitions_that_are_no_positive_integer(reps, monkeypatch):
+    # 1.5 reached itertools.product's TypeError, True ran as 1 repetition
+    def composed(*args):
+        raise AssertionError("a tree was composed before reps was checked")
+
+    monkeypatch.setattr(games, "compose_trees", composed)
+    r = RandomizedTree(((Fraction(1, 2), q_tree(2, 1)), (Fraction(1, 2), q_tree(2, 2))))
+    with pytest.raises(ValueError, match=r"reps must be (an integer|>= 1)"):
+        amplify(r, reps)
 
 
 def test_amplify_epsilon_repetition_bound():
@@ -919,6 +970,9 @@ def test_dprod_search_refuses_bad_arguments_before_any_lattice_work(monkeypatch)
             dprod_search(xor(2), eps)
     for restarts in (0, -1):
         with pytest.raises(ValueError, match="restarts must be >= 1"):
+            dprod_search(xor(2), 1 / 3, restarts=restarts)
+    for restarts in (2.5, True):  # 2.5 reached linspace, True ran as 1 restart
+        with pytest.raises(ValueError, match="restarts must be an integer"):
             dprod_search(xor(2), 1 / 3, restarts=restarts)
 
 

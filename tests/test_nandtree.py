@@ -82,15 +82,23 @@ def test_zero_probs_examples():
 
 
 @pytest.mark.parametrize("bad", [2.0, float("nan"), -0.5, -1e-300, np.float64(1 + 2**-52),
-                                 Fraction(-1, 10**30), Fraction(1 + 10**30, 10**30)])
-def test_marginals_outside_the_unit_interval_are_refused(bad):
-    margs = [0.5, bad, 0.25, 1.0]
+                                 Fraction(-1, 10**30), Fraction(1 + 10**30, 10**30),
+                                 "0.5", None, True, np.array([True] * 4), ["0.5"] * 4])
+def test_marginals_outside_the_unit_interval_are_refused(bad, monkeypatch):
+    # entries that are no real numbers used to raise numpy's UFuncTypeError or
+    # a bare TypeError; each is now a ValueError before any draw
+    def drew(*args, **kwargs):
+        raise AssertionError("mc_cost drew before it checked its marginals")
+
+    monkeypatch.setattr(nandtree, "_summary", drew)
+    margs = bad if len(np.shape(bad)) else [0.5, bad, 0.25, 1.0]
+    refused = r"marginals must (lie in \[0, 1\]|be real numbers)"
     for entry in (zero_probs, expected_cost_greedy_zero, expected_cost_sw,
                   lambda d, m: GreedyZeroEvaluator(d, m)):
-        with pytest.raises(ValueError, match=r"marginals must lie in \[0, 1\]"):
+        with pytest.raises(ValueError, match=refused):
             entry(2, margs)
     for algo in ("greedy_zero", "saks_wigderson"):
-        with pytest.raises(ValueError, match=r"marginals must lie in \[0, 1\]"):
+        with pytest.raises(ValueError, match=refused):
             mc_cost(algo, 2, margs, 1000, seed=0)
 
 
@@ -118,7 +126,10 @@ def test_mc_cost_checks_a_float_array_of_marginals_without_a_python_loop():
 
 @pytest.mark.parametrize("d", [True, False, 1.0, 1.5, -1])
 def test_zero_probs_refuse_a_depth_that_is_no_non_negative_integer(d):
-    for entry in (zero_probs, expected_cost_sw, expected_cost_greedy_zero):
+    # golden_marginals(True) used to run as depth 1, and (-1) raised numpy's
+    # "negative shift count"
+    for entry in (zero_probs, expected_cost_sw, expected_cost_greedy_zero,
+                  lambda d, _: golden_marginals(d), lambda d, m: tile_marginals(m, d)):
         with pytest.raises(ValueError, match=r"depth must be (an integer|>= 0)"):
             entry(d, [0.5, 0.5])
 
